@@ -639,7 +639,7 @@ fn run_experiments(requested: &[String]) {
     println!(
         "Quantum Communication Advantage for Leader Election and Agreement — experiment suite"
     );
-    println!("(message counts are measured on the CONGEST simulator; see EXPERIMENTS.md)\n");
+    println!("(message counts are measured on the CONGEST simulator; see README.md)\n");
     for (name, experiment) in experiments {
         if run_all || requested.iter().any(|r| r == name) {
             let start = std::time::Instant::now();
@@ -720,7 +720,7 @@ Scenario cells honour CONGEST_SHARDS; traces recorded at one shard count replay
 byte-identically at any other (the deterministic barrier-merge invariant).
 Specs may mix round-mode and event-mode scenarios in one matrix: `mode =
 \"event\"` plus a `scheduler = [name, bound, seed]` stanza runs its cells on
-the discrete-event engine under that scheduler adversary (see
+the same round engine with that scheduler adversary skewing delivery (see
 docs/EXECUTION_MODELS.md); replay covers both modes."
     );
 }

@@ -9,15 +9,22 @@
 //! regression fails every attempt. Keeping the retry policy here means the
 //! two gates cannot silently diverge.
 
-/// Parses a `*_MIN_SPEEDUP`-style gate threshold from the environment.
+/// Parses a `*_MIN_SPEEDUP`-style gate threshold from the environment. An
+/// unset or empty variable means no gate, as with `CONGEST_CACHE`.
 ///
 /// # Panics
 ///
-/// Panics if the variable is set but not a number — a misconfigured CI gate
-/// must fail loudly, not silently skip enforcement.
+/// Panics if the variable is set to something that is not a number — a
+/// misconfigured CI gate must fail loudly, not silently skip enforcement.
 #[must_use]
 pub fn speedup_threshold(env_var: &str) -> Option<f64> {
-    std::env::var(env_var).ok().map(|v| {
+    parse_threshold(env_var, std::env::var(env_var).ok().as_deref())
+}
+
+/// The gate threshold that `value` (the raw contents of `env_var`, if set)
+/// requests; see [`speedup_threshold`].
+fn parse_threshold(env_var: &str, value: Option<&str>) -> Option<f64> {
+    value.filter(|v| !v.is_empty()).map(|v| {
         v.parse()
             .unwrap_or_else(|_| panic!("{env_var} must be a number, got {v:?}"))
     })
@@ -113,5 +120,18 @@ mod tests {
         // Unset variables yield no gate (don't mutate the environment here:
         // the suite runs tests concurrently).
         assert_eq!(speedup_threshold("BENCH_GATE_TEST_UNSET_VAR"), None);
+    }
+
+    #[test]
+    fn empty_threshold_means_no_gate() {
+        assert_eq!(parse_threshold("GATE", None), None);
+        assert_eq!(parse_threshold("GATE", Some("")), None);
+        assert_eq!(parse_threshold("GATE", Some("3.0")), Some(3.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "GATE must be a number, got \"fast\"")]
+    fn non_numeric_threshold_panics() {
+        let _ = parse_threshold("GATE", Some("fast"));
     }
 }

@@ -2,11 +2,12 @@
 //!
 //! The experiment harness that regenerates every complexity claim of
 //! *Quantum Communication Advantage for Leader Election and Agreement*
-//! (PODC 2025). Each experiment (E1–E10, see DESIGN.md and EXPERIMENTS.md)
-//! runs a quantum protocol and its classical comparator over a sweep of
-//! network sizes on the metered CONGEST simulator, records the measured
-//! message and round complexity, and fits the scaling exponent so the
-//! *shape* of each theorem (who wins, with what exponent) can be checked.
+//! (PODC 2025). Each experiment (E1–E10; the README quickstart shows how to
+//! run them) runs a quantum protocol and its classical comparator over a
+//! sweep of network sizes on the metered CONGEST simulator, records the
+//! measured message and round complexity, and fits the scaling exponent so
+//! the *shape* of each theorem (who wins, with what exponent) can be
+//! checked.
 //!
 //! The `experiments` binary prints every table; the Criterion benches under
 //! `benches/` time representative configurations of the same runs.

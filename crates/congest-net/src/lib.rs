@@ -178,27 +178,29 @@
 //! fast path of §3 — and installing an *empty* plan is byte-identical to
 //! installing none (pinned by the workspace fault-plane suite).
 //!
-//! ## 6. The event-driven execution mode for partial synchrony
+//! ## 6. Event mode: the round loop under a scheduler adversary
 //!
-//! Beside the round-synchronous engine, the [`event`] module provides a
-//! deterministic **discrete-event** mode: an [`EventRuntime`] drives the
-//! same unmodified [`NodeProgram`]s while a scheduler adversary
-//! ([`SchedulerSpec`], installed via [`Network::set_scheduler`]) chooses a
-//! delivery delay in `0..=bound` for every message — at the barrier, in
-//! delivery order, from a dedicated salted PRNG stream, generalising the
-//! latency heap of §5 into a global event heap keyed by `(due time, seq)`.
-//! Under the `synchronous` scheduler the event engine reproduces the round
-//! engine **byte-for-byte** (metrics and history), which is what keeps the
-//! two models comparable; the full execution-model contract — clock
+//! Partial synchrony needs no second engine. A scheduler adversary
+//! ([`SchedulerSpec`], installed via [`Network::set_scheduler`]; see the
+//! [`event`] module) chooses a delivery delay in `0..=bound` for every
+//! message — at the barrier, in delivery order, from a dedicated salted
+//! PRNG stream, generalising the latency heap of §5 into a global event
+//! heap keyed by `(due time, seq)`. [`SyncRuntime`], and every protocol that
+//! drives [`Network`] directly, runs unchanged over such a network; that is
+//! all event mode ([`ExecMode::Event`]) is. Under the `synchronous`
+//! scheduler every delay is 0, so an event-mode run equals the round-mode
+//! run **byte-for-byte** (metrics, history, and trace), which is what keeps
+//! the two models comparable; the full execution-model contract — clock
 //! semantics, the scheduler catalogue, the equivalence theorem, and the
 //! replay guarantee — lives in `docs/EXECUTION_MODELS.md` in the
 //! repository root.
 //!
-//! **Invariant:** scheduler decisions are made only at the barrier in
-//! delivery order and consume only the scheduler's own stream, so an
-//! event-mode run is byte-identical for every shard count and replays
-//! exactly, like every other execution (pinned by the workspace
-//! `event_mode` suite).
+//! **Invariant:** scheduler decisions are made only at the barrier, in the
+//! delivery order the §4 merge fixes, and consume only the scheduler's own
+//! stream, so an event-mode run is byte-identical for every shard count —
+//! sharded rounds included — and replays exactly, like every other
+//! execution (pinned by the workspace `event_mode` suite and the [`event`]
+//! module's sharded replay test).
 //!
 //! ## 7. The telemetry sidecar
 //!
@@ -207,7 +209,7 @@
 //! scheduler-oracle), per-shard busy-time and message counters, and
 //! deterministic log2-bucket histograms (messages per round, inbox sizes,
 //! and — in event mode — heap depth and scheduler skew). It is enabled per
-//! run via [`Network::enable_telemetry`] (or the runtime wrappers) and
+//! run via [`Network::enable_telemetry`] (or the `SyncRuntime` wrapper) and
 //! harvested with [`Network::take_telemetry`] into a [`TelemetryReport`].
 //!
 //! **Invariant (determinism boundary):** telemetry lives strictly *outside*
@@ -262,7 +264,7 @@ pub mod topology;
 pub mod walks;
 
 pub use error::Error;
-pub use event::{EventRuntime, ExecMode, SchedulerKind, SchedulerSpec};
+pub use event::{ExecMode, SchedulerKind, SchedulerSpec};
 pub use fault::{
     ByzantineWindow, CrashPoint, DropCause, FaultPlan, LinkLatency, LinkOutage, TraceEvent,
 };

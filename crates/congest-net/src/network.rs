@@ -218,9 +218,9 @@ pub struct Network<M: Payload> {
     /// [`FaultPlan`](crate::fault::FaultPlan) is installed; `None` (the
     /// default) keeps delivery on the pristine fault-free path.
     faults: Option<FaultState>,
-    /// The scheduler adversary of the event-driven execution mode,
-    /// instantiated when a [`SchedulerSpec`] is installed; `None` (the
-    /// default) keeps delivery on the round-synchronous path.
+    /// The scheduler adversary of event mode, instantiated when a
+    /// [`SchedulerSpec`] is installed; `None` (the default) keeps delivery
+    /// on the round-synchronous path.
     scheduler: Option<SchedulerState>,
     /// The global event heap: messages parked by link-latency faults or
     /// scheduler skew, keyed by `(due clock, delivery-order seq)` and
@@ -318,9 +318,11 @@ impl<M: Payload> Network<M> {
         self.faults.is_some()
     }
 
-    /// Installs a scheduler adversary, switching delivery to the
-    /// discrete-event execution mode (see the [`event`](crate::event)
-    /// module and `docs/EXECUTION_MODELS.md`).
+    /// Installs a scheduler adversary, which is all event mode is: whatever
+    /// drives this network — a [`SyncRuntime`](crate::SyncRuntime), sharded
+    /// or not, or a protocol calling the network directly — runs unchanged
+    /// while the barrier skews its deliveries (see the
+    /// [`event`](crate::event) module and `docs/EXECUTION_MODELS.md`).
     ///
     /// Must be installed before the first round: the scheduler clock starts
     /// at 0 and advances with every barrier. The scheduler is consulted at

@@ -97,13 +97,6 @@ impl<M> Outbox<M> {
         Outbox { msgs: Vec::new() }
     }
 
-    /// The queued `(port, message)` pairs, for the crate's runtimes to
-    /// drain (swapped against a scratch buffer so the network can be
-    /// borrowed mutably while flushing).
-    pub(crate) fn msgs_mut(&mut self) -> &mut Vec<(Port, M)> {
-        &mut self.msgs
-    }
-
     /// Queues `msg` to be sent through `port`.
     pub fn send(&mut self, port: Port, msg: M) {
         self.msgs.push((port, msg));
@@ -357,15 +350,20 @@ impl<P: NodeProgram> SyncRuntime<P> {
     /// Creates a runtime over `graph`, instantiating each node's program with
     /// `init(node, degree)` — the only knowledge a KT0 node starts with.
     #[must_use]
-    pub fn new(
-        graph: Graph,
-        config: NetworkConfig,
-        mut init: impl FnMut(NodeId, usize) -> P,
-    ) -> Self {
+    pub fn new(graph: Graph, config: NetworkConfig, init: impl FnMut(NodeId, usize) -> P) -> Self {
+        Self::with_network(Network::new(graph, config), init)
+    }
+
+    /// Creates a runtime over `net`, a network that has not run a round yet
+    /// and may already carry a fault plan, trace sink, telemetry sidecar, or
+    /// scheduler adversary ([`Network::set_scheduler`] — the whole of event
+    /// mode). Programs are instantiated as in [`new`](SyncRuntime::new).
+    #[must_use]
+    pub fn with_network(net: Network<P::Msg>, mut init: impl FnMut(NodeId, usize) -> P) -> Self {
+        let graph = net.graph();
         let programs = (0..graph.node_count())
             .map(|v| init(v, graph.degree(v)))
             .collect();
-        let net = Network::new(graph, config);
         let shards = net.shard_count();
         let (shard_scratch, shard_errors, shard_busy) = if shards > 1 {
             (
@@ -471,6 +469,12 @@ impl<P: NodeProgram> SyncRuntime<P> {
     ///
     /// Propagates network errors (invalid port, oversized message, busy
     /// edge), which indicate a bug in the protocol implementation.
+    //
+    // `inline(never)`: entered once per run, the loop compiles to the same
+    // code whoever calls it. Inlined into a large caller (the scenario
+    // registry's protocol dispatch), the sequential round loop measurably
+    // slowed down (perfbench `flood-cycle`).
+    #[inline(never)]
     pub fn run_until_halt(&mut self, max_rounds: u64) -> Result<u64, Error> {
         self.start()?;
         while self.round < max_rounds && !self.all_halted() {

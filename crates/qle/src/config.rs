@@ -5,8 +5,7 @@
 //! paper's "with high probability" setting (`α = 1/n²` and the
 //! message-optimal `k`); the experiment harness also uses the
 //! constant-success setting to measure scaling exponents without the
-//! `polylog(n)` amplification constants dominating at simulable sizes (see
-//! EXPERIMENTS.md).
+//! `polylog(n)` amplification constants dominating at simulable sizes.
 
 /// How a protocol chooses its trade-off parameter `k`.
 #[derive(Debug, Clone, Copy, PartialEq)]

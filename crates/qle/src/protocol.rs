@@ -45,16 +45,14 @@ pub struct RunOptions {
     pub fault_plan: Option<FaultPlan>,
     /// Whether to record the round-stamped event trace.
     pub trace: bool,
-    /// Which execution engine drives the run: the round-synchronous engine
-    /// (the default) or the discrete-event engine under a scheduler
-    /// adversary (see `congest_net`'s `event` module and
-    /// `docs/EXECUTION_MODELS.md`).
+    /// Which execution mode drives the run: plain rounds (the default) or
+    /// rounds under a scheduler adversary (see `congest_net`'s `event`
+    /// module and `docs/EXECUTION_MODELS.md`).
     ///
-    /// For runtime-driven protocols the scenario registry dispatches on
-    /// this to pick `SyncRuntime` vs `EventRuntime`; for driver-based
-    /// protocols the scheduler installed by
-    /// [`network_with`](RunOptions::network_with) skews their delivery
-    /// directly.
+    /// Event mode is nothing but the scheduler that
+    /// [`network_with`](RunOptions::network_with) installs on the network:
+    /// runtime-driven and driver-based protocols alike run unchanged while
+    /// the barrier skews their delivery.
     ///
     /// ```
     /// use congest_net::{ExecMode, SchedulerSpec};

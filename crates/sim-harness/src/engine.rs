@@ -36,7 +36,7 @@ pub struct Cell {
     pub max_rounds: u64,
     /// The scenario's fault plan.
     pub faults: FaultPlan,
-    /// The scenario's execution mode (round engine or event engine under a
+    /// The scenario's execution mode (plain rounds, or rounds under a
     /// scheduler adversary).
     pub mode: ExecMode,
 }

@@ -20,15 +20,17 @@
 //!   no new dependencies). A spec is a *matrix generator*: `sizes × seeds`
 //!   cells of one `(topology, protocol, fault plan, execution mode)`
 //!   combination — `mode = "event"` plus a `scheduler = [name, bound,
-//!   seed]` stanza selects the discrete-event engine
+//!   seed]` stanza runs the cells under that scheduler adversary
 //!   (`docs/EXECUTION_MODELS.md`).
 //! * **Registries** ([`registry`]) — every topology name resolves to a
 //!   [`congest_net::topology::Family`] (cycle, torus, complete,
 //!   expander/random-regular, star, hypercube) and every protocol name to a
-//!   [`ProtocolKind`] adapter: `Flood` runs through the sharded
+//!   [`ProtocolKind`] adapter: the flood programs run through the sharded
 //!   [`congest_net::SyncRuntime`], the leader-election protocols (quantum
-//!   and classical) through [`qle::LeaderElection::run_with`] — so every
-//!   cell honours the scenario's fault plan, shard count, and trace flag.
+//!   and classical) through [`qle::LeaderElection::run_with`], both over a
+//!   network built by [`qle::RunOptions::network_with`] — so every cell
+//!   honours the scenario's fault plan, shard count, trace flag, and
+//!   execution mode.
 //! * **Engine** ([`engine`]) — [`run_matrix`] fans cells out across the
 //!   workspace `rayon` pool and merges results **in cell order** (spec ×
 //!   size × seed), so tables and traces are byte-identical regardless of

@@ -84,9 +84,8 @@ pub struct ScenarioSpec {
     /// The fault plan every cell of this scenario runs under (empty =
     /// fault-free).
     pub faults: FaultPlan,
-    /// Which execution engine drives the cells: the round-synchronous
-    /// engine (the default) or the discrete-event engine under a scheduler
-    /// adversary (see `docs/EXECUTION_MODELS.md`).
+    /// Which execution mode drives the cells: plain rounds (the default) or
+    /// rounds under a scheduler adversary (see `docs/EXECUTION_MODELS.md`).
     pub mode: ExecMode,
 }
 
@@ -372,8 +371,7 @@ impl Draft {
         spec.shards = self.shards;
         match self.mode.as_deref() {
             // `mode = "event"` without a `scheduler` stanza runs under the
-            // synchronous scheduler (the discrete-event engine reproducing
-            // the round engine exactly).
+            // synchronous scheduler (reproducing round mode exactly).
             Some("event") => {
                 spec.mode =
                     ExecMode::Event(self.scheduler.unwrap_or_else(SchedulerSpec::synchronous));

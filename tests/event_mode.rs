@@ -1,16 +1,16 @@
-//! End-to-end tests for the discrete-event execution mode.
+//! End-to-end tests for event mode: the round loop under a scheduler
+//! adversary installed on its network.
 //!
 //! Three layers, mirroring `determinism.rs`:
 //!
-//! 1. **The equivalence theorem (property-based):** the event engine under
-//!    the synchronous scheduler reproduces the round engine byte-for-byte —
-//!    metrics, effective rounds, coverage verdict, and trace — on random
-//!    graphs, at shard requests 1 and 4, with and without a fault plan
-//!    (see `docs/EXECUTION_MODELS.md` for the theorem and its proof
-//!    sketch).
+//! 1. **The equivalence theorem (property-based):** event mode under the
+//!    synchronous scheduler reproduces round mode byte-for-byte — metrics,
+//!    effective rounds, coverage verdict, and trace — on random graphs, at
+//!    shard requests 1 and 4, with and without a fault plan (see
+//!    `docs/EXECUTION_MODELS.md` for the theorem and its proof sketch).
 //! 2. **Golden values:** the exact counters for `flood-ft` under the
 //!    `latency-skew` scheduler are pinned. Any change to the scheduler
-//!    stream, the delivery order, or the event loop that shifts them is a
+//!    stream, the delivery order, or the round loop that shifts them is a
 //!    behavioural change and must be made deliberately (update the
 //!    constants in the same commit and say why).
 //! 3. **Replay determinism:** identical `(spec, seed, scheduler)` inputs
@@ -46,7 +46,7 @@ fn run_cell(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The synchronous scheduler reproduces the round engine exactly:
+    /// The synchronous scheduler reproduces round mode exactly:
     /// metrics, history (trace), rounds, and verdict, at shard requests
     /// 1 and 4, fault-free and under a seeded drop plan.
     #[test]
@@ -76,11 +76,11 @@ proptest! {
         }
     }
 
-    /// Every scheduler kind replays byte-identically, and the shard request
-    /// never changes an event-mode outcome (the event engine is
-    /// sequential by construction).
+    /// Every scheduler kind replays byte-identically, and the shard count
+    /// never changes an event-mode outcome (the deterministic barrier merge
+    /// fixes the delivery order the scheduler sees).
     #[test]
-    fn event_mode_replays_and_ignores_shard_request(
+    fn event_mode_replays_identically_across_shard_counts(
         n in 8usize..32,
         seed in 0u64..100,
     ) {
@@ -111,8 +111,8 @@ fn skew_spec() -> ScenarioSpec {
 }
 
 /// Golden counters for `flood-ft` under the `latency-skew` scheduler
-/// (captured when the event engine landed; see the module docs for the
-/// update policy).
+/// (captured when event mode landed; see the module docs for the update
+/// policy).
 #[test]
 fn latency_skew_flood_ft_golden() {
     for shards in [1usize, 4] {
@@ -144,8 +144,8 @@ fn latency_skew_flood_ft_golden() {
 }
 
 /// A mixed round/event matrix serializes to a v4 trace that parses back and
-/// replays byte-identically — the determinism pin the CI event-mode leg
-/// re-checks across real processes.
+/// replays byte-identically — the determinism pin CI's scenario-smoke job
+/// re-checks across real processes on the committed matrix.
 #[test]
 fn mixed_matrix_trace_round_trips_and_replays() {
     let specs = vec![
@@ -170,7 +170,7 @@ fn mixed_matrix_trace_round_trips_and_replays() {
     // A second run replays byte-identically against the first.
     let again = run_cells(&expand(&specs)).unwrap();
     assert_eq!(trace::serialize(&again), text);
-    // The event cell genuinely ran on the event engine: skew was recorded,
+    // The event cell genuinely ran under its scheduler: skew was recorded,
     // and the worst-case bound stretched completion past the round cell.
     assert!(again[1].outcome.metrics.scheduled_messages > 0);
     assert!(again[1].outcome.effective_rounds > again[0].outcome.effective_rounds);

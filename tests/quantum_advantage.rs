@@ -1,5 +1,6 @@
 //! Cross-crate comparisons of quantum and classical message complexity: the
-//! scaling-shape checks that back EXPERIMENTS.md, at integration-test sizes.
+//! scaling-shape checks behind the E1–E10 experiment tables, at
+//! integration-test sizes.
 
 use classical_baselines::{CprDiameterTwoLe, KppCompleteLe};
 use congest_net::topology;

@@ -12,8 +12,8 @@
 //!    `trace::compare` ignore `CellResult::wall_nanos` and the telemetry
 //!    sidecar entirely, so profiled runs replay cleanly against unprofiled
 //!    baselines.
-//! 4. **Event-mode coverage:** the event engine populates the heap-depth
-//!    and scheduler-skew histograms.
+//! 4. **Event-mode coverage:** a run under a scheduler adversary populates
+//!    the heap-depth and scheduler-skew histograms.
 
 use congest_net::topology::{self, Family};
 use congest_net::{
