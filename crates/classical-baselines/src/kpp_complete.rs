@@ -74,6 +74,9 @@ impl LeaderElection for KppCompleteLe {
         // Round 1: candidates contact s random referees (with replacement —
         // duplicates just waste a message, as in the original analysis).
         let mut contacted: Vec<Vec<NodeId>> = vec![Vec::new(); candidates.len()];
+        // The index of the last candidate that contacted each node, so a
+        // repeated draw is spotted in O(1) (candidates contact in turn).
+        let mut last_contact = vec![usize::MAX; n];
         let mut max_seen = vec![0u64; n];
         for (i, c) in candidates.iter().enumerate() {
             for _ in 0..s {
@@ -83,9 +86,10 @@ impl LeaderElection for KppCompleteLe {
                         break w;
                     }
                 };
-                if !contacted[i].contains(&w) {
+                if last_contact[w] != i {
                     net.send(c.node, w, KppMessage::Rank(c.rank))?;
                     contacted[i].push(w);
+                    last_contact[w] = i;
                 }
                 max_seen[w] = max_seen[w].max(c.rank);
             }

@@ -53,20 +53,33 @@
 //! an adjacency list. (`port_to(v, u)` for arbitrary pairs remains
 //! `O(log deg)` / `O(1)` and is off the hot path.)
 //!
-//! ## 2. Round-stamped edge usage, paged lazily per node
+//! ## 2. Round-stamped edge usage, sized by what a node sends
 //!
-//! The CONGEST one-message-per-directed-edge rule is enforced by per-node
-//! *stamp pages*: node `v`'s page holds `deg(v)` round stamps, one per port,
-//! and a port is busy iff its stamp equals the current `round_stamp`. Pages
-//! are allocated on a node's **first send** — a node that never sends costs
-//! one null pointer, so the data plane carries O(n + active) stamp state
-//! instead of the former O(E) flat array (terabytes on an implicit `K_n`).
-//! Advancing a round just increments `round_stamp`.
+//! The CONGEST one-message-per-directed-edge rule is enforced by one
+//! 16-byte send-state slot per node, filled on the node's **first send** —
+//! a node that never sends costs the empty slot and nothing else.
+//!
+//! * A node of degree at most 64 gets a *stamp page*: `deg(v)` round
+//!   stamps, one per port (at most 512 B), and a port is busy iff its stamp
+//!   equals the current `round_stamp`.
+//! * A node of higher degree gets a *send log*: up to 14 ports used in one
+//!   round, tagged with that round's stamp. The log is promoted to a page,
+//!   keeping its ports' stamps, when the node sends more messages in one
+//!   round than it holds, or broadcasts.
+//!
+//! So stamp state costs memory in proportion to what a node sends in a
+//! round, not to its degree, until it sends more than a log holds: on `K_n`
+//! the referees that answer a few queries stay on 128-byte logs instead of
+//! `8·(n − 1)`-byte pages, and the former O(E) flat array (terabytes on an
+//! implicit `K_n`) is long gone. Advancing a round just increments
+//! `round_stamp`.
 //!
 //! **Invariant:** `round_stamp` is strictly monotone (`advance_round` adds 1,
 //! `skip_rounds(r)` adds `r`), so a stamp written in an earlier round can
-//! never compare equal again — stale pages need no clearing, and enforcement
-//! is one load + compare + store, with no `HashSet` in sight.
+//! never compare equal again — a stale page entry, or a log whose stamp is
+//! stale (which counts as empty), needs no clearing, and enforcement is one
+//! load + compare + store on a page or a scan of at most 14 ports on a log,
+//! with no `HashSet` in sight.
 //!
 //! ## 3. Double-buffered inboxes and outboxes
 //!
@@ -91,13 +104,13 @@
 //! partitioned into `k` contiguous ranges balanced by directed-edge count
 //! ([`Graph::shard_boundaries`]), and each shard receives an exclusive
 //! [`ShardView`]: its nodes' inboxes and private RNG streams, its own outbox
-//! queue and send counters, and — because CSR edge ids are grouped by source
-//! node — a contiguous, disjoint slice of the round-stamp table covering
-//! precisely its nodes' outgoing directed edges. A shard only ever sends
-//! from its own nodes, so **CONGEST edge-busy enforcement never touches
-//! another shard's stamps**, and the `rev_port` table resolves every arrival
-//! port at send time, so delivery needs no receiver-side coordination
-//! either; a round body is entirely synchronisation-free.
+//! queue and send counters, and a contiguous, disjoint slice of the
+//! send-state table covering precisely its nodes' outgoing directed edges.
+//! A shard only ever sends from its own nodes, so **CONGEST edge-busy
+//! enforcement never touches another shard's stamps**, and the `rev_port`
+//! table resolves every arrival port at send time, so delivery needs no
+//! receiver-side coordination either; a round body is entirely
+//! synchronisation-free.
 //!
 //! **Invariant (deterministic barrier merge):** at the round barrier,
 //! [`Network::advance_round`] drains the sequential pending buffer first and

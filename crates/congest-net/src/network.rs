@@ -9,13 +9,19 @@
 //!   per-node inbox buffers that are cleared (capacity kept) rather than
 //!   reallocated, with a dirty list so a round costs O(messages delivered),
 //!   not O(n).
-//! * The CONGEST one-message-per-directed-edge rule is enforced by
-//!   **round-stamped** per-node pages, allocated lazily on a node's first
-//!   send: port `p` of node `v` is busy iff its stamp equals the current
-//!   round stamp, so there is no hashing and nothing to clear between
-//!   rounds — and nodes that never transmit never pay for stamps at all
-//!   (the former eager `Vec<u64>` over all directed edge ids was O(E),
-//!   which at a million-node complete graph is a terabyte).
+//! * The CONGEST one-message-per-directed-edge rule is enforced by one
+//!   16-byte **send-state** slot per node, filled on the node's first send.
+//!   A node of degree at most 64 gets a round-stamped page: port `p` is
+//!   busy iff its stamp equals the current round stamp. A node of higher
+//!   degree gets a send log instead: the few ports it used in one round,
+//!   tagged with that round's stamp. The log becomes a page when the node
+//!   sends more messages in one round than the log holds, or broadcasts.
+//!   Either way there is no hashing and nothing to clear between rounds,
+//!   nodes that never transmit never pay for stamps at all, and a node
+//!   that sends a few messages a round pays for those, not for its degree
+//!   (a page per sender is 512 KiB on `K_65536`; the former eager
+//!   `Vec<u64>` over all directed edge ids was O(E), which at a
+//!   million-node complete graph is a terabyte).
 //! * The arrival port of every message is resolved at *send* time — an O(1)
 //!   reverse-port table read on the CSR backend, an O(1) closed form on
 //!   implicit topologies — so receivers (and the
@@ -191,15 +197,16 @@ pub struct Network<M: Payload> {
     /// what was touched, keeping each round `O(messages delivered)` instead
     /// of `O(n)`).
     dirty_inboxes: Vec<NodeId>,
-    /// Per-node round-stamp pages, allocated lazily on a node's first send;
-    /// `edge_stamp[v][p] == round_stamp` means port `p` of `v` already
-    /// carries a message this round, and an empty page means `v` has never
-    /// sent. Keeps round state O(n + Σ deg over senders) instead of O(E) —
-    /// essential for implicit million-node topologies. Monotone stamps make
-    /// clearing unnecessary. Only consulted when CONGEST enforcement is on.
-    edge_stamp: Vec<Box<[u64]>>,
-    /// The current round's stamp; starts at 1 so the zero-initialised
-    /// `edge_stamp` means "never used".
+    /// Per-node send state: which ports of `v` already carry a message this
+    /// round, as a stamp page or, for a high-degree node that sends little,
+    /// a send log (see [`SendState`]); an empty page means `v` has never
+    /// sent. Keeps round state O(n + messages per round) for nodes on logs
+    /// and O(deg) for nodes on pages, instead of O(E) — essential for
+    /// implicit million-node topologies. Monotone stamps make clearing
+    /// unnecessary. Only consulted when CONGEST enforcement is on.
+    send_state: Vec<SendState>,
+    /// The current round's stamp; starts at 1 so a zero-initialised stamp
+    /// page means "never used".
     round_stamp: u64,
     node_rngs: Vec<StdRng>,
     shared_rng: Option<StdRng>,
@@ -276,7 +283,7 @@ impl<M: Payload> Network<M> {
         Network {
             inboxes: vec![Vec::new(); n],
             dirty_inboxes: Vec::new(),
-            edge_stamp: (0..n).map(|_| Box::default()).collect(),
+            send_state: (0..n).map(|_| SendState::default()).collect(),
             round_stamp: 1,
             graph,
             config,
@@ -565,10 +572,11 @@ impl<M: Payload> Network<M> {
 
     /// The hot send path: every send funnels here with a resolved
     /// `(from, port)` pair, where CONGEST enforcement is an O(1) stamp
-    /// compare against the sender's (lazily allocated) stamp page and the
-    /// arrival port an O(1) reverse-port lookup — closed-form on implicit
-    /// backends, table read on CSR. Carrying ports instead of edge ids keeps
-    /// implicit topologies off the edge-id decode (division) path entirely.
+    /// compare against the sender's stamp page (or a scan of its send log
+    /// of at most 14 ports) and the arrival port an O(1) reverse-port
+    /// lookup — closed-form on implicit backends, table read on CSR.
+    /// Carrying ports instead of edge ids keeps implicit topologies off the
+    /// edge-id decode (division) path entirely.
     fn send_on_port(&mut self, from: NodeId, port: Port, msg: M) -> Result<(), Error> {
         let (to, arrival) = self.graph.delivery_slot(from, port);
         self.send_resolved(from, port, to, arrival, msg)
@@ -594,12 +602,8 @@ impl<M: Payload> Network<M> {
                     budget: self.budget_bits,
                 });
             }
-            if !try_stamp(
-                &mut self.edge_stamp[from],
-                || self.graph.degree(from),
-                port,
-                self.round_stamp,
-            ) {
+            if !self.send_state[from].try_stamp(|| self.graph.degree(from), port, self.round_stamp)
+            {
                 return Err(Error::EdgeBusy { from, to });
             }
         }
@@ -660,11 +664,15 @@ impl<M: Payload> Network<M> {
     }
 
     /// Sends `msg` from `v` to every neighbour of `v`, without allocating
-    /// (beyond `v`'s stamp page on its first ever send).
+    /// (beyond `v`'s stamp page on its first broadcast: a broadcast always
+    /// runs on a page, so a node on a send log is promoted here, its logged
+    /// ports keeping their stamps).
     ///
     /// The budget check and the stamp-page lookup are hoisted out of the
     /// per-port loop — on high-degree nodes (the star hub, any node of
-    /// `K_n`) this is the hottest loop in the crate.
+    /// `K_n`) this is the hottest loop in the crate. A busy port fails the
+    /// broadcast with [`Error::EdgeBusy`], leaving the sends through the
+    /// ports before it queued.
     ///
     /// # Errors
     ///
@@ -678,24 +686,21 @@ impl<M: Payload> Network<M> {
         }
         let degree = self.graph.degree(v);
         let bits = msg.size_bits();
-        let enforce = self.config.enforce_congest;
-        if enforce {
+        // Without enforcement the page is empty and no port is stamped.
+        let page: &mut [u64] = if self.config.enforce_congest {
             if bits > self.budget_bits {
                 return Err(Error::MessageTooLarge {
                     bits,
                     budget: self.budget_bits,
                 });
             }
-            let page = &mut self.edge_stamp[v];
-            if page.is_empty() {
-                *page = vec![0u64; degree].into_boxed_slice();
-            }
-        }
-        let page = &mut self.edge_stamp[v];
+            self.send_state[v].page(degree)
+        } else {
+            &mut []
+        };
         for port in 0..degree {
             let (to, arrival) = self.graph.delivery_slot(v, port);
-            if enforce {
-                let stamp = &mut page[port];
+            if let Some(stamp) = page.get_mut(port) {
                 if *stamp == self.round_stamp {
                     return Err(Error::EdgeBusy { from: v, to });
                 }
@@ -1153,7 +1158,7 @@ impl<M: Payload> Network<M> {
     /// [`ShardView`]s, one per shard, for one round of parallel execution.
     ///
     /// Each view covers a contiguous node range and therefore a contiguous,
-    /// disjoint slice of the per-node round-stamp pages, so CONGEST
+    /// disjoint slice of the per-node send state, so CONGEST
     /// edge-busy enforcement needs no cross-shard synchronisation: a shard
     /// only ever sends from its own nodes, whose outgoing directed edges it
     /// exclusively owns. Views queue sends into per-shard outboxes that the
@@ -1173,7 +1178,7 @@ impl<M: Payload> Network<M> {
             None => (None, 0),
         };
         let mut inboxes = self.inboxes.as_mut_slice();
-        let mut stamps = self.edge_stamp.as_mut_slice();
+        let mut send_states = self.send_state.as_mut_slice();
         let mut rngs = self.node_rngs.as_mut_slice();
         let mut pending = self.shard_pending.iter_mut();
         let mut counters = self.shard_counters.iter_mut();
@@ -1182,8 +1187,8 @@ impl<M: Payload> Network<M> {
             let (node_lo, node_hi) = (boundaries[s], boundaries[s + 1]);
             let (shard_inboxes, rest) = inboxes.split_at_mut(node_hi - node_lo);
             inboxes = rest;
-            let (shard_stamps, rest) = stamps.split_at_mut(node_hi - node_lo);
-            stamps = rest;
+            let (shard_send_states, rest) = send_states.split_at_mut(node_hi - node_lo);
+            send_states = rest;
             let (shard_rngs, rest) = rngs.split_at_mut(node_hi - node_lo);
             rngs = rest;
             views.push(ShardView {
@@ -1196,7 +1201,7 @@ impl<M: Payload> Network<M> {
                 budget_bits: self.budget_bits,
                 quantum,
                 inboxes: shard_inboxes,
-                edge_stamp: shard_stamps,
+                send_state: shard_send_states,
                 rngs: shard_rngs,
                 pending: pending.next().expect("shard pending missing"),
                 counters: counters.next().expect("shard counters missing"),
@@ -1208,8 +1213,9 @@ impl<M: Payload> Network<M> {
 
 /// One shard's exclusive, thread-safe window onto the network for a single
 /// round of sharded execution: the shard's inboxes, private RNG streams, the
-/// round-stamp pages for its nodes' outgoing directed edges, and its own
-/// outbox queue and send counters. Produced by [`Network::shard_views`].
+/// send state (stamp pages and send logs) of its nodes' outgoing directed
+/// edges, and its own outbox queue and send counters. Produced by
+/// [`Network::shard_views`].
 #[derive(Debug)]
 pub struct ShardView<'a, M: Payload> {
     graph: &'a Graph,
@@ -1230,9 +1236,8 @@ pub struct ShardView<'a, M: Payload> {
     /// from the recorder at view creation).
     quantum: bool,
     inboxes: &'a mut [Vec<Delivery<M>>],
-    /// This shard's nodes' lazily allocated stamp pages, indexed by
-    /// `v - node_lo` and then by port.
-    edge_stamp: &'a mut [Box<[u64]>],
+    /// This shard's nodes' send state, indexed by `v - node_lo`.
+    send_state: &'a mut [SendState],
     rngs: &'a mut [StdRng],
     pending: &'a mut Vec<(NodeId, Port, NodeId, M)>,
     counters: &'a mut ShardCounters,
@@ -1337,7 +1342,7 @@ impl<M: Payload> ShardView<'_, M> {
 
     /// Sends `msg` from `from` through its local port `port`, with the same
     /// semantics (and errors) as [`Network::send_through_port`]: O(1)
-    /// CONGEST enforcement against this shard's private stamp slice, O(1)
+    /// CONGEST enforcement against this shard's private send-state slice, O(1)
     /// arrival-port resolution, and queuing into this shard's outbox for the
     /// deterministic merge at the round barrier.
     ///
@@ -1351,7 +1356,7 @@ impl<M: Payload> ShardView<'_, M> {
     /// # Panics
     ///
     /// Panics if `from` is outside this shard's node range — sending from a
-    /// foreign node would bypass that node's edge stamps and land in the
+    /// foreign node would bypass that node's send state and land in the
     /// wrong shard's outbox queue, silently breaking both CONGEST
     /// enforcement and the deterministic merge, so the check is
     /// unconditional (like the other `ShardView` accessors).
@@ -1379,8 +1384,7 @@ impl<M: Payload> ShardView<'_, M> {
                     budget: self.budget_bits,
                 });
             }
-            if !try_stamp(
-                &mut self.edge_stamp[from - self.node_lo],
+            if !self.send_state[from - self.node_lo].try_stamp(
                 || self.graph.degree(from),
                 port,
                 self.round_stamp,
@@ -1394,28 +1398,118 @@ impl<M: Payload> ShardView<'_, M> {
     }
 }
 
-/// Stamps `(sender page, port)` for the current round, allocating the page
-/// (one `u64` per port) on the node's first ever send. Returns `false` iff
-/// the directed edge already carried a message this round. Shared by the
-/// sequential and sharded send paths so both enforce CONGEST identically.
-/// The degree is a closure so the steady-state path (page already
-/// allocated) never pays the backend dispatch for it.
-#[inline]
-fn try_stamp(
-    page: &mut Box<[u64]>,
-    degree: impl FnOnce() -> usize,
-    port: Port,
-    round_stamp: u64,
-) -> bool {
-    if page.is_empty() {
-        *page = vec![0u64; degree()].into_boxed_slice();
+/// Highest degree whose node gets a full stamp page on its first send: the
+/// page is then at most 512 B. Nodes of higher degree start with a
+/// [`SendLog`].
+const PAGE_MAX_DEGREE: usize = 64;
+
+/// Ports a [`SendLog`] holds, sized so the log is 128 B.
+const LOG_PORTS: usize = 14;
+
+/// The ports a high-degree node has used in one round. A log whose `stamp`
+/// is not the current round stamp counts as empty, so, like a page, it is
+/// never cleared.
+#[derive(Debug)]
+struct SendLog {
+    /// The round stamp the logged ports belong to.
+    stamp: u64,
+    len: usize,
+    ports: [Port; LOG_PORTS],
+}
+
+/// One node's CONGEST edge-busy state: which of its ports already carry a
+/// message this round. It costs memory in proportion to what the node
+/// sends in a round, not to its degree, until the node sends more than a
+/// log holds.
+#[derive(Debug)]
+enum SendState {
+    /// One round stamp per port; port `p` is busy iff `page[p]` equals the
+    /// current round stamp. Empty until the node first sends.
+    Page(Box<[u64]>),
+    /// The ports used in the log's round, for a node of degree above
+    /// [`PAGE_MAX_DEGREE`] that has so far sent at most [`LOG_PORTS`]
+    /// messages in every round and never broadcast.
+    Log(Box<SendLog>),
+}
+
+// One slot per node: the log's box fits beside the page's non-null
+// pointer, so the enum is no larger than the page it replaces.
+const _: () = assert!(std::mem::size_of::<SendState>() == 16);
+
+impl Default for SendState {
+    fn default() -> Self {
+        SendState::Page(Box::default())
     }
-    let stamp = &mut page[port];
-    if *stamp == round_stamp {
-        return false;
+}
+
+impl SendState {
+    /// Marks `port` used in round `round_stamp`. Returns `false` iff the
+    /// directed edge already carried a message this round. Shared by the
+    /// sequential and sharded send paths so both enforce CONGEST
+    /// identically. The degree is a closure so the steady-state path never
+    /// pays the backend dispatch for it.
+    #[inline]
+    fn try_stamp(&mut self, degree: impl FnOnce() -> usize, port: Port, round_stamp: u64) -> bool {
+        let page = match self {
+            SendState::Page(page) if !page.is_empty() => page,
+            SendState::Log(log) => {
+                if log.stamp != round_stamp {
+                    log.stamp = round_stamp;
+                    log.len = 0;
+                }
+                if log.ports[..log.len].contains(&port) {
+                    return false;
+                }
+                if log.len < LOG_PORTS {
+                    log.ports[log.len] = port;
+                    log.len += 1;
+                    return true;
+                }
+                self.page(degree())
+            }
+            SendState::Page(_) => {
+                let degree = degree();
+                if degree > PAGE_MAX_DEGREE {
+                    let mut ports = [0; LOG_PORTS];
+                    ports[0] = port;
+                    *self = SendState::Log(Box::new(SendLog {
+                        stamp: round_stamp,
+                        len: 1,
+                        ports,
+                    }));
+                    return true;
+                }
+                self.page(degree)
+            }
+        };
+        let stamp = &mut page[port];
+        if *stamp == round_stamp {
+            return false;
+        }
+        *stamp = round_stamp;
+        true
     }
-    *stamp = round_stamp;
-    true
+
+    /// The node's stamp page, allocated (one `u64` per port) on its first
+    /// send, or promoted from its log, whose ports keep their stamp.
+    fn page(&mut self, degree: usize) -> &mut [u64] {
+        if let SendState::Log(log) = self {
+            let mut page = vec![0u64; degree].into_boxed_slice();
+            for &port in &log.ports[..log.len] {
+                page[port] = log.stamp;
+            }
+            *self = SendState::Page(page);
+        }
+        match self {
+            SendState::Page(page) => {
+                if page.is_empty() {
+                    *page = vec![0u64; degree].into_boxed_slice();
+                }
+                page
+            }
+            SendState::Log(_) => unreachable!("log promoted above"),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -57,35 +57,37 @@ impl Payload for LeMessage {
 /// received a rank strictly higher than `r_v` in the classical phase (two
 /// messages, two rounds).
 #[derive(Debug)]
-struct HigherRankOracle {
+struct HigherRankOracle<'a> {
     candidate: Candidate,
-    /// All nodes other than the candidate (the search domain `X`).
-    domain: Vec<NodeId>,
+    /// Number of nodes; the search domain `X` is every node but the
+    /// candidate.
+    n: usize,
     /// `max_received[w]`: the highest rank node `w` received in the classical
-    /// phase (0 if none).
-    max_received: Vec<u64>,
-    /// Cached marked nodes (`f_v⁻¹(1)`).
+    /// phase (0 if none), shared by every candidate's oracle.
+    max_received: &'a [u64],
+    /// Cached marked nodes (`f_v⁻¹(1)`), in ascending node order.
     marked: Vec<NodeId>,
 }
 
-impl HigherRankOracle {
-    fn new(candidate: Candidate, n: usize, max_received: Vec<u64>) -> Self {
-        let domain: Vec<NodeId> = (0..n).filter(|&w| w != candidate.node).collect();
-        let marked = domain
+impl<'a> HigherRankOracle<'a> {
+    /// `referees` lists, in ascending order, every node that received a
+    /// rank: only those can hold one higher than the candidate's.
+    fn new(candidate: Candidate, n: usize, max_received: &'a [u64], referees: &[NodeId]) -> Self {
+        let marked = referees
             .iter()
             .copied()
-            .filter(|&w| max_received[w] > candidate.rank)
+            .filter(|&w| w != candidate.node && max_received[w] > candidate.rank)
             .collect();
         HigherRankOracle {
             candidate,
-            domain,
+            n,
             max_received,
             marked,
         }
     }
 }
 
-impl CheckingOracle<LeMessage> for HigherRankOracle {
+impl CheckingOracle<LeMessage> for HigherRankOracle<'_> {
     type Item = NodeId;
 
     fn check(&mut self, net: &mut Network<LeMessage>, w: &NodeId) -> Result<bool, Error> {
@@ -102,11 +104,17 @@ impl CheckingOracle<LeMessage> for HigherRankOracle {
     }
 
     fn sample_input(&mut self, rng: &mut StdRng) -> NodeId {
-        self.domain[rng.gen_range(0..self.domain.len())]
+        // The draw indexes the domain `0..n` without the candidate.
+        let i = rng.gen_range(0..self.n - 1);
+        if i < self.candidate.node {
+            i
+        } else {
+            i + 1
+        }
     }
 
     fn domain_size(&self) -> u64 {
-        self.domain.len() as u64
+        (self.n - 1) as u64
     }
 
     fn marked_count(&self) -> u64 {
@@ -206,6 +214,7 @@ impl LeaderElection for QuantumLe {
                 max_received[w] = max_received[w].max(c.rank);
             }
         }
+        let referees: Vec<NodeId> = (0..n).filter(|&w| max_received[w] > 0).collect();
         net.advance_round();
         let classical_rounds = 1u64;
 
@@ -216,7 +225,7 @@ impl LeaderElection for QuantumLe {
         let epsilon = (k as f64 / n as f64).min(1.0);
         let mut max_quantum_rounds = 0u64;
         for c in &candidates {
-            let mut oracle = HigherRankOracle::new(*c, n, max_received.clone());
+            let mut oracle = HigherRankOracle::new(*c, n, &max_received, &referees);
             let outcome = distributed_grover_search(&mut net, c.node, &mut oracle, epsilon, alpha)?;
             max_quantum_rounds = max_quantum_rounds.max(outcome.rounds);
             statuses[c.node] = if outcome.found.is_none() {

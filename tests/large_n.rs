@@ -1,7 +1,9 @@
 //! The million-node acceptance tests for the implicit-topology data plane:
 //! structured families at `n = 2^20` must run real protocol workloads with
 //! peak graph + round-state memory **O(n + active)** — not the O(E) (for
-//! `K_n`: terabytes) that materialized CSR adjacency would cost.
+//! `K_n`: terabytes) that materialized CSR adjacency would cost. The paper's
+//! complete-network protocols run at `n = 2^16` under the same kind of
+//! ceiling.
 //!
 //! The shared tracking allocator (`tests/support`) keeps **thread-local**
 //! current/peak byte counters, so the concurrently running tests in this
@@ -15,8 +17,11 @@
 
 mod support;
 
+use classical_baselines::KppCompleteLe;
 use congest_net::programs::Flood;
 use congest_net::{topology, Network, NetworkConfig, SyncRuntime};
+use qle::algorithms::QuantumLe;
+use qle::LeaderElection;
 
 #[global_allocator]
 static ALLOCATOR: support::TrackingAllocator = support::TrackingAllocator;
@@ -49,7 +54,7 @@ fn million_node_complete_broadcast_stays_lean() {
         assert_eq!(net.inbox(MILLION - 1), &[(0, 0, 42)]);
     });
     // Budget: ~250 B/node covers the per-node state (inbox Vec headers +
-    // one-message buffers, RNG streams, stamp-page pointers, dirty list)
+    // one-message buffers, RNG streams, send-state slots, dirty list)
     // plus the sender's one full stamp page and the pending buffer. An
     // O(E) = O(n²) buffer would need terabytes and trips this instantly.
     let budget = 250 * MILLION as u64;
@@ -132,5 +137,54 @@ fn million_node_hypercube_flood_completes() {
     assert!(
         peak <= budget,
         "peak {peak} bytes exceeds O(n + active) budget {budget}"
+    );
+}
+
+/// The paper's `QuantumLE` with the scenario registry's defaults
+/// (`k = n^{1/3}`, `α = 1/n²`) on implicit `K_65536`. About 133 candidates
+/// each send their rank to 40 referees, then run a Grover search in which
+/// every check makes one node reply once. Nodes of degree above 64 start
+/// CONGEST enforcement on a send log of a few ports, so the replying nodes
+/// never allocate a 512 KiB stamp page; only the candidates, which send
+/// 40 ranks in one round, are promoted to one.
+///
+/// `n = 2^20` waits for the candidates' own pages to go: there ~166
+/// candidates hold an 8 MiB page each, and the run peaks at about 1.66 GB
+/// resident (11 s in release on a 2-vCPU host; KPP: 1.36 GB, 2.4 s).
+#[test]
+fn quantum_le_on_complete_65536_stays_lean() {
+    let (leaders, peak) = measured(|| {
+        let graph = topology::complete(1 << 16).unwrap();
+        let run = QuantumLe::new().run(&graph, 1).unwrap();
+        run.outcome.leaders().len()
+    });
+    assert_eq!(leaders, 1, "QuantumLE must elect exactly one leader");
+    // Measured peak: 95.5 MB, most of it the candidates' stamp pages. The
+    // budget is about twice that; a page for every sender needed ~11.4 GB.
+    let budget = 190_000_000;
+    assert!(
+        peak <= budget,
+        "peak {peak} bytes exceeds QuantumLE budget {budget}"
+    );
+}
+
+/// The classical `Õ(√n)` baseline on implicit `K_65536`: about 133
+/// candidates each contact ~850 random referees in one round (so each is
+/// promoted to a stamp page), and every referee answers the few candidates
+/// that contacted it from its send log.
+#[test]
+fn kpp_complete_le_on_complete_65536_stays_lean() {
+    let (leaders, peak) = measured(|| {
+        let graph = topology::complete(1 << 16).unwrap();
+        let run = KppCompleteLe::new().run(&graph, 1).unwrap();
+        run.outcome.leaders().len()
+    });
+    assert_eq!(leaders, 1, "KPP must elect exactly one leader");
+    // Measured peak: 103.9 MB, most of it the candidates' stamp pages. The
+    // budget is about twice that; a page for every sender needed ~780 MB.
+    let budget = 210_000_000;
+    assert!(
+        peak <= budget,
+        "peak {peak} bytes exceeds KPP budget {budget}"
     );
 }

@@ -1,7 +1,12 @@
 //! Property-based tests (proptest) over the workspace's core invariants.
 
+use std::collections::HashSet;
+
 use congest_net::programs::Flood;
-use congest_net::{topology, Graph, Network, NetworkConfig, SyncRuntime};
+use congest_net::{
+    topology, Error, Graph, Network, NetworkConfig, NodeProgram, Outbox, Payload, Port,
+    RoundContext, SyncRuntime,
+};
 use proptest::prelude::*;
 use qle::algorithms::{QuantumGeneralLe, QuantumLe};
 use qle::candidate::{sample_candidates_seeded, satisfies_fact_c2};
@@ -285,6 +290,267 @@ proptest! {
         prop_assert_eq!(*bounds.last().unwrap(), n);
         prop_assert!(bounds.windows(2).all(|w| w[0] < w[1]));
         prop_assert_eq!(bounds.len() - 1, shards.clamp(1, n));
+    }
+}
+
+/// The model test's payload: an id, and a flag that makes the message
+/// exceed every CONGEST bit budget.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Probe {
+    id: u32,
+    huge: bool,
+}
+
+impl Payload for Probe {
+    fn size_bits(&self) -> usize {
+        if self.huge {
+            1 << 20
+        } else {
+            32
+        }
+    }
+}
+
+/// The CONGEST rules written the obvious way: the directed edges used this
+/// round as a set of `(sender, port)` pairs, and the sends of this round in
+/// order as `(sender, arrival port, recipient, payload)`.
+struct ReferenceNetwork<'g> {
+    graph: &'g Graph,
+    budget_bits: usize,
+    used: HashSet<(usize, Port)>,
+    pending: Vec<(usize, Port, usize, Probe)>,
+    messages: u64,
+    rounds: u64,
+}
+
+impl ReferenceNetwork<'_> {
+    fn send_through_port(&mut self, from: usize, port: Port, msg: Probe) -> Result<(), Error> {
+        let n = self.graph.node_count();
+        if from >= n {
+            return Err(Error::NodeOutOfRange { node: from, n });
+        }
+        let degree = self.graph.degree(from);
+        if port >= degree {
+            return Err(Error::PortOutOfRange {
+                node: from,
+                port,
+                degree,
+            });
+        }
+        if msg.size_bits() > self.budget_bits {
+            return Err(Error::MessageTooLarge {
+                bits: msg.size_bits(),
+                budget: self.budget_bits,
+            });
+        }
+        let to = self.graph.neighbor_through_port(from, port).unwrap();
+        if !self.used.insert((from, port)) {
+            return Err(Error::EdgeBusy { from, to });
+        }
+        let arrival = self.graph.port_to(to, from).unwrap();
+        self.pending.push((from, arrival, to, msg));
+        self.messages += 1;
+        Ok(())
+    }
+
+    fn send(&mut self, from: usize, to: usize, msg: Probe) -> Result<(), Error> {
+        let n = self.graph.node_count();
+        for node in [from, to] {
+            if node >= n {
+                return Err(Error::NodeOutOfRange { node, n });
+            }
+        }
+        match self.graph.neighbors(from).position(|u| u == to) {
+            Some(port) => self.send_through_port(from, port, msg),
+            None => Err(Error::NotAdjacent { from, to }),
+        }
+    }
+
+    /// Port by port, so a busy port fails the broadcast and leaves the
+    /// sends before it queued.
+    fn broadcast(&mut self, v: usize, msg: Probe) -> Result<(), Error> {
+        let n = self.graph.node_count();
+        if v >= n {
+            return Err(Error::NodeOutOfRange { node: v, n });
+        }
+        (0..self.graph.degree(v)).try_for_each(|port| self.send_through_port(v, port, msg))
+    }
+
+    /// The inboxes of the round that ends now, indexed by node.
+    fn advance_round(&mut self) -> Vec<Vec<(usize, Port, Probe)>> {
+        let mut inboxes = vec![Vec::new(); self.graph.node_count()];
+        for (from, arrival, to, msg) in self.pending.drain(..) {
+            inboxes[to].push((from, arrival, msg));
+        }
+        self.used.clear();
+        self.rounds += 1;
+        inboxes
+    }
+}
+
+/// Drives `graph`'s [`Network`] and a [`ReferenceNetwork`] through the same
+/// random sequence of sends, broadcasts, round advances and skips, and
+/// asserts that every result, every delivered inbox and the metrics agree.
+/// Rounds vary from idle to dozens of sends, most of them from one hot node
+/// and concentrated on its low ports, so high-degree senders fill their
+/// send logs, reuse logged ports, get promoted to pages mid-round and
+/// broadcast over ports they already used.
+fn check_congest_against_reference(graph: &Graph, seed: u64) {
+    let n = graph.node_count();
+    let mut net: Network<Probe> = Network::new(graph.clone(), NetworkConfig::with_seed(seed));
+    let mut reference = ReferenceNetwork {
+        graph,
+        budget_bits: net.congest_budget_bits(),
+        used: HashSet::new(),
+        pending: Vec::new(),
+        messages: 0,
+        rounds: 0,
+    };
+    let mut rng = StdRng::seed_from_u64(seed);
+    let hot = [0, rng.gen_range(0..n), rng.gen_range(0..n)];
+    let mut id = 0u32;
+    for _ in 0..40 {
+        let round_hot = hot[rng.gen_range(0..hot.len())];
+        let ops = [0, 4, 16, 40][rng.gen_range(0..4usize)];
+        for _ in 0..ops {
+            id += 1;
+            let msg = Probe {
+                id,
+                huge: rng.gen_bool(0.03),
+            };
+            let from = match rng.gen_range(0..10u32) {
+                0..=5 => round_hot,
+                6..=7 => hot[rng.gen_range(0..hot.len())],
+                8 => rng.gen_range(0..n),
+                _ => rng.gen_range(0..n + 2),
+            };
+            let degree = graph.degree(from.min(n - 1));
+            let port = match rng.gen_range(0..20u32) {
+                0 => degree + rng.gen_range(0..3usize),
+                1..=10 => rng.gen_range(0..degree.min(24)),
+                _ => rng.gen_range(0..degree),
+            };
+            let (got, want) = match rng.gen_range(0..20u32) {
+                0 => (net.broadcast(from, msg), reference.broadcast(from, msg)),
+                1..=9 => {
+                    let to = match graph.neighbor_through_port(from.min(n - 1), port) {
+                        Ok(u) if rng.gen_bool(0.9) => u,
+                        _ => rng.gen_range(0..n + 1),
+                    };
+                    (net.send(from, to, msg), reference.send(from, to, msg))
+                }
+                _ => (
+                    net.send_through_port(from, port, msg),
+                    reference.send_through_port(from, port, msg),
+                ),
+            };
+            assert_eq!(got, want, "seed {seed}: send #{id} from {from}");
+        }
+        if reference.pending.is_empty() && rng.gen_bool(0.3) {
+            let skip = rng.gen_range(1..4);
+            net.skip_rounds(skip);
+            reference.rounds += skip;
+        } else {
+            net.advance_round();
+            for (v, want) in reference.advance_round().iter().enumerate() {
+                assert_eq!(net.inbox(v), want.as_slice(), "seed {seed}: inbox of {v}");
+            }
+        }
+        let metrics = net.metrics();
+        assert_eq!(metrics.classical_messages, reference.messages);
+        assert_eq!(metrics.rounds, reference.rounds);
+    }
+}
+
+/// A [`NodeProgram`] that sends 1–20 messages a round through a random run
+/// of consecutive ports, for a fixed number of rounds, folding what it
+/// receives into a digest. On `K_100` its rounds straddle the send-log
+/// capacity, so nodes move from logs to pages at different rounds.
+#[derive(Debug)]
+struct BurstSender {
+    rounds_left: u64,
+    digest: u64,
+}
+
+impl BurstSender {
+    fn burst(ctx: &mut RoundContext<'_>, outbox: &mut Outbox<u64>) {
+        let count = ctx.rng.gen_range(1..=20usize).min(ctx.degree);
+        let first = ctx.rng.gen_range(0..ctx.degree);
+        for i in 0..count {
+            outbox.send((first + i) % ctx.degree, ctx.rng.gen());
+        }
+    }
+}
+
+impl NodeProgram for BurstSender {
+    type Msg = u64;
+
+    fn on_start(&mut self, ctx: &mut RoundContext<'_>, outbox: &mut Outbox<u64>) {
+        Self::burst(ctx, outbox);
+    }
+
+    fn on_round(
+        &mut self,
+        ctx: &mut RoundContext<'_>,
+        incoming: &[(Port, u64)],
+        outbox: &mut Outbox<u64>,
+    ) {
+        for &(port, msg) in incoming {
+            self.digest = self
+                .digest
+                .rotate_left(7)
+                .wrapping_add(msg ^ port as u64)
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+        if self.rounds_left > 0 {
+            self.rounds_left -= 1;
+            Self::burst(ctx, outbox);
+        }
+    }
+
+    fn halted(&self) -> bool {
+        self.rounds_left == 0
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// CONGEST enforcement matches the set-based reference on implicit
+    /// `K_n` (degree above the page threshold, so senders start on send
+    /// logs), on its materialized CSR twin, on a star (one log-backed hub,
+    /// page-backed leaves) and on an 8-regular graph (pages only).
+    #[test]
+    fn congest_enforcement_matches_reference(n in 80usize..200, seed in 0u64..10_000) {
+        let complete = topology::complete(n).unwrap();
+        check_congest_against_reference(&complete, seed);
+        check_congest_against_reference(&complete.materialize(), seed);
+        check_congest_against_reference(&topology::star(n).unwrap(), seed);
+        check_congest_against_reference(&topology::random_regular(n, 8, seed).unwrap(), seed);
+    }
+
+    /// Senders crossing the send-log capacity at different rounds give the
+    /// same metrics, per-round history and received messages with 1 and 4
+    /// shards.
+    #[test]
+    fn burst_senders_match_across_shard_counts(seed in 0u64..10_000) {
+        let run = |shards: usize| {
+            let mut runtime = SyncRuntime::new(
+                topology::complete(100).unwrap(),
+                NetworkConfig::with_seed(seed).shards(shards).track_history(true),
+                |_, _| BurstSender { rounds_left: 12, digest: 0 },
+            );
+            let rounds = runtime.run_until_halt(100).unwrap();
+            let digests: Vec<u64> = runtime.programs().iter().map(|p| p.digest).collect();
+            let history = runtime.network().round_history().to_vec();
+            (rounds, runtime.metrics(), history, digests, runtime.adaptive_sequential_rounds())
+        };
+        let (rounds, metrics, history, digests, sequential) = run(4);
+        prop_assert!(sequential < rounds, "no round ran sharded");
+        prop_assert_eq!((rounds, metrics, history, digests), {
+            let (rounds, metrics, history, digests, _) = run(1);
+            (rounds, metrics, history, digests)
+        });
     }
 }
 
