@@ -684,6 +684,25 @@ impl FaultState {
         self.down_until[v] == self.clock && self.down_from[v] < self.clock
     }
 
+    /// Whether the plan crashes at least one node (crash-stop or
+    /// crash-recovery).
+    pub(crate) fn crashes_any(&self) -> bool {
+        !self.crash_events.is_empty()
+    }
+
+    /// The nodes whose recovery round is the current clock, ascending: the
+    /// nodes for which [`node_recovered_this_round`](Self::node_recovered_this_round)
+    /// holds.
+    pub(crate) fn recovering_now(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let first = self
+            .recover_events
+            .partition_point(|&(r, _)| r < self.clock);
+        self.recover_events[first..]
+            .iter()
+            .take_while(|&&(r, _)| r == self.clock)
+            .map(|&(_, v)| v)
+    }
+
     /// The per-node down windows, for handing shard views (and round
     /// contexts) a read-only view.
     pub(crate) fn down_windows(&self) -> (&[u64], &[u64]) {

@@ -87,8 +87,12 @@
 //! node (cleared via a dirty list, capacity retained).
 //! [`SyncRuntime`] owns its delivery and outbox
 //! scratch and rotates inbox storage through [`Network::swap_inbox`], so
-//! driving `n` programs allocates nothing once capacities have warmed up;
-//! halted nodes with empty inboxes are skipped outright.
+//! driving `n` programs allocates nothing once capacities have warmed up.
+//! A sequential round visits only the nodes on an n-bit schedule — those
+//! not [`idle`](NodeProgram::idle) after their last callback, those the
+//! barrier delivered to (the dirty list) and those recovering this round —
+//! so it costs O(n/64 + active), and `all_halted` reads a count of running
+//! programs unless the fault plan crashes nodes.
 //!
 //! **Invariant:** buffers are only ever `clear()`ed or `swap()`ed on the
 //! round path — any code that `take`s, drops, or reallocates one of them in

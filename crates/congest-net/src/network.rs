@@ -501,6 +501,24 @@ impl<M: Payload> Network<M> {
         (&mut self.node_rngs[v], faults)
     }
 
+    /// The nodes the last [`advance_round`](Network::advance_round)
+    /// delivered to (including matured delayed messages), in delivery order:
+    /// every node whose inbox the barrier left non-empty.
+    pub(crate) fn dirty_inboxes(&self) -> &[NodeId] {
+        &self.dirty_inboxes
+    }
+
+    /// The nodes for which [`node_recovered_this_round`](Network::node_recovered_this_round)
+    /// holds, ascending (none without a fault plan).
+    pub(crate) fn recovering_now(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.faults.iter().flat_map(FaultState::recovering_now)
+    }
+
+    /// Whether the installed fault plan crashes at least one node.
+    pub(crate) fn plan_crashes_nodes(&self) -> bool {
+        self.faults.as_ref().is_some_and(FaultState::crashes_any)
+    }
+
     /// Messages delivered (sent minus dropped) at the last
     /// [`advance_round`](Network::advance_round).
     #[must_use]

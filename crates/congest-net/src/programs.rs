@@ -75,6 +75,12 @@ impl NodeProgram for Flood {
     fn halted(&self) -> bool {
         self.has_token
     }
+
+    /// A flood node acts only on mail: the callback that gives it the token
+    /// (`on_start` for the source) also announces it.
+    fn idle(&self) -> bool {
+        true
+    }
 }
 
 /// The wire format of [`FloodFt`]: up to three flags packed into one

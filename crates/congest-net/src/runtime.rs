@@ -18,9 +18,20 @@
 //! node in every round. Combined with the network's reusable pending/inbox
 //! buffers, a steady-state [`step`](SyncRuntime::step) performs **zero heap
 //! allocation** (after buffer capacities have warmed up in the first rounds).
-//! Halted nodes with empty inboxes are skipped entirely — they cannot send
-//! (their program has terminated) and have nothing to receive, so the round
-//! cost is proportional to the *active* part of the network.
+//!
+//! # Round cost
+//!
+//! A sequential round visits only the nodes on its *schedule*: an n-bit
+//! bitmap holding the nodes that were not [`idle`](NodeProgram::idle) after
+//! their last callback, the nodes the last barrier delivered to, and the
+//! nodes whose crash-recovery round it is. Idle nodes with empty inboxes do
+//! nothing by contract, so skipping them changes no send, metric or random
+//! draw; nodes are still visited in ascending order. The walk costs
+//! O(n/64 + active) per round, and [`all_halted`](SyncRuntime::all_halted)
+//! reads a count of running programs instead of scanning them, so the
+//! round cost is proportional to the *active* part of the network.
+//! Sharded rounds and the start-up round visit every node and rebuild the
+//! schedule afterwards.
 
 use rand::rngs::StdRng;
 
@@ -185,12 +196,28 @@ pub trait NodeProgram: Send {
     /// Whether this node has terminated. The runtime stops when every node
     /// has halted (or the round limit is reached).
     ///
-    /// A halted node must send nothing and stay halted *as long as its inbox
-    /// stays empty* — the runtime relies on this to skip halted nodes whose
-    /// inboxes are empty. Receiving a message may legitimately un-halt a
-    /// node (fault-tolerant protocols use this to serve retransmission
-    /// requests from recovered neighbours).
+    /// A halted node is [`idle`](NodeProgram::idle): it must send nothing
+    /// and stay halted *as long as its inbox stays empty*. Receiving a
+    /// message may legitimately un-halt a node (fault-tolerant protocols use
+    /// this to serve retransmission requests from recovered neighbours).
     fn halted(&self) -> bool;
+
+    /// Whether this node does nothing until mail arrives: with an empty
+    /// inbox its [`on_round`](NodeProgram::on_round) sends nothing, draws no
+    /// randomness and changes no state, so the answer stays `true` until a
+    /// message is delivered (or the node's crash-recovery round calls
+    /// [`on_recover`](NodeProgram::on_recover)).
+    ///
+    /// The runtime never calls `on_round` on an idle node with an empty
+    /// inbox, and a round visits only the nodes that are not idle, just
+    /// received mail or recover this round — which is what makes a round
+    /// cost what its active nodes do. `halted()` must imply `idle()`. The
+    /// default, `halted()`, is always sound; a program that waits for mail
+    /// without having terminated (a flood node before the token arrives)
+    /// says so here to stay off the schedule.
+    fn idle(&self) -> bool {
+        self.halted()
+    }
 }
 
 /// Drives `n` instances of a [`NodeProgram`] in synchronous rounds.
@@ -222,6 +249,18 @@ pub struct SyncRuntime<P: NodeProgram> {
     /// Rounds the adaptive scheduler ran sequentially despite `shards > 1`
     /// (always 0 when the network resolved to a single shard).
     adaptive_sequential_rounds: u64,
+    /// One bit per node: the nodes that were not idle after their last
+    /// callback. The next sequential round adds the nodes the barrier
+    /// delivered to and the nodes recovering this round, then visits the
+    /// set bits in ascending order (see the module docs).
+    schedule: Vec<u64>,
+    /// One bit per node: its program's `halted()` after its last callback.
+    /// Comparing against this bit, instead of calling `halted()` before
+    /// each callback, keeps a costly `halted()` (an O(degree) scan in
+    /// `FloodFt`) off the per-node path.
+    halted: Vec<u64>,
+    /// Number of clear bits in `halted`: the programs still running.
+    running: usize,
 }
 
 /// One worker shard's reusable buffers: the sharded analogue of the
@@ -250,10 +289,12 @@ impl<M> Default for ShardScratch<M> {
 /// Nodes are processed in node order within the shard and sends are queued
 /// into the shard's outbox in that order, which is what makes the barrier
 /// merge (shard queues concatenated in shard order) reproduce the sequential
-/// engine's global node-order delivery exactly.
+/// engine's global node-order delivery exactly. A shard visits every node
+/// of its range, not a schedule: the sequential engine's schedule is
+/// rebuilt after the round.
 ///
 /// This is deliberately a *copy* of the per-node body in the sequential
-/// [`SyncRuntime::step`] / [`SyncRuntime::start`] loops rather than a shared
+/// `visit_schedule` / [`SyncRuntime::start`] loops rather than a shared
 /// abstraction: the sequential loop is the engine's hottest code and its
 /// codegen is fragile (routing it through a view indirection measurably
 /// regressed sparse rounds), so the two copies are kept textually parallel
@@ -311,9 +352,9 @@ fn run_shard_round<P: NodeProgram>(
             program.on_start(&mut ctx, &mut scratch.outbox);
         } else {
             let inbox_empty = view.inbox_is_empty(v);
-            // Same skip rule as the sequential engine: a halted node sends
-            // nothing and, with an empty inbox, observes nothing.
-            if inbox_empty && program.halted() {
+            // Same skip rule as the sequential engine: an idle node with an
+            // empty inbox does nothing.
+            if inbox_empty && program.idle() {
                 continue;
             }
             if inbox_empty {
@@ -346,6 +387,11 @@ fn run_shard_round<P: NodeProgram>(
     Ok(())
 }
 
+/// Puts node `v` on a [`SyncRuntime`] schedule bitmap.
+fn schedule_node(schedule: &mut [u64], v: NodeId) {
+    schedule[v / 64] |= 1 << (v % 64);
+}
+
 impl<P: NodeProgram> SyncRuntime<P> {
     /// Creates a runtime over `graph`, instantiating each node's program with
     /// `init(node, degree)` — the only knowledge a KT0 node starts with.
@@ -361,9 +407,8 @@ impl<P: NodeProgram> SyncRuntime<P> {
     #[must_use]
     pub fn with_network(net: Network<P::Msg>, mut init: impl FnMut(NodeId, usize) -> P) -> Self {
         let graph = net.graph();
-        let programs = (0..graph.node_count())
-            .map(|v| init(v, graph.degree(v)))
-            .collect();
+        let n = graph.node_count();
+        let programs = (0..n).map(|v| init(v, graph.degree(v))).collect();
         let shards = net.shard_count();
         let (shard_scratch, shard_errors, shard_busy) = if shards > 1 {
             (
@@ -374,7 +419,7 @@ impl<P: NodeProgram> SyncRuntime<P> {
         } else {
             (Vec::new(), Vec::new(), Vec::new())
         };
-        SyncRuntime {
+        let mut runtime = SyncRuntime {
             net,
             programs,
             round: 0,
@@ -386,7 +431,12 @@ impl<P: NodeProgram> SyncRuntime<P> {
             shard_errors,
             shard_busy,
             adaptive_sequential_rounds: 0,
-        }
+            schedule: vec![0; n.div_ceil(64)],
+            halted: vec![0; n.div_ceil(64)],
+            running: 0,
+        };
+        runtime.rebuild_schedule();
+        runtime
     }
 
     /// Installs a [`FaultPlan`] on the underlying network (see
@@ -528,13 +578,15 @@ impl<P: NodeProgram> SyncRuntime<P> {
         }
         self.net.advance_round();
         self.round = 1;
+        self.rebuild_schedule();
         Ok(())
     }
 
     /// Executes one full round: delivery, per-node handlers, and sends.
     ///
-    /// Steady-state this performs no heap allocation and skips halted nodes
-    /// with empty inboxes entirely.
+    /// Steady-state this performs no heap allocation, and a sequential round
+    /// visits only the scheduled nodes (see the module docs), so idle nodes
+    /// with empty inboxes cost nothing.
     ///
     /// # Errors
     ///
@@ -555,14 +607,96 @@ impl<P: NodeProgram> SyncRuntime<P> {
         }
         let shared = self.shared_value();
         let node_step_start = self.net.telemetry_enabled().then(std::time::Instant::now);
-        // Per-node body mirrored in `run_shard_round` (kept as two textually
-        // parallel copies for hot-loop codegen; see the note there).
-        for v in 0..self.programs.len() {
-            // A rebooted node runs `on_recover` instead of the ordinary
-            // callback at its recovery round (its inbox is empty — the
-            // barrier dropped everything addressed to the pre-crash
-            // incarnation).
-            if self.net.node_recovered_this_round(v) {
+        // The schedule holds the nodes that stayed busy after their last
+        // callback; add the ones the barrier just delivered to (including
+        // matured delayed messages) and the ones rebooting this round.
+        for &v in self.net.dirty_inboxes() {
+            schedule_node(&mut self.schedule, v);
+        }
+        for v in self.net.recovering_now() {
+            schedule_node(&mut self.schedule, v);
+        }
+        let visited = self.visit_schedule(shared);
+        if visited.is_err() {
+            // The walk stopped part-way and dropped the bits it had not
+            // reached: rebuild them from the programs.
+            self.rebuild_schedule();
+        }
+        visited?;
+        if let Some(start) = node_step_start {
+            self.net.record_node_step(elapsed_nanos(start));
+        }
+        self.net.advance_round();
+        self.round += 1;
+        Ok(())
+    }
+
+    /// The node loop of a sequential round: visits the scheduled nodes in
+    /// ascending order, taking each bitmap word (which clears it) and
+    /// re-filing every node that ran a callback.
+    ///
+    /// The per-node body is mirrored in `run_shard_round` (kept as two
+    /// textually parallel copies for hot-loop codegen; see the note there).
+    fn visit_schedule(&mut self, shared: Option<f64>) -> Result<(), Error> {
+        for w in 0..self.schedule.len() {
+            let mut bits = std::mem::take(&mut self.schedule[w]);
+            while bits != 0 {
+                let v = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                // A rebooted node runs `on_recover` instead of the ordinary
+                // callback at its recovery round (its inbox is empty — the
+                // barrier dropped everything addressed to the pre-crash
+                // incarnation).
+                if self.net.node_recovered_this_round(v) {
+                    let degree = self.net.graph().degree(v);
+                    {
+                        let (rng, faults) = self.net.ctx_parts(v);
+                        let mut ctx = RoundContext {
+                            node: v,
+                            degree,
+                            round: self.round,
+                            rng,
+                            shared_coin: shared,
+                            faults,
+                        };
+                        self.programs[v].on_recover(&mut ctx, &mut self.outbox);
+                    }
+                    self.refile(v);
+                    if !self.outbox.is_empty() {
+                        self.flush_outbox(v)?;
+                    }
+                    continue;
+                }
+                let inbox_empty = self.net.inbox(v).is_empty();
+                // An idle node with an empty inbox does nothing: leave it
+                // off the schedule without touching any buffer.
+                if inbox_empty && self.programs[v].idle() {
+                    continue;
+                }
+                // A crashed node computes nothing (its inbox is always empty:
+                // the barrier already dropped anything addressed to it). It
+                // leaves the schedule: if it comes back, its recovery round
+                // puts it on again.
+                if self.net.node_crashed(v) {
+                    continue;
+                }
+                if inbox_empty {
+                    // Busy node without mail: hand it an empty view without
+                    // touching the swap machinery.
+                    self.incoming.clear();
+                } else {
+                    // Translate (sender, port, msg) deliveries into
+                    // (receiving port, msg) pairs: KT0 nodes see ports, not
+                    // identifiers. The arrival port was already resolved in
+                    // O(1) at send time.
+                    self.net.swap_inbox(v, &mut self.inbox_scratch);
+                    self.incoming.clear();
+                    self.incoming.extend(
+                        self.inbox_scratch
+                            .drain(..)
+                            .map(|(_, port, msg)| (port, msg)),
+                    );
+                }
                 let degree = self.net.graph().degree(v);
                 {
                     let (rng, faults) = self.net.ctx_parts(v);
@@ -574,64 +708,54 @@ impl<P: NodeProgram> SyncRuntime<P> {
                         shared_coin: shared,
                         faults,
                     };
-                    self.programs[v].on_recover(&mut ctx, &mut self.outbox);
+                    self.programs[v].on_round(&mut ctx, &self.incoming, &mut self.outbox);
                 }
+                self.refile(v);
                 if !self.outbox.is_empty() {
                     self.flush_outbox(v)?;
                 }
-                continue;
-            }
-            let inbox_empty = self.net.inbox(v).is_empty();
-            // A halted node sends nothing and, with an empty inbox, observes
-            // nothing: skip it without touching any buffer.
-            if inbox_empty && self.programs[v].halted() {
-                continue;
-            }
-            // A crashed node computes nothing (its inbox is always empty:
-            // the barrier already dropped anything addressed to it).
-            if self.net.node_crashed(v) {
-                continue;
-            }
-            if inbox_empty {
-                // Idle-but-live node: hand it an empty view without touching
-                // the swap machinery (this path dominates sparse rounds).
-                self.incoming.clear();
-            } else {
-                // Translate (sender, port, msg) deliveries into (receiving
-                // port, msg) pairs: KT0 nodes see ports, not identifiers.
-                // The arrival port was already resolved in O(1) at send
-                // time.
-                self.net.swap_inbox(v, &mut self.inbox_scratch);
-                self.incoming.clear();
-                self.incoming.extend(
-                    self.inbox_scratch
-                        .drain(..)
-                        .map(|(_, port, msg)| (port, msg)),
-                );
-            }
-            let degree = self.net.graph().degree(v);
-            {
-                let (rng, faults) = self.net.ctx_parts(v);
-                let mut ctx = RoundContext {
-                    node: v,
-                    degree,
-                    round: self.round,
-                    rng,
-                    shared_coin: shared,
-                    faults,
-                };
-                self.programs[v].on_round(&mut ctx, &self.incoming, &mut self.outbox);
-            }
-            if !self.outbox.is_empty() {
-                self.flush_outbox(v)?;
             }
         }
-        if let Some(start) = node_step_start {
-            self.net.record_node_step(elapsed_nanos(start));
-        }
-        self.net.advance_round();
-        self.round += 1;
         Ok(())
+    }
+
+    /// Re-files node `v` after a callback: back on the schedule unless its
+    /// program is idle, and into or out of the running count if its
+    /// `halted()` changed.
+    fn refile(&mut self, v: NodeId) {
+        let program = &self.programs[v];
+        let (halted, idle) = (program.halted(), program.idle());
+        let (word, bit) = (v / 64, 1 << (v % 64));
+        if !idle {
+            self.schedule[word] |= bit;
+        }
+        if halted != (self.halted[word] & bit != 0) {
+            self.halted[word] ^= bit;
+            if halted {
+                self.running -= 1;
+            } else {
+                self.running += 1;
+            }
+        }
+    }
+
+    /// Rebuilds the schedule and the running count from every program: at
+    /// construction, and after the start-up round and sharded rounds, which
+    /// visit every node anyway.
+    fn rebuild_schedule(&mut self) {
+        self.schedule.fill(0);
+        self.halted.fill(0);
+        self.running = 0;
+        for (v, program) in self.programs.iter().enumerate() {
+            if !program.idle() {
+                schedule_node(&mut self.schedule, v);
+            }
+            if program.halted() {
+                schedule_node(&mut self.halted, v);
+            } else {
+                self.running += 1;
+            }
+        }
     }
 
     /// Whether every node program has halted. A **permanently** crashed
@@ -642,8 +766,17 @@ impl<P: NodeProgram> SyncRuntime<P> {
     /// crash-recovery window does *not* count as halted — it will
     /// participate again, so the run must continue at least until its
     /// recovery round.
+    ///
+    /// When the fault plan crashes no node this is O(1): it reads the count
+    /// of running programs that every callback keeps current. A plan with
+    /// crashes takes an O(n) scan, because whether a crashed node counts as
+    /// halted depends on whether it comes back, which the count cannot
+    /// express.
     #[must_use]
     pub fn all_halted(&self) -> bool {
+        if !self.net.plan_crashes_nodes() {
+            return self.running == 0;
+        }
         self.programs.iter().enumerate().all(|(v, p)| {
             if self.net.node_crashed(v) {
                 // Down now: final iff it never comes back. The pre-crash
@@ -745,6 +878,7 @@ impl<P: NodeProgram> SyncRuntime<P> {
             }
         }
         self.net.advance_round();
+        self.rebuild_schedule();
         Ok(())
     }
 

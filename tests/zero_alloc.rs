@@ -1,7 +1,8 @@
 //! Proves the acceptance criterion of the CSR refactor: steady-state rounds
 //! of the CONGEST round engine perform **zero heap allocation** — including
 //! with the telemetry layer compiled in but off (the default), which is the
-//! telemetry sidecar's zero-cost-when-absent guarantee.
+//! telemetry sidecar's zero-cost-when-absent guarantee — and that a sparse
+//! round runs callbacks only on its active nodes.
 //!
 //! The shared tracking allocator (`tests/support`) wraps the system
 //! allocator with per-thread counters; after a warm-up phase (buffer
@@ -76,6 +77,75 @@ fn steady_state_rounds_do_not_allocate() {
     // The run above really did carry traffic: 64 nodes × degree 4 × 350+
     // rounds.
     assert!(runtime.metrics().classical_messages > 64 * 4 * 300);
+}
+
+/// Forwards every token out of the port it did not arrive on: one token
+/// circles the cycle. Every node is idle (it acts only on mail) and never
+/// halts, so before the idle schedule the engine visited all of them every
+/// round. `calls` counts `on_round` callbacks; it is instrumentation, not
+/// protocol state.
+#[derive(Debug)]
+struct Relay {
+    calls: u64,
+}
+
+impl NodeProgram for Relay {
+    type Msg = u64;
+
+    fn on_start(&mut self, ctx: &mut RoundContext<'_>, outbox: &mut Outbox<u64>) {
+        if ctx.node == 0 {
+            outbox.send(0, 0);
+        }
+    }
+
+    fn on_round(
+        &mut self,
+        _ctx: &mut RoundContext<'_>,
+        incoming: &[(Port, u64)],
+        outbox: &mut Outbox<u64>,
+    ) {
+        self.calls += 1;
+        for &(port, hops) in incoming {
+            outbox.send(1 - port, hops + 1);
+        }
+    }
+
+    fn halted(&self) -> bool {
+        false
+    }
+
+    fn idle(&self) -> bool {
+        true
+    }
+}
+
+#[test]
+fn sparse_rounds_cost_what_their_active_nodes_do() {
+    let graph = topology::cycle(64).unwrap();
+    let mut runtime = SyncRuntime::new(graph, NetworkConfig::with_seed(5).shards(1), |_, _| {
+        Relay { calls: 0 }
+    });
+    let calls =
+        |runtime: &SyncRuntime<Relay>| -> u64 { runtime.programs().iter().map(|p| p.calls).sum() };
+    runtime.start().unwrap();
+    for _ in 0..200 {
+        runtime.step().unwrap();
+    }
+    let before = calls(&runtime);
+    let ((), m) = support::measured(|| {
+        for _ in 0..300 {
+            runtime.step().unwrap();
+        }
+    });
+    assert_eq!(
+        m.allocations, 0,
+        "sparse rounds allocated {} times; the round engine must be allocation-free",
+        m.allocations
+    );
+    // One token in flight: each round visits exactly its one recipient,
+    // not all 64 nodes.
+    assert_eq!(calls(&runtime) - before, 300);
+    assert!(!runtime.all_halted());
 }
 
 /// The tracker's peak-bytes gauge plugs into the telemetry sidecar's
