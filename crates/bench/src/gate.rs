@@ -1,13 +1,10 @@
-//! Shared scaffolding for the CI speedup gates (`--bench-network` /
-//! `--bench-quantum`).
+//! The retry policy of the CI speedup gate (`--bench-network`).
 //!
-//! Both benchmark entry points follow the same protocol: read an optional
-//! `*_MIN_SPEEDUP` environment variable, measure, and — when a gate is set —
-//! re-measure a below-threshold reading up to three times, keeping the best
-//! attempt. Interference on a shared host only ever *inflates* run times,
-//! so a single noisy attempt must not fail the gate, while a true
-//! regression fails every attempt. Keeping the retry policy here means the
-//! two gates cannot silently diverge.
+//! The gate reads an optional `*_MIN_SPEEDUP` environment variable,
+//! measures, and — when a threshold is set — re-measures a below-threshold
+//! reading up to three times, keeping the best attempt. Interference on a
+//! shared host only ever *inflates* run times, so a single noisy attempt
+//! must not fail the gate, while a true regression fails every attempt.
 
 /// Parses a `*_MIN_SPEEDUP`-style gate threshold from the environment. An
 /// unset or empty variable means no gate, as with `CONGEST_CACHE`.

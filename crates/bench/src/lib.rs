@@ -19,9 +19,7 @@ pub mod experiments;
 pub mod fit;
 pub mod gate;
 pub mod legacy;
-pub mod legacy_quantum;
 pub mod network_bench;
-pub mod quantum_bench;
 pub mod table;
 
 pub use experiments::{

@@ -66,9 +66,9 @@ pub fn phase_estimation_distribution(phase: f64, p: u64) -> Result<Vec<f64>, Err
 /// The amplitude of outcome `m` is the geometric sum
 /// `(1/P) · Σ_j e^{2πi·j·(phase − m/P)}`, evaluated in closed form. This is
 /// the gate-level cross-validation path for
-/// [`phase_estimation_distribution`]: building the state through the
-/// AoS-compat [`StateVector::from_amplitudes`] boundary and reading Born
-/// probabilities must reproduce the analytic kernel at every grid size.
+/// [`phase_estimation_distribution`]: building the state through
+/// [`StateVector::from_amplitudes`] and reading Born probabilities must
+/// reproduce the analytic kernel at every grid size.
 ///
 /// # Errors
 ///

@@ -27,19 +27,6 @@ pub enum Error {
         /// Dimension of the right operand.
         right: usize,
     },
-    /// A qubit index exceeded the register width.
-    QubitOutOfRange {
-        /// The offending qubit index.
-        qubit: u32,
-        /// The register width in qubits.
-        qubits: u32,
-    },
-    /// An operation requiring a power-of-two dimension was applied to a
-    /// non-qubit register.
-    NotQubitRegister {
-        /// The offending dimension.
-        dim: usize,
-    },
     /// An algorithm parameter was outside its valid range.
     InvalidParameter {
         /// Name of the parameter.
@@ -66,18 +53,6 @@ impl fmt::Display for Error {
             Error::DimensionMismatch { left, right } => {
                 write!(f, "dimension mismatch: {left} vs {right}")
             }
-            Error::QubitOutOfRange { qubit, qubits } => {
-                write!(
-                    f,
-                    "qubit {qubit} out of range for a {qubits}-qubit register"
-                )
-            }
-            Error::NotQubitRegister { dim } => {
-                write!(
-                    f,
-                    "dimension {dim} is not a power of two, not a qubit register"
-                )
-            }
             Error::InvalidParameter { name, reason } => {
                 write!(f, "invalid parameter {name}: {reason}")
             }
@@ -100,11 +75,6 @@ mod tests {
             Error::InvalidDimension { dim: 0 },
             Error::IndexOutOfRange { index: 9, dim: 4 },
             Error::DimensionMismatch { left: 2, right: 3 },
-            Error::QubitOutOfRange {
-                qubit: 5,
-                qubits: 3,
-            },
-            Error::NotQubitRegister { dim: 6 },
             Error::InvalidParameter {
                 name: "epsilon",
                 reason: "must be positive".into(),

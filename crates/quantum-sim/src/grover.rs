@@ -229,8 +229,7 @@ pub fn statevector_success_probability(
     }
     let mut state = StateVector::uniform(dim)?;
     // Precompute a membership mask: the oracle is then an O(1) table read
-    // per amplitude instead of an O(|marked|) scan, and the kernel stays
-    // branch-light for arbitrary marked sets.
+    // per amplitude instead of an O(|marked|) scan.
     let mut mask = vec![false; dim];
     for &x in marked {
         mask[x] = true;
@@ -240,9 +239,8 @@ pub fn statevector_success_probability(
         state.apply_phase_oracle(is_marked);
         state.apply_diffusion();
     }
-    // Fused single pass: the marked mass and the total norm together, so the
-    // result can be normalised against the drift a long gate sequence
-    // accumulates without a second O(dim) scan.
+    // The marked mass and the total norm in one pass, so the result can be
+    // normalised against the drift a long gate sequence accumulates.
     let (success, norm) = state.success_and_norm(is_marked);
     Ok(success / norm)
 }

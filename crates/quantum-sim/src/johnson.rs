@@ -15,7 +15,7 @@ use crate::error::Error;
 use crate::statevector::StateVector;
 
 /// Largest vertex count for which [`JohnsonGraph::stationary_state`] will
-/// materialise a dense state (64 Mi amplitudes ≈ 1 GiB of parts): the dense
+/// materialise a dense state (64 Mi amplitudes ≈ 1 GiB): the dense
 /// simulator is a validation tool, not a production path.
 const MAX_DENSE_VERTICES: u128 = 1 << 26;
 

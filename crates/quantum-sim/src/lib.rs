@@ -6,9 +6,9 @@
 //! The paper's protocols consume a small number of quantum primitives —
 //! Grover search with an unknown number of marked items (Theorem 4.1),
 //! quantum counting (Theorem 4.2 / Corollary 4.3), and MNRS search via
-//! quantum walks on Johnson graphs (Theorem 4.4) — together with the
-//! superposed-trajectory routing model of Section 3. This crate implements
-//! all of them as pure engines, independent of any network:
+//! quantum walks on Johnson graphs (Theorem 4.4) — and use each one only
+//! through its success law and its cost. This crate implements them as pure
+//! engines, independent of any network:
 //!
 //! * [`grover`] — exact Grover dynamics (the rotation in the 2-dimensional
 //!   invariant subspace is simulated exactly, so outcome distributions match
@@ -18,68 +18,30 @@
 //!   `Count(P)` / `ApproxCount(c, α)` primitives.
 //! * [`johnson`] and [`walk`] — Johnson graphs, their spectral gaps, and the
 //!   MNRS `WalkSearch` invocation budget and success law.
-//! * [`statevector`] and [`gates`] — a dense state-vector simulator used to
-//!   cross-validate the analytic engines gate-by-gate on small domains.
-//! * [`routing`] — the register-level superposed routing model of Appendix A
-//!   and the max-over-configurations message-complexity rule.
-//! * [`quantize`] — the cost bookkeeping of Lemma 3.1 (purification and
-//!   uncomputation).
+//! * [`statevector`] — a dense scalar state-vector simulator, the reference
+//!   that tests check the closed forms against on small domains, and the
+//!   [`MeasurementSampler`] that quantum counting draws its outcomes through.
 //!
 //! The distributed framework in the `qle` crate wires these engines to
-//! network-executed `Checking` procedures; this crate deliberately knows
-//! nothing about networks.
+//! network-executed `Checking` procedures and charges the messages of the
+//! superposed routing of Section 3 inside `Network::quantum_scope`; this
+//! crate deliberately knows nothing about networks.
 //!
-//! # Performance architecture
+//! # Measurement CDFs
 //!
 //! (`docs/ARCHITECTURE.md` in the repository root places this section in
-//! the whole-workspace narrative; the invariants stated here are the
-//! authoritative ones for this crate.)
+//! the whole-workspace narrative; the invariant stated here is the
+//! authoritative one for this crate.)
 //!
-//! The dense simulator is the crate's hot path: amplitude-dynamics
-//! validation (Grover iterations, amplitude counting, quantum-walk mixing)
-//! is only informative when it can be pushed to large `dim`. Three design
-//! decisions carry this, and each comes with an invariant the rest of the
-//! workspace relies on:
-//!
-//! ## 1. Structure-of-arrays amplitudes
-//!
-//! [`StateVector`] stores the real and imaginary parts as two parallel
-//! `Vec<f64>`s rather than a `Vec<Complex>`. Every kernel
-//! (`apply_phase_oracle`, `apply_diffusion`, `apply_reflection_about`,
-//! `inner_product`, `norm_sqr`, `success_probability`, the gate butterflies
-//! in [`gates`]) is a branch-light pass over those slices; reductions use
-//! 8 independent accumulator lanes so the loop-carried addition dependency
-//! never serialises the pass.
-//!
-//! **Invariant:** `re.len() == im.len()` always, and no public API exposes
-//! a `&[Complex]` view of the storage. AoS values cross the boundary only
-//! through [`StateVector::amplitude`] / [`StateVector::from_amplitudes`] /
-//! [`StateVector::to_amplitudes`]; new kernels must be written against the
-//! split parts (`re()` / `im()`), not against materialised `Complex`
-//! values.
-//!
-//! ## 2. Stable-rustc autovectorization, guarded by a measured floor
-//!
-//! No `std::simd`, no intrinsics, no `unsafe`: the kernels are shaped
-//! (chunked slices, multi-lane accumulators, sign-multiply instead of
-//! conditional negation) so that stable `rustc` autovectorizes them. The
-//! claim is enforced *behaviourally*, not by asm inspection: the frozen
-//! scalar implementation lives in `bench/src/legacy_quantum.rs`, and
-//! `experiments --bench-quantum` writes `BENCH_quantum.json` with the
-//! SoA-vs-legacy speedup per kernel; CI fails if the aggregate drops below
-//! `BENCH_QUANTUM_MIN_SPEEDUP`. A change that quietly de-vectorises a
-//! kernel fails the gate, exactly like a round-engine regression in
-//! `congest-net`.
-//!
-//! ## 3. Bit-stable measurement CDFs
-//!
-//! [`StateVector::sampler`] (and [`MeasurementSampler::from_probabilities`])
-//! accumulate probabilities **strictly in basis order** — never chunked,
+//! [`MeasurementSampler::from_probabilities`] is the one function that builds
+//! a cumulative distribution; [`StateVector::sampler`] calls it too. It
+//! accumulates probabilities **strictly in basis order** — never chunked,
 //! never reassociated — so sampler streams are bit-identical to the
-//! single-shot [`StateVector::measure`] scan and stable across
-//! representation changes. Golden tests in the workspace root pin
-//! `measure` / `sample_many` outcome streams; reordering that accumulation
-//! is a behavioural change and must update the pins deliberately.
+//! single-shot [`StateVector::measure`] scan. Golden tests in the workspace
+//! root pin the `measure` / `sample_many` outcome streams and the
+//! quantum-counting estimates of the star example; reordering that
+//! accumulation is a behavioural change and must update the pins
+//! deliberately.
 //!
 //! # Example
 //!
@@ -105,11 +67,8 @@
 pub mod complex;
 pub mod counting;
 pub mod error;
-pub mod gates;
 pub mod grover;
 pub mod johnson;
-pub mod quantize;
-pub mod routing;
 pub mod statevector;
 pub mod walk;
 

@@ -279,7 +279,7 @@ impl std::error::Error for SpecError {}
 struct Draft {
     name: Option<String>,
     topology: Option<String>,
-    degree: usize,
+    degree: Option<usize>,
     protocol: Option<String>,
     sizes: Option<Vec<usize>>,
     seeds: Option<Vec<u64>>,
@@ -319,8 +319,20 @@ impl Draft {
         let topology_name = self
             .topology
             .ok_or_else(|| err(format!("scenario \"{name}\" is missing `topology`")))?;
-        let topology = parse_topology(&topology_name, self.degree)
+        // Checked before the registry sees it: `parse_topology` reads a zero
+        // degree as "use the default".
+        if self.degree == Some(0) {
+            return Err(err(format!(
+                "scenario \"{name}\": `degree` must be positive"
+            )));
+        }
+        let topology = parse_topology(&topology_name, self.degree.unwrap_or(0))
             .ok_or_else(|| err(format!("unknown topology \"{topology_name}\"")))?;
+        if self.degree.is_some() && !matches!(topology, Family::RandomRegular { .. }) {
+            return Err(err(format!(
+                "scenario \"{name}\": `degree` needs topology \"expander\" or \"random-regular\", not \"{topology_name}\""
+            )));
+        }
         let protocol_name = self
             .protocol
             .ok_or_else(|| err(format!("scenario \"{name}\" is missing `protocol`")))?;
@@ -467,7 +479,7 @@ impl<'a> Parser<'a> {
                     draft.topology = Some(parse_string(value, line_no)?);
                 }
                 (Section::Scenario, "degree") => {
-                    draft.degree = parse_int(value, line_no)? as usize;
+                    draft.degree = Some(parse_int(value, line_no)? as usize);
                 }
                 (Section::Scenario, "protocol") => {
                     draft.protocol = Some(parse_string(value, line_no)?);
@@ -503,10 +515,18 @@ impl<'a> Parser<'a> {
                 }
                 (Section::Faults, "seed") => draft.fault_seed = parse_int(value, line_no)?,
                 (Section::Faults, "drop") => {
-                    draft.drop = value.parse::<f64>().map_err(|_| SpecError {
-                        line: line_no,
-                        message: format!("invalid drop probability \"{value}\""),
-                    })?;
+                    // `FaultPlan::drop_probability` clamps, so an out-of-range
+                    // value would silently run as 0 or 1.
+                    draft.drop = value
+                        .parse::<f64>()
+                        .ok()
+                        .filter(|p| (0.0..=1.0).contains(p))
+                        .ok_or_else(|| SpecError {
+                            line: line_no,
+                            message: format!(
+                                "drop probability must be a number in [0, 1], got \"{value}\""
+                            ),
+                        })?;
                 }
                 (Section::Faults, "outage") => {
                     let xs = parse_int_list(value, line_no)?;
@@ -760,6 +780,10 @@ mod tests {
             ("recover = [3, 9, 9]", "recover_round > round"),
             ("byzantine = [2, 4]", "byzantine needs"),
             ("byzantine = [2, 6, 6]", "until_round > from_round"),
+            ("drop = 1.5", "must be a number in [0, 1]"),
+            ("drop = inf", "must be a number in [0, 1]"),
+            ("drop = nan", "must be a number in [0, 1]"),
+            ("drop = -0.5", "must be a number in [0, 1]"),
         ] {
             let err = ScenarioSpec::parse_many(&format!("{base}{stanza}\n")).unwrap_err();
             assert!(err.message.contains(needle), "{stanza}: {err}");
@@ -837,6 +861,8 @@ crash = [0, 1]
             ("sizes = []", "`sizes` is empty"),
             ("seeds = []", "`seeds` is empty"),
             ("max_rounds = 0", "`max_rounds` must be positive"),
+            ("degree = 0", "`degree` must be positive"),
+            ("degree = 6", "`degree` needs topology \"expander\""),
         ] {
             let err = ScenarioSpec::parse_many(&format!("{base}{key}\n")).unwrap_err();
             assert!(err.message.contains(needle), "{key}: {err}");

@@ -8,7 +8,8 @@
 //!
 //! * [`congest_net`] — the metered CONGEST simulator (CSR graph core,
 //!   zero-allocation round engine, random-walk machinery, topologies),
-//! * [`quantum_sim`] — analytic and state-vector quantum subroutine engines,
+//! * [`quantum_sim`] — closed-form quantum subroutine engines, with a scalar
+//!   state-vector reference for tests,
 //! * [`qle`] — the paper's five quantum leader-election protocols and the
 //!   quantum agreement protocol,
 //! * [`classical_baselines`] — the classical comparators,

@@ -20,6 +20,7 @@ use classical_baselines::GhsLe;
 use congest_net::programs::Flood;
 use congest_net::{topology, Metrics, NetworkConfig, SyncRuntime};
 use qle::algorithms::QuantumLe;
+use qle::star::quantum_star_count;
 use qle::{AlphaChoice, KChoice, LeaderElection};
 use quantum_sim::{Complex, StateVector};
 use rand::rngs::StdRng;
@@ -257,10 +258,10 @@ fn golden_measurement_state() -> StateVector {
 
 #[test]
 fn measurement_streams_are_pinned() {
-    // Golden values captured on the SoA state-vector representation in this
-    // PR. The CDF accumulation order (strictly ascending basis index) is an
-    // invariant of `StateVector::sampler` — see the quantum-sim crate docs —
-    // so any change to these streams means the SoA CDF build is no longer
+    // The CDF accumulation order (strictly ascending basis index) is an
+    // invariant of `MeasurementSampler::from_probabilities`, which
+    // `StateVector::sampler` builds through (see the quantum-sim crate
+    // docs). Any change to these streams means the CDF build is no longer
     // bit-stable (or the shim PRNG changed) and must be deliberate.
     let state = golden_measurement_state();
     let mut rng = StdRng::seed_from_u64(7);
@@ -283,6 +284,28 @@ fn measurement_streams_are_pinned() {
     let mut rng_cdf = StdRng::seed_from_u64(13);
     for _ in 0..64 {
         assert_eq!(state.measure(&mut rng_scan), sampler.sample(&mut rng_cdf));
+    }
+}
+
+#[test]
+fn star_count_stream_is_pinned() {
+    // E8's quantum counting on a star is the one protocol path that samples
+    // through `MeasurementSampler` (via `ApproxCountSpec::run`). 256 leaves,
+    // every third one marked (86 in all); ε = 0.3 keeps the estimates
+    // seed-dependent, so the pin covers the sampler's outcome stream and not
+    // only the message cost.
+    let inputs: Vec<bool> = (0..256).map(|i| i % 3 == 0).collect();
+    let runs: Vec<_> = (1..=8)
+        .map(|seed| quantum_star_count(&inputs, 0.3, 0.25, seed).unwrap())
+        .collect();
+    let estimates: Vec<u64> = runs.iter().map(|r| r.estimate).collect();
+    assert_eq!(
+        estimates,
+        vec![82, 256, 82, 128, 96, 96, 82, 82],
+        "star-count estimate stream diverged"
+    );
+    for r in &runs {
+        assert_eq!((r.messages, r.rounds), (672, 672));
     }
 }
 

@@ -17,8 +17,8 @@ use quantum_sim::{Complex, StateVector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A random normalised AoS amplitude vector — the naive-reference input for
-/// the SoA kernel properties.
+/// A random normalised amplitude vector — the input for the properties that
+/// check the state-vector kernels against naive references.
 fn random_amplitudes(dim: usize, seed: u64) -> Vec<Complex> {
     let mut rng = StdRng::seed_from_u64(seed);
     loop {
@@ -69,11 +69,10 @@ proptest! {
         prop_assert!((exact - analytic).abs() < 1e-8);
     }
 
-    /// The SoA phase-oracle and diffusion kernels match a naive scalar
-    /// reference to 1e-12 on random states (dims straddle the 8-lane chunk
-    /// boundary).
+    /// The phase-oracle and diffusion kernels match a naive reference to
+    /// 1e-12 on random states.
     #[test]
-    fn soa_oracle_and_diffusion_match_naive_reference(
+    fn oracle_and_diffusion_match_naive_reference(
         dim in 1usize..130,
         seed in 0u64..1000,
         modulus in 1usize..7,
@@ -102,10 +101,10 @@ proptest! {
         }
     }
 
-    /// The SoA reflection, inner-product, and fused success/norm kernels
-    /// match naive scalar references to 1e-12 on random state pairs.
+    /// The reflection, inner-product, and success/norm kernels match naive
+    /// references to 1e-12 on random state pairs.
     #[test]
-    fn soa_reflection_and_inner_product_match_naive_reference(
+    fn reflection_and_inner_product_match_naive_reference(
         dim in 1usize..130,
         seed in 0u64..1000,
         modulus in 1usize..7,
