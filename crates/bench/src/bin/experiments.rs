@@ -558,28 +558,67 @@ fn scenario_exit_code(message: &str) -> i32 {
     }
 }
 
+/// An experiment: builds one table.
+type Experiment = fn() -> ExperimentTable;
+
+/// The experiment tables, in suite order.
+const EXPERIMENTS: [(&str, Experiment); 10] = [
+    ("e1", e1_complete_le),
+    ("e2", e2_tradeoff),
+    ("e3", e3_mixing_le),
+    ("e4", e4_diameter_two_le),
+    ("e5", e5_general_le),
+    ("e6", e6_agreement),
+    ("e7", e7_star_search),
+    ("e8", e8_star_counting),
+    ("e9", e9_walk_ablation),
+    ("e10", e10_candidate_sampling),
+];
+
+/// The experiments to run, in suite order: all of them for an empty
+/// request, otherwise each one named in `requested` (matched
+/// case-insensitively; a repeated name runs once).
+///
+/// # Errors
+///
+/// The first requested name that is not an experiment, as a message naming
+/// it and listing the known ones.
+fn select_experiments(requested: &[String]) -> Result<Vec<&'static str>, String> {
+    let known = EXPERIMENTS.map(|(name, _)| name);
+    if let Some(unknown) = requested
+        .iter()
+        .find(|r| !known.iter().any(|name| name.eq_ignore_ascii_case(r)))
+    {
+        return Err(format!(
+            "unknown experiment \"{unknown}\" (known: {})",
+            known.join(", ")
+        ));
+    }
+    Ok(known
+        .iter()
+        .copied()
+        .filter(|name| {
+            requested.is_empty() || requested.iter().any(|r| name.eq_ignore_ascii_case(r))
+        })
+        .collect())
+}
+
 /// Runs the selected experiment tables (all of them for an empty selection).
+/// Every name is checked before anything is printed; an unknown one exits 2.
 fn run_experiments(requested: &[String]) {
-    let run_all = requested.is_empty();
-    type Experiment = fn() -> ExperimentTable;
-    let experiments: Vec<(&str, Experiment)> = vec![
-        ("e1", e1_complete_le as Experiment),
-        ("e2", e2_tradeoff),
-        ("e3", e3_mixing_le),
-        ("e4", e4_diameter_two_le),
-        ("e5", e5_general_le),
-        ("e6", e6_agreement),
-        ("e7", e7_star_search),
-        ("e8", e8_star_counting),
-        ("e9", e9_walk_ablation),
-        ("e10", e10_candidate_sampling),
-    ];
+    let selected = match select_experiments(requested) {
+        Ok(selected) => selected,
+        Err(message) => {
+            eprintln!("error: {message}");
+            std::process::exit(2);
+        }
+    };
     println!(
         "Quantum Communication Advantage for Leader Election and Agreement — experiment suite"
     );
     println!("(message counts are measured on the CONGEST simulator; see README.md)\n");
-    for (name, experiment) in experiments {
-        if run_all || requested.iter().any(|r| r == name) {
+    for (name, experiment) in EXPERIMENTS {
+        if selected.contains(&name) {
             let start = std::time::Instant::now();
             let table = experiment();
             println!("{table}");
@@ -593,7 +632,8 @@ fn print_help() {
         "experiments — tables, benchmarks, and scenarios for the PODC 2025 reproduction
 
 USAGE:
-    experiments [e1 ... e10]                 print experiment tables (all by default)
+    experiments [e1 ... e10]                 print experiment tables (all by default; names are
+                                             case-insensitive, an unknown one exits 2)
     experiments --bench-network              round-engine microbenchmark -> BENCH_network.json
                                              (gated by BENCH_NETWORK_MIN_SPEEDUP if set)
     experiments --scenarios <spec|dir>       run a scenario matrix (*.scn specs; a directory
@@ -703,8 +743,38 @@ fn main() {
                 );
                 std::process::exit(2);
             }
-            let requested: Vec<String> = args.iter().map(|a| a.to_lowercase()).collect();
-            run_experiments(&requested);
+            run_experiments(&args);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn names(requested: &[&str]) -> Vec<String> {
+        requested.iter().map(ToString::to_string).collect()
+    }
+
+    #[test]
+    fn experiment_selection_checks_every_name() {
+        assert_eq!(select_experiments(&names(&["e4"])), Ok(vec!["e4"]));
+        // Case-insensitive, suite order, a repeat runs once.
+        assert_eq!(
+            select_experiments(&names(&["E10", "e2", "E2"])),
+            Ok(vec!["e2", "e10"])
+        );
+        // An unknown name fails the whole selection, known names included.
+        assert_eq!(
+            select_experiments(&names(&["E4", "e99"])),
+            Err(
+                "unknown experiment \"e99\" (known: e1, e2, e3, e4, e5, e6, e7, e8, e9, e10)"
+                    .to_string()
+            )
+        );
+        assert_eq!(
+            select_experiments(&[]),
+            Ok(EXPERIMENTS.map(|(name, _)| name).to_vec())
+        );
     }
 }

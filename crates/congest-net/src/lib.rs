@@ -50,8 +50,12 @@
 //! `reverse_edge(reverse_edge(e)) == e` — on *both* backends. Consequently
 //! the arrival port of a message is an O(1) lookup (array read or closed
 //! form) at send time; nothing on the delivery path ever scans or searches
-//! an adjacency list. (`port_to(v, u)` for arbitrary pairs remains
-//! `O(log deg)` / `O(1)` and is off the hot path.)
+//! an adjacency list. The *send* side is another matter:
+//! [`Network::send`] addresses a neighbour by id and resolves its port with
+//! [`Graph::port_to`], a binary search over the sender's row on CSR
+//! (`O(log deg)`; closed form on implicit families). Protocol loops that
+//! already know the port, such as QWLE's referee probes, use
+//! [`Network::send_through_port`], which is O(1) on both backends.
 //!
 //! ## 2. Round-stamped edge usage, sized by what a node sends
 //!

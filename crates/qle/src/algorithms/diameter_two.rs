@@ -30,8 +30,17 @@
 //! every other candidate has at least one contradicting referee whenever a
 //! higher-ranked candidate is passive, exactly as the proof of Theorem 5.6
 //! requires.
+//!
+//! **Referees are addressed by port.** The Johnson universe `0..deg(v)` is
+//! `v`'s own port set, so a walk vertex is a set of ports, as a KT0 node
+//! would hold it. Setup, Update and every probe, reply and inform go out
+//! through [`Network::send_through_port`] (O(1)); a reply goes back through
+//! [`Graph::reverse_port_at`]. Whether a probed referee is marked is an O(1)
+//! read of a per-port table, and the decentralized step tests referee
+//! membership in one n-entry mask that each Checking call sets for its
+//! subset and clears again.
 
-use congest_net::{Graph, Network, NodeId, Payload};
+use congest_net::{Graph, Network, NodeId, Payload, Port};
 use quantum_sim::johnson::JohnsonGraph;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -72,29 +81,38 @@ impl Payload for QwMessage {
     }
 }
 
-/// A reusable inner oracle: probe a node adjacent to `owner` and get a one-bit
-/// reply (two messages, two rounds). Used both by the passive candidates'
-/// decentralized search and by the active candidate's centralized search.
-struct NeighborProbeOracle {
+/// A reusable inner oracle: `owner` probes the neighbour behind one of its
+/// ports and gets a one-bit reply (two messages, two rounds). Used both by
+/// the passive candidates' decentralized search and by the active
+/// candidate's centralized search.
+struct NeighborProbeOracle<'a> {
     owner: NodeId,
     rank: u64,
-    domain: Vec<NodeId>,
-    marked: Vec<NodeId>,
+    /// The searched ports of `owner`, in domain order.
+    domain: &'a [Port],
+    /// Per-port marks of `owner`: `marked[p]` is the reply a probe through
+    /// port `p` gets.
+    marked: &'a [bool],
+    /// How many ports of `domain` are marked.
+    marked_count: usize,
 }
 
-impl CheckingOracle<QwMessage> for NeighborProbeOracle {
-    type Item = NodeId;
+impl CheckingOracle<QwMessage> for NeighborProbeOracle<'_> {
+    type Item = Port;
 
-    fn check(&mut self, net: &mut Network<QwMessage>, w: &NodeId) -> Result<bool, Error> {
-        net.send(self.owner, *w, QwMessage::Probe(self.rank))?;
+    fn check(&mut self, net: &mut Network<QwMessage>, port: &Port) -> Result<bool, Error> {
+        net.send_through_port(self.owner, *port, QwMessage::Probe(self.rank))?;
         net.advance_round();
-        let answer = self.marked.contains(w);
-        net.send(*w, self.owner, QwMessage::Reply(answer))?;
+        let answer = self.marked[*port];
+        let graph = net.graph();
+        let referee = graph.neighbor(self.owner, *port);
+        let back = graph.reverse_port_at(self.owner, *port);
+        net.send_through_port(referee, back, QwMessage::Reply(answer))?;
         net.advance_round();
         Ok(answer)
     }
 
-    fn sample_input(&mut self, rng: &mut StdRng) -> NodeId {
+    fn sample_input(&mut self, rng: &mut StdRng) -> Port {
         self.domain[rng.gen_range(0..self.domain.len())]
     }
 
@@ -103,14 +121,44 @@ impl CheckingOracle<QwMessage> for NeighborProbeOracle {
     }
 
     fn marked_count(&self) -> u64 {
-        self.marked.len() as u64
+        self.marked_count as u64
     }
 
-    fn sample_marked(&mut self, rng: &mut StdRng) -> Option<NodeId> {
-        if self.marked.is_empty() {
-            None
-        } else {
-            Some(self.marked[rng.gen_range(0..self.marked.len())])
+    fn sample_marked(&mut self, rng: &mut StdRng) -> Option<Port> {
+        if self.marked_count == 0 {
+            return None;
+        }
+        // A uniform marked port: the n-th marked one in domain order.
+        let nth = rng.gen_range(0..self.marked_count);
+        self.domain
+            .iter()
+            .copied()
+            .filter(|&p| self.marked[p])
+            .nth(nth)
+    }
+}
+
+/// Buffers of the decentralized step, allocated once per run and reused by
+/// every Checking call.
+struct ProbeScratch {
+    /// `referee[w]`: whether node `w` is in the current Checking call's
+    /// subset. Set at the start of the decentralized step, cleared at its
+    /// end.
+    referee: Vec<bool>,
+    /// `ports[p] == p`: a passive candidate's whole port set is
+    /// `ports[..deg]`.
+    ports: Vec<Port>,
+    /// The current passive candidate's per-port marks (`marks[..deg]`).
+    marks: Vec<bool>,
+}
+
+impl ProbeScratch {
+    fn new(n: usize) -> Self {
+        // A node has fewer than n ports.
+        ProbeScratch {
+            referee: vec![false; n],
+            ports: (0..n).collect(),
+            marks: vec![false; n],
         }
     }
 }
@@ -118,26 +166,25 @@ impl CheckingOracle<QwMessage> for NeighborProbeOracle {
 /// The MNRS walk oracle of one active candidate.
 struct ChallengeOracle<'a> {
     active: Candidate,
-    /// The active candidate's neighbours, indexed by the Johnson-graph
-    /// universe `0..deg(v)`.
-    neighbors: Vec<NodeId>,
+    /// The walk on `k`-subsets of the active candidate's ports `0..deg(v)`.
     johnson: JohnsonGraph,
-    /// For each neighbour index, whether that referee contradicts the active
-    /// candidate's leadership (is, or is adjacent to, a passive candidate of
-    /// higher rank).
+    /// For each port of the active candidate, whether the referee behind it
+    /// contradicts the active candidate's leadership (is, or is adjacent to,
+    /// a passive candidate of higher rank).
     witness: Vec<bool>,
     witness_count: usize,
     /// The passive candidates (all of them run the decentralized step).
     passive: &'a [Candidate],
     graph: &'a Graph,
     inner_alpha: f64,
+    scratch: &'a mut ProbeScratch,
 }
 
 impl ChallengeOracle<'_> {
     /// Fraction of `k`-subsets of the neighbourhood containing at least one
     /// witness: `1 − C(deg − h, k)/C(deg, k)`, computed as a running product.
     fn marked_subset_fraction(&self) -> f64 {
-        let g = self.neighbors.len() as f64;
+        let g = self.johnson.universe() as f64;
         let h = self.witness_count as f64;
         let mut none = 1.0;
         for i in 0..self.johnson.subset_size() {
@@ -150,91 +197,89 @@ impl ChallengeOracle<'_> {
         1.0 - none
     }
 
-    fn subset_nodes(&self, subset: &[usize]) -> Vec<NodeId> {
-        subset.iter().map(|&i| self.neighbors[i]).collect()
+    /// Sets (`on`) or clears the referee mask entries of `subset`'s nodes.
+    fn mark_referees(&mut self, subset: &[Port], on: bool) {
+        for &port in subset {
+            self.scratch.referee[self.graph.neighbor(self.active.node, port)] = on;
+        }
     }
-}
 
-impl CheckingOracle<QwMessage> for ChallengeOracle<'_> {
-    type Item = Vec<usize>;
-
-    fn check(&mut self, net: &mut Network<QwMessage>, subset: &Vec<usize>) -> Result<bool, Error> {
-        let referees = self.subset_nodes(subset);
-
-        // Decentralized step: every passive candidate v' searches its own
-        // neighbourhood for a referee currently holding a smaller rank than
-        // its own, and informs it. The searches of different passive
-        // candidates run concurrently without being triggered by the active
-        // candidate (Section 4.1); the simulation executes them one after the
-        // other and the round complexity is accounted for at the protocol
-        // level.
+    /// The decentralized step: every passive candidate v' searches its own
+    /// ports for a referee currently holding a smaller rank than its own,
+    /// and informs it. The searches of different passive candidates run
+    /// concurrently without being triggered by the active candidate
+    /// (Section 4.1); the simulation executes them one after the other and
+    /// the round complexity is accounted for at the protocol level. Reads
+    /// the referee mask, which the caller has set.
+    fn decentralized_step(&mut self, net: &mut Network<QwMessage>) -> Result<(), Error> {
+        let scratch = &mut *self.scratch;
         for passive in self.passive {
-            let neighborhood: Vec<NodeId> = self.graph.neighbors(passive.node).to_vec();
-            let marked: Vec<NodeId> = if passive.rank > self.active.rank {
-                neighborhood
-                    .iter()
-                    .copied()
-                    .filter(|w| referees.contains(w))
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            let epsilon = 1.0 / neighborhood.len() as f64;
+            let degree = self.graph.degree(passive.node);
+            let higher = passive.rank > self.active.rank;
+            let marks = &mut scratch.marks[..degree];
+            let mut marked_count = 0;
+            for (mark, w) in marks.iter_mut().zip(self.graph.neighbors(passive.node)) {
+                *mark = higher && scratch.referee[w];
+                marked_count += usize::from(*mark);
+            }
             let mut oracle = NeighborProbeOracle {
                 owner: passive.node,
                 rank: passive.rank,
-                domain: neighborhood,
-                marked,
+                domain: &scratch.ports[..degree],
+                marked: marks,
+                marked_count,
             };
             let outcome = distributed_grover_search(
                 net,
                 passive.node,
                 &mut oracle,
-                epsilon,
+                1.0 / degree as f64,
                 self.inner_alpha,
             )?;
-            if let Some(referee) = outcome.found {
-                net.send(passive.node, referee, QwMessage::Rank(passive.rank))?;
+            if let Some(port) = outcome.found {
+                net.send_through_port(passive.node, port, QwMessage::Rank(passive.rank))?;
                 net.advance_round();
             }
         }
+        Ok(())
+    }
+}
+
+impl CheckingOracle<QwMessage> for ChallengeOracle<'_> {
+    type Item = Vec<Port>;
+
+    fn check(&mut self, net: &mut Network<QwMessage>, subset: &Vec<Port>) -> Result<bool, Error> {
+        self.mark_referees(subset, true);
+        let decentralized = self.decentralized_step(net);
+        self.mark_referees(subset, false);
+        decentralized?;
 
         // Centralized step: the active candidate searches its current referee
-        // set for one that was informed of a higher rank.
-        let informed: Vec<NodeId> = referees
-            .iter()
-            .copied()
-            .filter(|&w| {
-                let idx = self
-                    .neighbors
-                    .iter()
-                    .position(|&x| x == w)
-                    .expect("referee is a neighbour");
-                self.witness[idx]
-            })
-            .collect();
-        let epsilon = 1.0 / referees.len() as f64;
+        // set for one that was informed of a higher rank. The subset holds
+        // its ports, and `witness` is the per-port answer.
+        let informed = subset.iter().filter(|&&port| self.witness[port]).count();
         let mut oracle = NeighborProbeOracle {
             owner: self.active.node,
             rank: self.active.rank,
-            domain: referees,
-            marked: informed,
+            domain: subset,
+            marked: &self.witness,
+            marked_count: informed,
         };
         distributed_grover_search(
             net,
             self.active.node,
             &mut oracle,
-            epsilon,
+            1.0 / subset.len() as f64,
             self.inner_alpha,
         )?;
 
         // The value of f(W) itself (the nested searches above realise the
         // evaluation distributively; their own failure probabilities are
         // folded into the primitive's α as in the proof of Theorem 5.6).
-        Ok(subset.iter().any(|&i| self.witness[i]))
+        Ok(informed > 0)
     }
 
-    fn sample_input(&mut self, rng: &mut StdRng) -> Vec<usize> {
+    fn sample_input(&mut self, rng: &mut StdRng) -> Vec<Port> {
         self.johnson.random_subset(rng)
     }
 
@@ -246,20 +291,17 @@ impl CheckingOracle<QwMessage> for ChallengeOracle<'_> {
         (self.marked_subset_fraction() * self.domain_size() as f64).round() as u64
     }
 
-    fn sample_marked(&mut self, rng: &mut StdRng) -> Option<Vec<usize>> {
+    fn sample_marked(&mut self, rng: &mut StdRng) -> Option<Vec<Port>> {
         if self.witness_count == 0 {
             return None;
         }
         // Build a marked subset directly: one uniformly chosen witness plus
-        // k − 1 other distinct neighbours.
-        let witnesses: Vec<usize> = (0..self.neighbors.len())
-            .filter(|&i| self.witness[i])
-            .collect();
+        // k − 1 other distinct ports.
+        let ports = 0..self.johnson.universe();
+        let witnesses: Vec<Port> = ports.clone().filter(|&p| self.witness[p]).collect();
         let chosen_witness = witnesses[rng.gen_range(0..witnesses.len())];
         let mut subset = vec![chosen_witness];
-        let mut others: Vec<usize> = (0..self.neighbors.len())
-            .filter(|&i| i != chosen_witness)
-            .collect();
+        let mut others: Vec<Port> = ports.filter(|&p| p != chosen_witness).collect();
         while subset.len() < self.johnson.subset_size() && !others.is_empty() {
             let pick = rng.gen_range(0..others.len());
             subset.push(others.swap_remove(pick));
@@ -274,13 +316,9 @@ impl CheckingOracle<QwMessage> for ChallengeOracle<'_> {
 }
 
 impl WalkOracle<QwMessage> for ChallengeOracle<'_> {
-    fn setup(&mut self, net: &mut Network<QwMessage>, subset: &Vec<usize>) -> Result<(), Error> {
-        for &i in subset {
-            net.send(
-                self.active.node,
-                self.neighbors[i],
-                QwMessage::Rank(self.active.rank),
-            )?;
+    fn setup(&mut self, net: &mut Network<QwMessage>, subset: &Vec<Port>) -> Result<(), Error> {
+        for &port in subset {
+            net.send_through_port(self.active.node, port, QwMessage::Rank(self.active.rank))?;
         }
         net.advance_round();
         Ok(())
@@ -289,27 +327,22 @@ impl WalkOracle<QwMessage> for ChallengeOracle<'_> {
     fn update(
         &mut self,
         net: &mut Network<QwMessage>,
-        subset: &Vec<usize>,
+        subset: &Vec<Port>,
         rng: &mut StdRng,
-    ) -> Result<Vec<usize>, Error> {
+    ) -> Result<Vec<Port>, Error> {
         if self.johnson.subset_size() >= self.johnson.universe() {
             // Degenerate walk (the subset is the whole neighbourhood): the
             // Johnson graph has a single vertex and the walk stays put.
             return Ok(subset.clone());
         }
         let (next, leave, join) = self.johnson.random_neighbor(subset, rng)?;
-        net.send(self.active.node, self.neighbors[leave], QwMessage::Recall)?;
+        let v = self.active.node;
+        net.send_through_port(v, leave, QwMessage::Recall)?;
         net.advance_round();
-        net.send(
-            self.neighbors[leave],
-            self.active.node,
-            QwMessage::Rank(self.active.rank),
-        )?;
-        net.send(
-            self.active.node,
-            self.neighbors[join],
-            QwMessage::Rank(self.active.rank),
-        )?;
+        let leaving = self.graph.neighbor(v, leave);
+        let back = self.graph.reverse_port_at(v, leave);
+        net.send_through_port(leaving, back, QwMessage::Rank(self.active.rank))?;
+        net.send_through_port(v, join, QwMessage::Rank(self.active.rank))?;
         net.advance_round();
         Ok(next)
     }
@@ -458,6 +491,7 @@ impl LeaderElection for QuantumQwLe {
             in_race[c.node] = true;
         }
         let mut effective_rounds = 0u64;
+        let mut scratch = ProbeScratch::new(n);
 
         for _iteration in 0..iterations {
             let racers: Vec<Candidate> = candidates
@@ -485,15 +519,14 @@ impl LeaderElection for QuantumQwLe {
 
             let mut max_challenge_rounds = 0u64;
             for candidate in &active {
-                let neighbors: Vec<NodeId> = graph.neighbors(candidate.node).to_vec();
-                let degree = neighbors.len();
+                let degree = graph.degree(candidate.node);
                 let k = k_target.min(degree);
                 let johnson = JohnsonGraph::new(degree, k)?;
                 // A neighbour is a witness when it is, or is adjacent to, a
                 // passive candidate with a strictly higher rank.
-                let witness: Vec<bool> = neighbors
-                    .iter()
-                    .map(|&w| {
+                let witness: Vec<bool> = graph
+                    .neighbors(candidate.node)
+                    .map(|w| {
                         passive.iter().any(|p| {
                             p.rank > candidate.rank
                                 && (p.node == w || graph.are_adjacent(p.node, w))
@@ -503,13 +536,13 @@ impl LeaderElection for QuantumQwLe {
                 let witness_count = witness.iter().filter(|b| **b).count();
                 let mut oracle = ChallengeOracle {
                     active: *candidate,
-                    neighbors,
                     johnson,
                     witness,
                     witness_count,
                     passive: &passive,
                     graph,
                     inner_alpha,
+                    scratch: &mut scratch,
                 };
                 let epsilon = (k as f64 / degree as f64).min(1.0);
                 let rounds_before = net.metrics().rounds;

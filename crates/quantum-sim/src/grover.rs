@@ -47,9 +47,13 @@ pub fn success_probability(fraction_marked: f64, iterations: u64) -> f64 {
     if fraction_marked >= 1.0 {
         return 1.0;
     }
-    let theta = rotation_angle(fraction_marked);
-    let angle = (2 * iterations + 1) as f64 * theta;
-    angle.sin().powi(2)
+    success_probability_at(rotation_angle(fraction_marked), iterations)
+}
+
+/// [`success_probability`] for a marked fraction strictly inside `(0, 1)`,
+/// given its rotation angle `θ`: `sin²((2j + 1)·θ)`.
+fn success_probability_at(theta: f64, iterations: u64) -> f64 {
+    ((2 * iterations + 1) as f64 * theta).sin().powi(2)
 }
 
 /// The optimal (error-minimising) iteration count `⌊π / (4θ)⌋` for a *known*
@@ -126,10 +130,19 @@ impl BbhtSchedule {
         if fraction_marked <= 0.0 {
             return false;
         }
+        // θ depends only on the fraction: one `asin` per pass, not per
+        // stage. `None` is the whole domain marked (probability 1), exactly
+        // as `success_probability` branches.
+        let theta = if fraction_marked >= 1.0 {
+            None
+        } else {
+            Some(rotation_angle(fraction_marked))
+        };
         let mut found = false;
         for &cap in &self.stage_caps {
             let j = rng.gen_range(0..=cap);
-            if rng.gen_bool(success_probability(fraction_marked, j).clamp(0.0, 1.0)) {
+            let p = theta.map_or(1.0, |theta| success_probability_at(theta, j));
+            if rng.gen_bool(p.clamp(0.0, 1.0)) {
                 found = true;
             }
         }

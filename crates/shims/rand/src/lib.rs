@@ -132,13 +132,19 @@ pub trait SampleRange<T> {
 
 /// Uniform `u64` in `[0, span)` by widening multiplication with rejection
 /// (Lemire's method), bias-free.
+///
+/// The rejection threshold `2^64 mod span` is always below `span`, so a low
+/// word of at least `span` is accepted without computing it; the division
+/// runs only when `low < span` (Lemire, "Fast Random Integer Generation in
+/// an Interval", ACM TOMACS 2019). Outputs and generator words consumed are
+/// exactly those of always taking the modulo.
 fn uniform_below<R: RngCore + ?Sized>(rng: &mut R, span: u64) -> u64 {
     debug_assert!(span > 0);
     loop {
         let x = rng.next_u64();
         let m = u128::from(x) * u128::from(span);
         let low = m as u64;
-        if low >= span.wrapping_neg() % span {
+        if low >= span || low >= span.wrapping_neg() % span {
             return (m >> 64) as u64;
         }
     }
@@ -309,7 +315,7 @@ pub mod seq {
 mod tests {
     use super::rngs::StdRng;
     use super::seq::SliceRandom;
-    use super::{Rng, RngCore, SeedableRng};
+    use super::{uniform_below, Rng, RngCore, SeedableRng};
 
     #[test]
     fn seeding_is_deterministic() {
@@ -329,6 +335,52 @@ mod tests {
         for _ in 0..1000 {
             let x: f64 = rng.gen();
             assert!((0.0..1.0).contains(&x));
+        }
+    }
+
+    #[test]
+    fn uniform_below_matches_the_modulo_reference() {
+        // The early accept must change nothing: the same values and the
+        // same generator words consumed as computing `2^64 mod span` on
+        // every draw.
+        fn reference(rng: &mut StdRng, span: u64, retries: &mut u64) -> u64 {
+            loop {
+                let m = u128::from(rng.next_u64()) * u128::from(span);
+                if m as u64 >= span.wrapping_neg() % span {
+                    return (m >> 64) as u64;
+                }
+                *retries += 1;
+            }
+        }
+        let spans = [
+            1,
+            2,
+            3,
+            10,
+            (1 << 32) + 1,
+            (1 << 63) - 1,
+            1 << 63,
+            (1 << 63) + 1,
+            u64::MAX,
+        ];
+        for span in spans {
+            let mut fast = StdRng::seed_from_u64(29);
+            let mut slow = fast.clone();
+            let mut retries = 0;
+            for draw in 0..10_000 {
+                let expected = reference(&mut slow, span, &mut retries);
+                assert_eq!(
+                    uniform_below(&mut fast, span),
+                    expected,
+                    "span {span}, draw {draw}"
+                );
+                assert_eq!(fast, slow, "span {span}, draw {draw}: generator state");
+            }
+            if span == (1 << 63) + 1 {
+                // About half of these draws are rejected, so the retry path
+                // ran too.
+                assert!(retries > 2_000, "span {span}: {retries} retries");
+            }
         }
     }
 

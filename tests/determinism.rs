@@ -18,10 +18,10 @@
 
 use classical_baselines::GhsLe;
 use congest_net::programs::Flood;
-use congest_net::{topology, Metrics, NetworkConfig, SyncRuntime};
-use qle::algorithms::QuantumLe;
+use congest_net::{topology, FaultPlan, Metrics, NetworkConfig, SyncRuntime, TraceEvent};
+use qle::algorithms::{QuantumLe, QuantumQwLe};
 use qle::star::quantum_star_count;
-use qle::{AlphaChoice, KChoice, LeaderElection};
+use qle::{AlphaChoice, KChoice, LeaderElection, RunOptions};
 use quantum_sim::{Complex, StateVector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -84,6 +84,128 @@ fn quantum_le_is_deterministic_and_matches_golden() {
     assert_eq!(a.cost.metrics.rounds, 3761);
     assert_eq!(a.cost.effective_rounds, 81);
     assert_eq!(a.cost.metrics.total_bits, 136_112);
+}
+
+/// One QWLE `benchmark_profile` run, as the golden below pins it: quantum
+/// messages, network rounds, effective rounds and the elected set.
+fn qwle_golden_row(graph: &congest_net::Graph, seed: u64) -> (u64, u64, u64, Vec<usize>) {
+    let run = QuantumQwLe::benchmark_profile(graph.node_count())
+        .run(graph, seed)
+        .unwrap();
+    (
+        run.cost.metrics.quantum_messages,
+        run.cost.metrics.rounds,
+        run.cost.effective_rounds,
+        run.outcome.leaders(),
+    )
+}
+
+#[test]
+fn qwle_is_deterministic_and_matches_golden() {
+    // Golden: QuantumQWLE's benchmark profile (α = 1/4, activation 1/4,
+    // ⌈6 ln n⌉ iterations), seeds 1-4. The profile elects two or three
+    // leaders on some seeds; those outcomes are pinned too, because the
+    // elected set is what a changed random draw moves first.
+    let clique_of_cliques = topology::clique_of_cliques(6).unwrap();
+    assert!(!clique_of_cliques.is_implicit());
+    let first = qwle_golden_row(&clique_of_cliques, 1);
+    assert_eq!(
+        first,
+        qwle_golden_row(&clique_of_cliques, 1),
+        "QWLE differs between identical runs"
+    );
+    let rows: Vec<_> = (1..=4)
+        .map(|seed| qwle_golden_row(&clique_of_cliques, seed))
+        .collect();
+    assert_eq!(
+        rows,
+        vec![
+            (237_634, 237_044, 38_421, vec![6]),
+            (297_359, 296_732, 58_122, vec![4]),
+            (282_070, 281_475, 69_107, vec![23]),
+            (280_465, 279_795, 49_815, vec![6, 9]),
+        ],
+        "QWLE diverged on clique_of_cliques(6)"
+    );
+
+    let shared_hub = topology::shared_hub_pair(12).unwrap();
+    assert_eq!(shared_hub.node_count(), 23);
+    let rows: Vec<_> = (1..=4)
+        .map(|seed| qwle_golden_row(&shared_hub, seed))
+        .collect();
+    assert_eq!(
+        rows,
+        vec![
+            (127_459, 127_114, 37_423, vec![6]),
+            (143_747, 143_402, 39_270, vec![4]),
+            (108_789, 108_490, 33_886, vec![1]),
+            (107_118, 106_797, 28_357, vec![6, 16]),
+        ],
+        "QWLE diverged on shared_hub_pair(12)"
+    );
+
+    // The complete graph clamps k to the degree (a degenerate walk); its
+    // implicit backend and CSR twin must agree run for run.
+    let complete = topology::complete(24).unwrap();
+    assert!(complete.is_implicit());
+    let complete_csr = complete.materialize();
+    let rows: Vec<_> = (1..=4)
+        .map(|seed| qwle_golden_row(&complete, seed))
+        .collect();
+    let csr_rows: Vec<_> = (1..=4)
+        .map(|seed| qwle_golden_row(&complete_csr, seed))
+        .collect();
+    assert_eq!(rows, csr_rows, "QWLE diverged between graph backends");
+    assert_eq!(
+        rows,
+        vec![
+            (179_087, 178_671, 54_868, vec![6, 19]),
+            (249_747, 249_201, 71_047, vec![4, 11, 13]),
+            (224_072, 223_578, 73_190, vec![13, 23]),
+            (212_480, 211_960, 53_641, vec![6]),
+        ],
+        "QWLE diverged on complete(24)"
+    );
+}
+
+/// The number of dropped messages in `trace` and an FNV-1a digest of their
+/// `(round, from, to)` words, in trace order.
+fn drop_digest(trace: &[TraceEvent]) -> (usize, u64) {
+    let mut drops = 0;
+    let mut digest = 0xcbf2_9ce4_8422_2325_u64;
+    for event in trace {
+        if let TraceEvent::MessageDropped {
+            round, from, to, ..
+        } = *event
+        {
+            drops += 1;
+            for word in [round, from as u64, to as u64] {
+                digest = (digest ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    (drops, digest)
+}
+
+#[test]
+fn qwle_message_edges_are_pinned_under_drops() {
+    // QWLE's driver reads no inbox, so 1% drops leave its outcome and
+    // message counts as they are fault-free and show only in the trace.
+    // The dropped messages' endpoints pin the edge every probe, reply,
+    // inform, Setup and Update message took, which the counts above cannot
+    // see (informing a different marked referee costs the same message).
+    let graph = topology::clique_of_cliques(6).unwrap();
+    let opts = RunOptions {
+        fault_plan: Some(FaultPlan::new(3).drop_probability(0.01)),
+        trace: true,
+        ..RunOptions::default()
+    };
+    let traced = QuantumQwLe::benchmark_profile(graph.node_count())
+        .run_with(&graph, 1, &opts)
+        .unwrap();
+    assert_eq!(traced.run.cost.metrics.quantum_messages, 237_634);
+    assert_eq!(traced.run.outcome.leaders(), vec![6]);
+    assert_eq!(drop_digest(&traced.trace), (2388, 0x4a6c_f7cb_a7e6_ea70));
 }
 
 #[test]
