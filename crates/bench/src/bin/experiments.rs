@@ -1,14 +1,12 @@
-//! The workspace's experiment binary: prints the experiment tables (E1–E10),
-//! runs the performance benchmarks on request, and drives the scenario
-//! engine (declarative workloads, fault injection, deterministic replay).
+//! The workspace's experiment binary: prints the experiment tables (E1–E10)
+//! and drives the scenario engine (declarative workloads, fault injection,
+//! deterministic replay). The benchmark lives in `perfbench/`.
 //!
 //! Usage (see also `--help`):
 //!
 //! ```text
 //! cargo run --release -p bench-harness --bin experiments                  # all experiments
 //! cargo run --release -p bench-harness --bin experiments -- e1 e7         # a selection
-//! cargo run --release -p bench-harness --bin experiments -- --bench-network
-//!     # round-engine microbenchmark (CSR vs legacy); writes BENCH_network.json
 //! cargo run --release -p bench-harness --bin experiments -- --scenarios examples/scenarios
 //!     # run a scenario matrix; streams results.txt + traces.txt (+ cache-stats.txt) to --out
 //! cargo run --release -p bench-harness --bin experiments -- --scenarios examples/scenarios \
@@ -28,146 +26,11 @@
 //!     # telemetry.jsonl (+ the usual results/traces) to --out
 //! ```
 
-use bench_harness::gate;
-use bench_harness::network_bench;
 use bench_harness::{
     e10_candidate_sampling, e1_complete_le, e2_tradeoff, e3_mixing_le, e4_diameter_two_le,
     e5_general_le, e6_agreement, e7_star_search, e8_star_counting, e9_walk_ablation,
     ExperimentTable,
 };
-
-/// Aggregate flood speedup of the sequential CSR engine over the frozen
-/// legacy engine (total legacy time over total csr time, all topologies).
-fn flood_aggregate(records: &[network_bench::BenchRecord]) -> Option<f64> {
-    let total = |engine: &str| -> u128 {
-        records
-            .iter()
-            .filter(|r| r.workload == "flood" && r.engine == engine)
-            .map(|r| r.ns_per_run)
-            .sum()
-    };
-    let (csr, legacy) = (total("csr"), total("legacy"));
-    (csr > 0).then(|| legacy as f64 / csr as f64)
-}
-
-/// Runs the flood/GHS round-engine benchmark and writes `BENCH_network.json`
-/// next to the working directory, printing a human-readable summary.
-///
-/// If `BENCH_NETWORK_MIN_SPEEDUP` is set (e.g. to `3.0` in CI), the process
-/// exits non-zero when the aggregate flood speedup of the sequential CSR
-/// engine over the frozen legacy engine falls below that threshold, so the
-/// round-engine headline is guarded, not just recorded. A below-threshold
-/// reading is re-measured (up to three attempts, best kept): scheduler and
-/// cache interference on a shared host only ever *inflate* run times, so a
-/// single noisy attempt must not fail the gate, while a true regression
-/// fails every attempt.
-fn run_network_bench() {
-    let n = 4096;
-    // 9 timed runs per record: with the min-of-runs estimator, more samples
-    // tighten the minimum and keep the CI speedup gate stable on noisy
-    // (shared/timesliced) hosts.
-    let runs = 9;
-    let workers = rayon::current_num_threads();
-    println!(
-        "network_core round-engine benchmark (n = {n}, {runs} timed runs each, \
-         {workers} pool worker(s), sharded engine uses {} shards)\n",
-        network_bench::bench_shards()
-    );
-    let threshold = gate::speedup_threshold("BENCH_NETWORK_MIN_SPEEDUP");
-    let (mut records, aggregate) = gate::measure_best_of(threshold, || {
-        let records = network_bench::measure_all(n, runs);
-        let aggregate = flood_aggregate(&records).unwrap_or(0.0);
-        (records, aggregate)
-    });
-    // The large-n tier (implicit structured topologies at 2^20 nodes) runs
-    // once, outside the gate's re-measure loop — it feeds no speedup ratio,
-    // only absolute throughput records. Skippable for quick local iterations
-    // with BENCH_LARGE_N=0; CI always runs it.
-    let large_n = std::env::var("BENCH_LARGE_N").map_or(true, |v| v != "0");
-    if large_n {
-        println!(
-            "\nlarge-n tier (n = {}, implicit backends, 2 timed runs each)...",
-            network_bench::LARGE_N
-        );
-        records.extend(network_bench::measure_large(2));
-    }
-    println!(
-        "{:<10} {:<8} {:<16} {:>10} {:>12} {:>14} {:>14}",
-        "workload", "engine", "topology", "rounds", "messages", "ns/run", "ns/round"
-    );
-    for r in &records {
-        println!(
-            "{:<10} {:<8} {:<16} {:>10} {:>12} {:>14} {:>14}",
-            r.workload,
-            r.engine,
-            r.topology,
-            r.rounds,
-            r.messages,
-            r.ns_per_run,
-            r.ns_per_round()
-        );
-    }
-    // Headline: flood speedup per topology, CSR vs legacy.
-    println!();
-    let labels: Vec<&str> = {
-        let mut seen = Vec::new();
-        for r in &records {
-            if !seen.contains(&r.topology.as_str()) {
-                seen.push(r.topology.as_str());
-            }
-        }
-        seen
-    };
-    let sharded = format!("csr-mt{}", network_bench::bench_shards());
-    for label in labels {
-        let of = |engine: &str| {
-            records
-                .iter()
-                .find(|r| r.workload == "flood" && r.engine == engine && r.topology == label)
-                .map(|r| r.ns_per_run)
-        };
-        if let (Some(csr), Some(legacy)) = (of("csr"), of("legacy")) {
-            println!(
-                "flood {label}: {:.2}x speedup (csr vs legacy)",
-                legacy as f64 / csr as f64
-            );
-        }
-        if let (Some(csr), Some(mt)) = (of("csr"), of(&sharded)) {
-            println!(
-                "flood {label}: {:.2}x speedup ({sharded} vs csr)",
-                csr as f64 / mt as f64
-            );
-        }
-    }
-    let total = |engine: &str| -> u128 {
-        records
-            .iter()
-            .filter(|r| r.workload == "flood" && r.engine == engine)
-            .map(|r| r.ns_per_run)
-            .sum()
-    };
-    let (csr_total, sharded_total) = (total("csr"), total(&sharded));
-    if csr_total > 0 {
-        println!("flood aggregate (all topologies): {aggregate:.2}x speedup (csr vs legacy)");
-    }
-    if sharded_total > 0 {
-        println!(
-            "flood aggregate (all topologies): {:.2}x speedup ({sharded} vs csr; needs >= {} cores to scale)",
-            csr_total as f64 / sharded_total as f64,
-            network_bench::bench_shards()
-        );
-    }
-    let json = network_bench::to_json(&records);
-    std::fs::write("BENCH_network.json", &json).expect("write BENCH_network.json");
-    println!("\nwrote BENCH_network.json");
-    if let Some(threshold) = threshold {
-        assert!(
-            aggregate >= threshold,
-            "aggregate flood speedup regressed: {aggregate:.2}x < required {threshold:.2}x (csr vs legacy)"
-        );
-        println!("aggregate speedup {aggregate:.2}x meets the required {threshold:.2}x threshold");
-    }
-}
 
 /// Resolves the cell-cache directory: the `--cache-dir` flag if given,
 /// otherwise the `CONGEST_CACHE` environment knob (empty/unset = no cache).
@@ -249,7 +112,7 @@ impl sim_harness::FarmSink for StreamSink {
 /// `cache-stats.txt` with the farm's hit/miss bookkeeping); replay mode
 /// re-runs the matrix and exits non-zero unless metrics and traces are
 /// byte-identical to the recorded baseline.
-fn run_scenarios(rest: &[String]) -> Result<(), String> {
+fn run_scenarios(rest: &[String]) -> Result<(), CliError> {
     let mut path: Option<&str> = None;
     let mut out_dir = "scenario-out".to_string();
     let mut replay_dir: Option<String> = None;
@@ -258,19 +121,31 @@ fn run_scenarios(rest: &[String]) -> Result<(), String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--out" => {
-                out_dir = it.next().ok_or("--out needs a directory")?.clone();
+                out_dir = flag_value(it.next(), "--out")?;
             }
             "--replay" => {
-                replay_dir = Some(it.next().ok_or("--replay needs a directory")?.clone());
+                replay_dir = Some(flag_value(it.next(), "--replay")?);
             }
             "--cache-dir" => {
-                cache_flag = Some(it.next().ok_or("--cache-dir needs a directory")?.clone());
+                cache_flag = Some(flag_value(it.next(), "--cache-dir")?);
             }
             other if path.is_none() && !other.starts_with("--") => path = Some(other),
-            other => return Err(format!("unexpected scenario argument \"{other}\"")),
+            other => {
+                return Err(CliError::Usage(format!(
+                    "unexpected scenario argument \"{other}\""
+                )))
+            }
         }
     }
-    let path = path.ok_or("--scenarios needs a spec file or directory")?;
+    let path =
+        path.ok_or_else(|| CliError::Usage("--scenarios needs a spec file or directory".into()))?;
+    // Replay must genuinely re-execute — serving cached results would
+    // verify the cache against itself, not the engine's determinism.
+    if replay_dir.is_some() && cache_flag.is_some() {
+        return Err(CliError::Usage(
+            "--cache-dir cannot be combined with --replay (replay re-executes)".into(),
+        ));
+    }
     let specs = sim_harness::load_specs(path)?;
     let cells = sim_harness::expand(&specs);
     println!(
@@ -281,11 +156,6 @@ fn run_scenarios(rest: &[String]) -> Result<(), String> {
     );
     let start = std::time::Instant::now();
     if let Some(replay_dir) = replay_dir {
-        // Replay must genuinely re-execute — serving cached results would
-        // verify the cache against itself, not the engine's determinism.
-        if cache_flag.is_some() {
-            return Err("--cache-dir cannot be combined with --replay (replay re-executes)".into());
-        }
         let results = sim_harness::run_cells(&cells)?;
         println!("{}", sim_harness::results_table(&results));
         println!("[matrix completed in {:.1?}]", start.elapsed());
@@ -298,11 +168,11 @@ fn run_scenarios(rest: &[String]) -> Result<(), String> {
             for m in &mismatches {
                 eprintln!("replay mismatch: {m}");
             }
-            return Err(format!(
+            return Err(CliError::Run(format!(
                 "replay FAILED: {} mismatch(es) against {}",
                 mismatches.len(),
                 baseline_path.display()
-            ));
+            )));
         }
         println!(
             "replay OK: {} cell(s) byte-identical to {}",
@@ -345,15 +215,19 @@ fn run_scenarios(rest: &[String]) -> Result<(), String> {
 /// Runs the farm's request loop: `--serve [--cache-dir <dir>]`. Reads
 /// scenario requests line-by-line from stdin and streams result blocks to
 /// stdout under request-id framing (protocol: `docs/SCENARIO_FORMAT.md`).
-fn run_serve(rest: &[String]) -> Result<(), String> {
+fn run_serve(rest: &[String]) -> Result<(), CliError> {
     let mut cache_flag: Option<String> = None;
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--cache-dir" => {
-                cache_flag = Some(it.next().ok_or("--cache-dir needs a directory")?.clone());
+                cache_flag = Some(flag_value(it.next(), "--cache-dir")?);
             }
-            other => return Err(format!("unexpected serve argument \"{other}\"")),
+            other => {
+                return Err(CliError::Usage(format!(
+                    "unexpected serve argument \"{other}\""
+                )))
+            }
         }
     }
     let opts = sim_harness::ServeOptions {
@@ -391,20 +265,25 @@ fn fmt_nanos(nanos: u64) -> String {
 /// per cell, wall fields segregated under `"wall"`), and
 /// `telemetry-deterministic.txt` (the shard-invariant projection of the
 /// same reports — what CI diffs byte-for-byte across `CONGEST_SHARDS`).
-fn run_profile(rest: &[String]) -> Result<(), String> {
+fn run_profile(rest: &[String]) -> Result<(), CliError> {
     let mut path: Option<&str> = None;
     let mut out_dir = "profile-out".to_string();
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--out" => {
-                out_dir = it.next().ok_or("--out needs a directory")?.clone();
+                out_dir = flag_value(it.next(), "--out")?;
             }
             other if path.is_none() && !other.starts_with("--") => path = Some(other),
-            other => return Err(format!("unexpected profile argument \"{other}\"")),
+            other => {
+                return Err(CliError::Usage(format!(
+                    "unexpected profile argument \"{other}\""
+                )))
+            }
         }
     }
-    let path = path.ok_or("--profile needs a spec file or directory")?;
+    let path =
+        path.ok_or_else(|| CliError::Usage("--profile needs a spec file or directory".into()))?;
     let specs = sim_harness::load_specs(path)?;
     let cells = sim_harness::expand(&specs);
     println!(
@@ -501,20 +380,25 @@ fn run_profile(rest: &[String]) -> Result<(), String> {
 /// twin; the per `(protocol, fault class)` aggregation (success rate,
 /// message/round overhead vs fault-free) is printed and written — with both
 /// underlying results tables — into the output directory.
-fn run_scorecard(rest: &[String]) -> Result<(), String> {
+fn run_scorecard(rest: &[String]) -> Result<(), CliError> {
     let mut path: Option<&str> = None;
     let mut out_dir = "scorecard-out".to_string();
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--out" => {
-                out_dir = it.next().ok_or("--out needs a directory")?.clone();
+                out_dir = flag_value(it.next(), "--out")?;
             }
             other if path.is_none() && !other.starts_with("--") => path = Some(other),
-            other => return Err(format!("unexpected scorecard argument \"{other}\"")),
+            other => {
+                return Err(CliError::Usage(format!(
+                    "unexpected scorecard argument \"{other}\""
+                )))
+            }
         }
     }
-    let path = path.ok_or("--scorecard needs a spec file or directory")?;
+    let path =
+        path.ok_or_else(|| CliError::Usage("--scorecard needs a spec file or directory".into()))?;
     let specs = sim_harness::load_specs(path)?;
     let faulty = specs.iter().filter(|s| !s.faults.is_empty()).count();
     println!(
@@ -547,15 +431,48 @@ fn run_scorecard(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Exit code for a scenario/scorecard error: spec-authoring errors that the
-/// registry can explain (an unknown protocol, with the registered names
-/// listed) exit 2 like other usage errors; everything else exits 1.
-fn scenario_exit_code(message: &str) -> i32 {
-    if message.contains("unknown protocol") {
-        2
-    } else {
-        1
+/// Why a subcommand failed, which decides the exit code.
+#[derive(Debug)]
+enum CliError {
+    /// CLI misuse: a missing or unexpected argument, or flags that cannot
+    /// be combined. Exits 2.
+    Usage(String),
+    /// The run itself failed: an unreadable or invalid spec, an I/O error,
+    /// a replay mismatch. Exits 1, except that a spec naming an unknown
+    /// protocol (which the registry explains, listing the registered
+    /// names) exits 2 like other usage errors.
+    Run(String),
+}
+
+impl CliError {
+    fn exit_code(&self) -> i32 {
+        match self {
+            CliError::Usage(_) => 2,
+            CliError::Run(message) if message.contains("unknown protocol") => 2,
+            CliError::Run(_) => 1,
+        }
     }
+}
+
+impl From<String> for CliError {
+    fn from(message: String) -> Self {
+        CliError::Run(message)
+    }
+}
+
+impl std::fmt::Display for CliError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CliError::Usage(message) | CliError::Run(message) => f.write_str(message),
+        }
+    }
+}
+
+/// The directory that must follow `flag`, or a usage error if none does.
+fn flag_value(value: Option<&String>, flag: &str) -> Result<String, CliError> {
+    value
+        .cloned()
+        .ok_or_else(|| CliError::Usage(format!("{flag} needs a directory")))
 }
 
 /// An experiment: builds one table.
@@ -629,13 +546,11 @@ fn run_experiments(requested: &[String]) {
 
 fn print_help() {
     println!(
-        "experiments — tables, benchmarks, and scenarios for the PODC 2025 reproduction
+        "experiments — tables and scenarios for the PODC 2025 reproduction
 
 USAGE:
     experiments [e1 ... e10]                 print experiment tables (all by default; names are
                                              case-insensitive, an unknown one exits 2)
-    experiments --bench-network              round-engine microbenchmark -> BENCH_network.json
-                                             (gated by BENCH_NETWORK_MIN_SPEEDUP if set)
     experiments --scenarios <spec|dir>       run a scenario matrix (*.scn specs; a directory
                                              sweeps every spec through one work-stealing queue)
         [--out <dir>]                        output directory for results.txt, traces.txt, and
@@ -681,20 +596,22 @@ ENVIRONMENT:
     CONGEST_CACHE=<dir>              default cell-cache directory for --scenarios
                                      and --serve when --cache-dir is not given
                                      (empty/unset = no caching)
-    BENCH_SHARDS=<k>                 shard count for the csr-mt bench records
-                                     (default 4; --bench-network only)
-    BENCH_LARGE_N=0                  skip the million-node implicit tier
-                                     (--bench-network only; CI always runs it)
-    BENCH_NETWORK_MIN_SPEEDUP=<x>    fail --bench-network if the aggregate
-                                     csr-vs-legacy flood speedup drops below x
-                                     (CI sets 3.0; unset = record only)
 
 Scenario cells honour CONGEST_SHARDS; traces recorded at one shard count replay
 byte-identically at any other (the deterministic barrier-merge invariant).
 Specs may mix round-mode and event-mode scenarios in one matrix: `mode =
 \"event\"` plus a `scheduler = [name, bound, seed]` stanza runs its cells on
 the same round engine with that scheduler adversary skewing delivery (see
-docs/EXECUTION_MODELS.md); replay covers both modes."
+docs/EXECUTION_MODELS.md); replay covers both modes.
+
+EXIT CODES:
+    0    success
+    1    the run failed: an unreadable spec, an I/O error, a replay mismatch
+    2    CLI misuse (an unknown flag or experiment, a missing or unexpected
+         argument, --cache-dir with --replay) or a spec naming an unknown
+         protocol
+
+The benchmark is perfbench/ (see perfbench/README.md), not this binary."
     );
 }
 
@@ -702,33 +619,15 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // One dispatch point for every subcommand, so new entry points stop
     // accreting ad-hoc flag scans.
-    match args.first().map(String::as_str) {
-        Some("--help" | "-h") => print_help(),
-        Some("--bench-network") => run_network_bench(),
-        Some("--scenarios") => {
-            if let Err(message) = run_scenarios(&args[1..]) {
-                eprintln!("error: {message}");
-                std::process::exit(scenario_exit_code(&message));
-            }
+    let subcommand: fn(&[String]) -> Result<(), CliError> = match args.first().map(String::as_str) {
+        Some("--help" | "-h") => {
+            print_help();
+            return;
         }
-        Some("--scorecard") => {
-            if let Err(message) = run_scorecard(&args[1..]) {
-                eprintln!("error: {message}");
-                std::process::exit(scenario_exit_code(&message));
-            }
-        }
-        Some("--profile") => {
-            if let Err(message) = run_profile(&args[1..]) {
-                eprintln!("error: {message}");
-                std::process::exit(scenario_exit_code(&message));
-            }
-        }
-        Some("--serve") => {
-            if let Err(message) = run_serve(&args[1..]) {
-                eprintln!("error: {message}");
-                std::process::exit(scenario_exit_code(&message));
-            }
-        }
+        Some("--scenarios") => run_scenarios,
+        Some("--scorecard") => run_scorecard,
+        Some("--profile") => run_profile,
+        Some("--serve") => run_serve,
         Some(flag) if flag.starts_with("--") => {
             eprintln!("error: unknown flag \"{flag}\" (see --help)");
             std::process::exit(2);
@@ -744,7 +643,12 @@ fn main() {
                 std::process::exit(2);
             }
             run_experiments(&args);
+            return;
         }
+    };
+    if let Err(error) = subcommand(&args[1..]) {
+        eprintln!("error: {error}");
+        std::process::exit(error.exit_code());
     }
 }
 
@@ -775,6 +679,34 @@ mod tests {
         assert_eq!(
             select_experiments(&[]),
             Ok(EXPERIMENTS.map(|(name, _)| name).to_vec())
+        );
+    }
+
+    #[test]
+    fn cli_misuse_exits_2_and_run_failures_exit_1() {
+        let code = |result: Result<(), CliError>| result.unwrap_err().exit_code();
+        // Every one of these is rejected before a spec is read.
+        for misuse in [
+            &[][..],
+            &["specs", "--out"],
+            &["specs", "--replay"],
+            &["specs", "--cache-dir"],
+            &["specs", "extra"],
+            &["specs", "--cache-dir", "cache", "--replay", "out"],
+        ] {
+            assert_eq!(code(run_scenarios(&names(misuse))), 2, "{misuse:?}");
+        }
+        assert_eq!(code(run_profile(&[])), 2);
+        assert_eq!(code(run_profile(&names(&["specs", "--out"]))), 2);
+        assert_eq!(code(run_scorecard(&[])), 2);
+        assert_eq!(code(run_serve(&names(&["--bogus"]))), 2);
+        assert_eq!(code(run_serve(&names(&["--cache-dir"]))), 2);
+        // A spec file that is not there is an I/O error, not misuse.
+        assert_eq!(code(run_scenarios(&names(&["no-such-dir/missing.scn"]))), 1);
+        // A spec naming an unknown protocol exits 2: the registry explains it.
+        assert_eq!(
+            CliError::Run("unknown protocol \"warp-le\"".into()).exit_code(),
+            2
         );
     }
 }

@@ -9,17 +9,15 @@
 //! the *shape* of each theorem (who wins, with what exponent) can be
 //! checked.
 //!
-//! The `experiments` binary prints every table; the Criterion benches under
-//! `benches/` time representative configurations of the same runs.
+//! The `experiments` binary prints every table and drives the scenario
+//! engine. The workspace's one benchmark is `perfbench/`, which times the
+//! paper's workloads end to end and per layer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;
 pub mod fit;
-pub mod gate;
-pub mod legacy;
-pub mod network_bench;
 pub mod table;
 
 pub use experiments::{

@@ -96,12 +96,14 @@
 //! not [`idle`](NodeProgram::idle) after their last callback, those the
 //! barrier delivered to (the dirty list) and those recovering this round —
 //! so it costs O(n/64 + active), and `all_halted` reads a count of running
-//! programs unless the fault plan crashes nodes.
+//! programs unless the fault plan crashes nodes. `tests/zero_alloc.rs` in
+//! the workspace root pins a one-token round on a 64-node cycle at one
+//! callback and at most two `idle`/`halted` queries.
 //!
 //! **Invariant:** buffers are only ever `clear()`ed or `swap()`ed on the
 //! round path — any code that `take`s, drops, or reallocates one of them in
-//! steady state is a regression (the `network_core` bench and the
-//! determinism suite in the workspace root guard this).
+//! steady state is a regression (`tests/zero_alloc.rs` counts allocations
+//! over steady-state windows and fails on any).
 //!
 //! ## 4. Sharded round execution with a deterministic barrier merge
 //!

@@ -1,8 +1,9 @@
 //! Small reference [`NodeProgram`]s: building blocks and benchmark loads.
 //!
 //! These are deliberately simple protocols with known round/message bounds,
-//! used by the runtime's own tests, the determinism regression suite, and
-//! the `network_core` round-engine microbenchmark. [`Flood`] is the minimal
+//! used by the runtime's own tests, the determinism regression suite, the
+//! million-node memory ceilings and perfbench's `flood-cycle` and
+//! `faulty-replay` workloads. [`Flood`] is the minimal
 //! fault-*oblivious* broadcast; [`FloodFt`] is its fault-*tolerant*
 //! counterpart — an acknowledgement-and-retransmission flood whose control
 //! flow genuinely depends on the installed

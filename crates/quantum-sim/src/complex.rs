@@ -1,7 +1,8 @@
 //! A minimal complex-number type.
 //!
 //! Implemented in-crate so the workspace's only third-party dependencies are
-//! the ones on the approved list (`rand`, `proptest`, `criterion`).
+//! the ones on the approved list (`rand`, `rayon`, `proptest`), each vendored
+//! as a shim under `crates/shims/`.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub};

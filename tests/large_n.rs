@@ -18,7 +18,7 @@
 mod support;
 
 use classical_baselines::KppCompleteLe;
-use congest_net::programs::Flood;
+use congest_net::programs::{Flood, FloodFt};
 use congest_net::{topology, Network, NetworkConfig, SyncRuntime};
 use qle::algorithms::QuantumLe;
 use qle::LeaderElection;
@@ -92,6 +92,40 @@ fn million_node_star_flood_covers_and_stays_lean() {
     // and both directions' stamp pages (star has m = n − 1, so O(m) traffic
     // is O(n) here by construction).
     let budget = 400 * MILLION as u64;
+    assert!(
+        peak <= budget,
+        "peak {peak} bytes exceeds O(n + active) budget {budget}"
+    );
+}
+
+/// The fault-tolerant flood ([`FloodFt`], fault-free) over the same
+/// 2^20-leaf star: the token goes out and every leaf acknowledges it, on
+/// per-port ack state that the centre holds for all 2^20 − 1 of its ports.
+/// The run must cover every node with peak memory linear in n.
+#[test]
+#[ignore = "heavyweight (six million messages); CI runs it in release"]
+fn million_node_star_flood_ft_covers_and_stays_lean() {
+    let (runtime, peak) = measured(|| {
+        let graph = topology::star(MILLION).unwrap();
+        let mut runtime = SyncRuntime::new(graph, NetworkConfig::with_seed(3).shards(1), |v, d| {
+            FloodFt::new(v == 0, d)
+        });
+        let rounds = runtime.run_until_halt(64).unwrap();
+        assert!(rounds <= 8, "star flood-ft took {rounds} rounds");
+        runtime
+    });
+    let covered = (0..MILLION)
+        .filter(|&v| runtime.programs()[v].has_token())
+        .count();
+    assert_eq!(covered, MILLION, "flood-ft must reach every node");
+    assert!(
+        runtime.metrics().classical_messages >= 2 * (MILLION as u64 - 1),
+        "token out plus ack back"
+    );
+    // Measured: 4 rounds, 6,291,450 messages, peak 455 MB (434 B/node).
+    // The budget is about twice that; an O(n · deg) buffer at the centre
+    // would need terabytes.
+    let budget = 870 * MILLION as u64;
     assert!(
         peak <= budget,
         "peak {peak} bytes exceeds O(n + active) budget {budget}"

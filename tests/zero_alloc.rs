@@ -2,7 +2,8 @@
 //! of the CONGEST round engine perform **zero heap allocation** — including
 //! with the telemetry layer compiled in but off (the default), which is the
 //! telemetry sidecar's zero-cost-when-absent guarantee — and that a sparse
-//! round runs callbacks only on its active nodes.
+//! round runs callbacks on, and asks `idle()`/`halted()` of, only its active
+//! nodes.
 //!
 //! The shared tracking allocator (`tests/support`) wraps the system
 //! allocator with per-thread counters; after a warm-up phase (buffer
@@ -11,6 +12,8 @@
 //! so the other tests in this binary cannot pollute the window.
 
 mod support;
+
+use std::cell::Cell;
 
 use congest_net::{topology, NetworkConfig, NodeProgram, Outbox, Port, RoundContext, SyncRuntime};
 
@@ -80,13 +83,22 @@ fn steady_state_rounds_do_not_allocate() {
 }
 
 /// Forwards every token out of the port it did not arrive on: one token
-/// circles the cycle. Every node is idle (it acts only on mail) and never
-/// halts, so before the idle schedule the engine visited all of them every
-/// round. `calls` counts `on_round` callbacks; it is instrumentation, not
-/// protocol state.
+/// circles the cycle. Every node is idle (it acts only on mail), so before
+/// the idle schedule the engine visited all of them every round. A halted
+/// relay still forwards the mail it receives, which the trait allows.
+/// `calls` counts `on_round` callbacks and `queries` counts `idle()` and
+/// `halted()` calls; both are instrumentation, not protocol state.
 #[derive(Debug)]
 struct Relay {
     calls: u64,
+    halted: bool,
+    queries: Cell<u64>,
+}
+
+impl Relay {
+    fn query(&self) {
+        self.queries.set(self.queries.get() + 1);
+    }
 }
 
 impl NodeProgram for Relay {
@@ -111,29 +123,41 @@ impl NodeProgram for Relay {
     }
 
     fn halted(&self) -> bool {
-        false
+        self.query();
+        self.halted
     }
 
     fn idle(&self) -> bool {
+        self.query();
         true
     }
 }
 
 #[test]
 fn sparse_rounds_cost_what_their_active_nodes_do() {
-    let graph = topology::cycle(64).unwrap();
-    let mut runtime = SyncRuntime::new(graph, NetworkConfig::with_seed(5).shards(1), |_, _| {
-        Relay { calls: 0 }
-    });
+    let n = 64;
+    let graph = topology::cycle(n).unwrap();
+    // Only the last node runs, so a halting check that scans the programs
+    // queries all of them.
+    let mut runtime =
+        SyncRuntime::new(graph, NetworkConfig::with_seed(5).shards(1), |v, _| Relay {
+            calls: 0,
+            halted: v != n - 1,
+            queries: Cell::new(0),
+        });
     let calls =
         |runtime: &SyncRuntime<Relay>| -> u64 { runtime.programs().iter().map(|p| p.calls).sum() };
+    let queries = |runtime: &SyncRuntime<Relay>| -> u64 {
+        runtime.programs().iter().map(|p| p.queries.get()).sum()
+    };
     runtime.start().unwrap();
     for _ in 0..200 {
         runtime.step().unwrap();
     }
-    let before = calls(&runtime);
+    let (calls_before, queries_before) = (calls(&runtime), queries(&runtime));
     let ((), m) = support::measured(|| {
         for _ in 0..300 {
+            assert!(!runtime.all_halted());
             runtime.step().unwrap();
         }
     });
@@ -144,8 +168,14 @@ fn sparse_rounds_cost_what_their_active_nodes_do() {
     );
     // One token in flight: each round visits exactly its one recipient,
     // not all 64 nodes.
-    assert_eq!(calls(&runtime) - before, 300);
-    assert!(!runtime.all_halted());
+    assert_eq!(calls(&runtime) - calls_before, 300);
+    // Re-filing the recipient asks it `idle()` and `halted()` once each,
+    // and the halting check reads a count: no node is queried otherwise.
+    let per_round = (queries(&runtime) - queries_before) as f64 / 300.0;
+    assert!(
+        per_round <= 2.0,
+        "{per_round} idle/halted queries per round; a sparse round must not scan the nodes"
+    );
 }
 
 /// The tracker's peak-bytes gauge plugs into the telemetry sidecar's
