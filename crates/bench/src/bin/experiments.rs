@@ -12,8 +12,6 @@
 //! cargo run --release -p bench-harness --bin experiments -- --scenarios examples/scenarios \
 //!     --cache-dir farm-cache
 //!     # same, through the content-addressed cell cache: a warm rerun re-executes nothing
-//! cargo run --release -p bench-harness --bin experiments -- --serve --cache-dir farm-cache
-//!     # long-running farm: scenario requests line-by-line on stdin, framed results on stdout
 //! cargo run --release -p bench-harness --bin experiments -- --scenarios examples/scenarios \
 //!     --replay scenario-out
 //!     # re-run the matrix and assert byte-identical metrics + traces
@@ -31,17 +29,6 @@ use bench_harness::{
     e5_general_le, e6_agreement, e7_star_search, e8_star_counting, e9_walk_ablation,
     ExperimentTable,
 };
-
-/// Resolves the cell-cache directory: the `--cache-dir` flag if given,
-/// otherwise the `CONGEST_CACHE` environment knob (empty/unset = no cache).
-fn resolve_cache_dir(flag: Option<String>) -> Option<std::path::PathBuf> {
-    flag.or_else(|| {
-        std::env::var("CONGEST_CACHE")
-            .ok()
-            .filter(|v| !v.is_empty())
-    })
-    .map(std::path::PathBuf::from)
-}
 
 /// A [`sim_harness::FarmSink`] that streams each completed cell's results
 /// row and trace block straight to the output files (and the row to
@@ -76,7 +63,7 @@ impl StreamSink {
 }
 
 impl sim_harness::FarmSink for StreamSink {
-    fn on_start(&mut self, _total: usize) -> Result<(), String> {
+    fn on_start(&mut self) -> Result<(), String> {
         use std::io::Write;
         let header = sim_harness::results_table_header();
         print!("{header}");
@@ -88,12 +75,7 @@ impl sim_harness::FarmSink for StreamSink {
             .map_err(|e| format!("write traces.txt: {e}"))
     }
 
-    fn on_cell(
-        &mut self,
-        _index: usize,
-        result: sim_harness::CellResult,
-        _from_cache: bool,
-    ) -> Result<(), String> {
+    fn on_cell(&mut self, _index: usize, result: sim_harness::CellResult) -> Result<(), String> {
         use std::io::Write;
         let row = sim_harness::results_table_row(&result);
         print!("{row}");
@@ -116,7 +98,7 @@ fn run_scenarios(rest: &[String]) -> Result<(), CliError> {
     let mut path: Option<&str> = None;
     let mut out_dir = "scenario-out".to_string();
     let mut replay_dir: Option<String> = None;
-    let mut cache_flag: Option<String> = None;
+    let mut cache_dir: Option<String> = None;
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -127,7 +109,7 @@ fn run_scenarios(rest: &[String]) -> Result<(), CliError> {
                 replay_dir = Some(flag_value(it.next(), "--replay")?);
             }
             "--cache-dir" => {
-                cache_flag = Some(flag_value(it.next(), "--cache-dir")?);
+                cache_dir = Some(flag_value(it.next(), "--cache-dir")?);
             }
             other if path.is_none() && !other.starts_with("--") => path = Some(other),
             other => {
@@ -141,7 +123,7 @@ fn run_scenarios(rest: &[String]) -> Result<(), CliError> {
         path.ok_or_else(|| CliError::Usage("--scenarios needs a spec file or directory".into()))?;
     // Replay must genuinely re-execute — serving cached results would
     // verify the cache against itself, not the engine's determinism.
-    if replay_dir.is_some() && cache_flag.is_some() {
+    if replay_dir.is_some() && cache_dir.is_some() {
         return Err(CliError::Usage(
             "--cache-dir cannot be combined with --replay (replay re-executes)".into(),
         ));
@@ -183,8 +165,8 @@ fn run_scenarios(rest: &[String]) -> Result<(), CliError> {
         let out = std::path::Path::new(&out_dir);
         std::fs::create_dir_all(out).map_err(|e| format!("{}: {e}", out.display()))?;
         let farm_opts = sim_harness::FarmOptions {
-            telemetry: sim_harness::telemetry_env_enabled(),
-            cache_dir: resolve_cache_dir(cache_flag),
+            telemetry: false,
+            cache_dir: cache_dir.map(std::path::PathBuf::from),
         };
         let mut sink = StreamSink::open(out)?;
         let report = sim_harness::run_farm(&cells, &farm_opts, &mut sink)?;
@@ -209,38 +191,6 @@ fn run_scenarios(rest: &[String]) -> Result<(), CliError> {
             "wrote {out_dir}/results.txt, {out_dir}/traces.txt, and {out_dir}/cache-stats.txt"
         );
     }
-    Ok(())
-}
-
-/// Runs the farm's request loop: `--serve [--cache-dir <dir>]`. Reads
-/// scenario requests line-by-line from stdin and streams result blocks to
-/// stdout under request-id framing (protocol: `docs/SCENARIO_FORMAT.md`).
-fn run_serve(rest: &[String]) -> Result<(), CliError> {
-    let mut cache_flag: Option<String> = None;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--cache-dir" => {
-                cache_flag = Some(flag_value(it.next(), "--cache-dir")?);
-            }
-            other => {
-                return Err(CliError::Usage(format!(
-                    "unexpected serve argument \"{other}\""
-                )))
-            }
-        }
-    }
-    let opts = sim_harness::ServeOptions {
-        cache_dir: resolve_cache_dir(cache_flag),
-        telemetry: sim_harness::telemetry_env_enabled(),
-    };
-    let stdin = std::io::stdin();
-    let mut stdout = std::io::stdout();
-    let summary = sim_harness::serve(stdin.lock(), &mut stdout, &opts)?;
-    eprintln!(
-        "serve session: {} request(s), {} cell(s), {} hit(s), {} miss(es)",
-        summary.requests, summary.cells, summary.hits, summary.misses
-    );
     Ok(())
 }
 
@@ -563,10 +513,6 @@ USAGE:
         [--replay <dir>]                     re-run and assert byte-identical metrics + traces
                                              against <dir>/traces.txt instead of writing output
                                              (not combinable with --cache-dir)
-    experiments --serve                      read scenario requests line-by-line from stdin and
-                                             stream result blocks to stdout under request-id
-                                             framing (protocol: docs/SCENARIO_FORMAT.md)
-        [--cache-dir <dir>]                  share a cell cache across all requests
     experiments --scorecard <spec|dir>       resilience scorecard: run every faulty scenario
                                              against its fault-free twin and aggregate success
                                              rate + message/round overhead per protocol x
@@ -588,14 +534,6 @@ ENVIRONMENT:
                                      are byte-identical for every k)
     RAYON_NUM_THREADS=<t>            thread-pool size for sweeps, scenario cells,
                                      and sharded rounds (default: available cores)
-    CONGEST_TELEMETRY=1              turn the telemetry sidecar on for --scenarios
-                                     and --scorecard cells too (--profile always
-                                     enables it; any other value = off; never
-                                     changes metrics, traces, or replay; bypasses
-                                     the cell cache, which stores no wall data)
-    CONGEST_CACHE=<dir>              default cell-cache directory for --scenarios
-                                     and --serve when --cache-dir is not given
-                                     (empty/unset = no caching)
 
 Scenario cells honour CONGEST_SHARDS; traces recorded at one shard count replay
 byte-identically at any other (the deterministic barrier-merge invariant).
@@ -627,7 +565,6 @@ fn main() {
         Some("--scenarios") => run_scenarios,
         Some("--scorecard") => run_scorecard,
         Some("--profile") => run_profile,
-        Some("--serve") => run_serve,
         Some(flag) if flag.starts_with("--") => {
             eprintln!("error: unknown flag \"{flag}\" (see --help)");
             std::process::exit(2);
@@ -699,8 +636,6 @@ mod tests {
         assert_eq!(code(run_profile(&[])), 2);
         assert_eq!(code(run_profile(&names(&["specs", "--out"]))), 2);
         assert_eq!(code(run_scorecard(&[])), 2);
-        assert_eq!(code(run_serve(&names(&["--bogus"]))), 2);
-        assert_eq!(code(run_serve(&names(&["--cache-dir"]))), 2);
         // A spec file that is not there is an I/O error, not misuse.
         assert_eq!(code(run_scenarios(&names(&["no-such-dir/missing.scn"]))), 1);
         // A spec naming an unknown protocol exits 2: the registry explains it.

@@ -25,7 +25,7 @@
 //!   separate *quantum* message meter of Section 3.1 of the paper),
 //! * an actor-style synchronous [`runtime`] for protocols written as per-node
 //!   state machines, with reference programs in [`programs`],
-//! * random-walk machinery and mixing-time estimation ([`walks`]).
+//! * spectral-gap and mixing-time estimation for random walks ([`walks`]).
 //!
 //! # Performance architecture
 //!

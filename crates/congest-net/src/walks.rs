@@ -4,65 +4,11 @@
 //! complete-graph protocol by Θ(τ)-length random walks, where τ is the mixing
 //! time of the network. This module provides:
 //!
-//! * walk stepping, both with a live RNG and with a *pre-committed* choice
-//!   sequence (the paper's protocol requires the walk initiator to fix and
-//!   propagate its random choices in advance, because part of Grover search
-//!   is centralised — see Section 5.2),
 //! * spectral-gap estimation of the lazy random walk by power iteration,
 //! * mixing-time estimates, both spectral (`O(log n / gap)`) and exact
 //!   total-variation for small graphs.
 
-use rand::rngs::StdRng;
-use rand::Rng;
-
-use crate::graph::{Graph, NodeId};
-
-/// Performs a single step of the simple random walk from `v` using `rng`.
-///
-/// # Panics
-///
-/// Panics if `v` has no neighbours (impossible in a connected graph with
-/// `n >= 2`).
-#[must_use]
-pub fn walk_step(graph: &Graph, v: NodeId, rng: &mut StdRng) -> NodeId {
-    graph.neighbor(v, rng.gen_range(0..graph.degree(v)))
-}
-
-/// Runs a `length`-step simple random walk from `start`, returning the full
-/// trajectory (`length + 1` nodes, starting with `start`).
-#[must_use]
-pub fn random_walk(graph: &Graph, start: NodeId, length: usize, rng: &mut StdRng) -> Vec<NodeId> {
-    let mut path = Vec::with_capacity(length + 1);
-    let mut here = start;
-    path.push(here);
-    for _ in 0..length {
-        here = walk_step(graph, here, rng);
-        path.push(here);
-    }
-    path
-}
-
-/// The walk determined by a *pre-committed* sequence of random choices: at a
-/// node of degree `d`, choice `c` selects the neighbour at port `c mod d`.
-///
-/// This is how `QuantumRWLE` delegates its walks: the initiator samples the
-/// choice sequence once (so the whole walk is a deterministic function the
-/// initiator can re-evaluate in superposition inside Grover search) and the
-/// sequence is forwarded along the walk itself, at a cost of `O(τ)` messages
-/// carrying `O(log n)` bits each per hop — the τ² blow-up discussed in
-/// Section 5.2.
-#[must_use]
-pub fn walk_from_choices(graph: &Graph, start: NodeId, choices: &[u64]) -> Vec<NodeId> {
-    let mut path = Vec::with_capacity(choices.len() + 1);
-    let mut here = start;
-    path.push(here);
-    for &c in choices {
-        let degree = graph.degree(here);
-        here = graph.neighbor(here, (c % degree as u64) as usize);
-        path.push(here);
-    }
-    path
-}
+use crate::graph::Graph;
 
 /// Estimates the spectral gap `δ = 1 - λ₂` of the **lazy** random walk
 /// `P' = (I + P)/2` on `graph`, by power iteration in the π-weighted inner
@@ -219,31 +165,6 @@ fn normalize(x: &mut [f64], pi: &[f64]) {
 mod tests {
     use super::*;
     use crate::topology;
-    use rand::SeedableRng;
-
-    #[test]
-    fn walk_stays_on_graph() {
-        let graph = topology::cycle(12).unwrap();
-        let mut rng = StdRng::seed_from_u64(5);
-        let path = random_walk(&graph, 3, 50, &mut rng);
-        assert_eq!(path.len(), 51);
-        for pair in path.windows(2) {
-            assert!(graph.are_adjacent(pair[0], pair[1]));
-        }
-    }
-
-    #[test]
-    fn walk_from_choices_is_deterministic() {
-        let graph = topology::hypercube(4).unwrap();
-        let choices: Vec<u64> = (0..10).map(|i| i * 7 + 3).collect();
-        let a = walk_from_choices(&graph, 0, &choices);
-        let b = walk_from_choices(&graph, 0, &choices);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 11);
-        for pair in a.windows(2) {
-            assert!(graph.are_adjacent(pair[0], pair[1]));
-        }
-    }
 
     #[test]
     fn complete_graph_has_large_gap() {

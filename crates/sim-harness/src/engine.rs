@@ -114,39 +114,18 @@ pub fn expand(specs: &[ScenarioSpec]) -> Vec<Cell> {
     cells
 }
 
-/// Whether `run_cell` should default to telemetry-on: the
-/// `CONGEST_TELEMETRY` environment variable, set to `1` (any other value —
-/// or unset — means off). `experiments --profile` passes the flag
-/// explicitly instead; the knob exists so ad-hoc scenario runs can be
-/// profiled without changing call sites.
-#[must_use]
-pub fn telemetry_env_enabled() -> bool {
-    std::env::var("CONGEST_TELEMETRY").is_ok_and(|v| v == "1")
-}
-
 /// Runs one cell: generate the topology, apply the scenario's execution
-/// options, run the protocol, and collect metrics plus trace. Telemetry
-/// defaults to the `CONGEST_TELEMETRY` environment knob (see
-/// [`telemetry_env_enabled`]); use [`run_cell_with`] to pin it.
-///
-/// # Errors
-///
-/// Returns a rendered error naming the cell when topology generation or the
-/// protocol run fails (a spec bug — e.g. a complete-graph protocol on a
-/// cycle — not a fault-induced outcome).
-pub fn run_cell(cell: &Cell) -> Result<CellResult, String> {
-    run_cell_with(cell, telemetry_env_enabled())
-}
-
-/// Runs one cell with telemetry explicitly on or off. With telemetry on,
-/// the protocol's network records the sidecar (returned in
+/// options, run the protocol, and collect metrics plus trace. With
+/// telemetry on, the protocol's network records the sidecar (returned in
 /// `outcome.telemetry`) and the whole cell is wall-timed into
 /// [`CellResult::wall_nanos`]; with it off both stay empty and the run is
 /// bit-identical to the pre-telemetry engine.
 ///
 /// # Errors
 ///
-/// Same as [`run_cell`].
+/// Returns a rendered error naming the cell when topology generation or the
+/// protocol run fails (a spec bug — e.g. a complete-graph protocol on a
+/// cycle — not a fault-induced outcome).
 pub fn run_cell_with(cell: &Cell, telemetry: bool) -> Result<CellResult, String> {
     let start = telemetry.then(std::time::Instant::now);
     let graph = cell
@@ -176,15 +155,16 @@ pub fn run_cell_with(cell: &Cell, telemetry: bool) -> Result<CellResult, String>
 
 /// Runs an already-expanded cell list on the farm's work-stealing queue
 /// (see [`crate::farm::run_farm`]), merging results in cell order
-/// (deterministic regardless of scheduling). No cache is consulted; pass a
-/// [`FarmOptions`] to [`run_cells_collect`] for the cached path.
+/// (deterministic regardless of scheduling). Telemetry is off and no cache
+/// is consulted; pass a [`FarmOptions`] to [`run_cells_collect`] for the
+/// cached path.
 ///
 /// # Errors
 ///
 /// Returns **every** failing cell's rendered error, one per line, in cell
 /// order (also deterministic).
 pub fn run_cells(cells: &[Cell]) -> Result<Vec<CellResult>, String> {
-    run_cells_with(cells, telemetry_env_enabled())
+    run_cells_with(cells, false)
 }
 
 /// [`run_cells`] with telemetry explicitly pinned for every cell (what
@@ -208,16 +188,6 @@ pub fn run_cells_with(cells: &[Cell], telemetry: bool) -> Result<Vec<CellResult>
 /// Same as [`run_cells`].
 pub fn run_matrix(specs: &[ScenarioSpec]) -> Result<Vec<CellResult>, String> {
     run_cells(&expand(specs))
-}
-
-/// Expands `specs` and runs every cell with telemetry pinned (see
-/// [`run_cells_with`]).
-///
-/// # Errors
-///
-/// Same as [`run_cells`].
-pub fn run_matrix_with(specs: &[ScenarioSpec], telemetry: bool) -> Result<Vec<CellResult>, String> {
-    run_cells_with(&expand(specs), telemetry)
 }
 
 /// Renders the results table: one row per cell, in cell order, with message,

@@ -38,26 +38,24 @@ use crate::engine::{run_cell_with, Cell, CellResult};
 /// [`run_farm`] after the batch drains (execution itself never blocks on a
 /// broken sink).
 pub trait FarmSink: Send {
-    /// Called once before any cell, with the matrix size.
+    /// Called once before any cell.
     ///
     /// # Errors
     ///
     /// An error here aborts the farm before any cell executes.
-    fn on_start(&mut self, total: usize) -> Result<(), String> {
-        let _ = total;
+    fn on_start(&mut self) -> Result<(), String> {
         Ok(())
     }
 
-    /// Called once per successful cell, in cell order. `from_cache` is true
-    /// for cache hits (which carry no telemetry and a zero wall clock).
+    /// Called once per successful cell, in cell order. Cache hits carry no
+    /// telemetry and a zero wall clock.
     ///
     /// # Errors
     ///
     /// The first sink error is reported from [`run_farm`]; later cells
     /// still execute (and still populate the cache) but are no longer
     /// delivered.
-    fn on_cell(&mut self, index: usize, result: CellResult, from_cache: bool)
-        -> Result<(), String>;
+    fn on_cell(&mut self, index: usize, result: CellResult) -> Result<(), String>;
 }
 
 /// How the farm runs a batch.
@@ -128,10 +126,7 @@ enum Slot {
     /// Not finished yet.
     Empty,
     /// Finished; waiting for every earlier cell to be released first.
-    Ready {
-        result: Box<CellResult>,
-        from_cache: bool,
-    },
+    Ready(Box<CellResult>),
     /// Failed; its error is recorded separately, the slot just unblocks the
     /// in-order release of later cells.
     Failed,
@@ -149,9 +144,9 @@ struct Emitter<'s> {
 }
 
 impl Emitter<'_> {
-    fn complete(&mut self, index: usize, done: Result<(Box<CellResult>, bool), String>) {
+    fn complete(&mut self, index: usize, done: Result<Box<CellResult>, String>) {
         self.slots[index] = match done {
-            Ok((result, from_cache)) => Slot::Ready { result, from_cache },
+            Ok(result) => Slot::Ready(result),
             Err(e) => {
                 self.failures.push((index, e));
                 Slot::Failed
@@ -164,9 +159,9 @@ impl Emitter<'_> {
         while self.next < self.slots.len() {
             match std::mem::replace(&mut self.slots[self.next], Slot::Empty) {
                 Slot::Empty => break,
-                Slot::Ready { result, from_cache } => {
+                Slot::Ready(result) => {
                     if self.sink_error.is_none() {
-                        if let Err(e) = self.sink.on_cell(self.next, *result, from_cache) {
+                        if let Err(e) = self.sink.on_cell(self.next, *result) {
                             self.sink_error = Some(e);
                         }
                     }
@@ -196,7 +191,7 @@ pub fn run_farm(
         (Some(dir), false) => Some(CellCache::open(dir)?),
         _ => None,
     };
-    sink.on_start(cells.len())?;
+    sink.on_start()?;
     let mut report = FarmReport {
         cells: cells.len(),
         ..FarmReport::default()
@@ -216,10 +211,7 @@ pub fn run_farm(
         match cache.as_ref().map(|c| c.lookup(cell)) {
             Some(Ok(Some(result))) => {
                 report.hits += 1;
-                emitter.slots[index] = Slot::Ready {
-                    result: Box::new(result),
-                    from_cache: true,
-                };
+                emitter.slots[index] = Slot::Ready(Box::new(result));
             }
             Some(Err(diag)) => {
                 report.misses += 1;
@@ -265,7 +257,7 @@ pub fn run_farm(
                                 Err(diag) => store_diags.lock().unwrap().push(diag),
                             }
                         }
-                        let done = done.map(|r| (Box::new(r), false));
+                        let done = done.map(Box::new);
                         emitter_mx.lock().unwrap().complete(index, done);
                     }
                 }
@@ -292,12 +284,7 @@ pub fn run_farm(
 struct CollectSink(Vec<CellResult>);
 
 impl FarmSink for CollectSink {
-    fn on_cell(
-        &mut self,
-        _index: usize,
-        result: CellResult,
-        _from_cache: bool,
-    ) -> Result<(), String> {
+    fn on_cell(&mut self, _index: usize, result: CellResult) -> Result<(), String> {
         self.0.push(result);
         Ok(())
     }
@@ -346,12 +333,7 @@ mod tests {
             results: Vec<CellResult>,
         }
         impl FarmSink for OrderSink {
-            fn on_cell(
-                &mut self,
-                index: usize,
-                result: CellResult,
-                _from_cache: bool,
-            ) -> Result<(), String> {
+            fn on_cell(&mut self, index: usize, result: CellResult) -> Result<(), String> {
                 self.seen.push(index);
                 self.results.push(result);
                 Ok(())
@@ -382,7 +364,7 @@ mod tests {
     fn sink_errors_surface_after_the_batch() {
         struct FailingSink;
         impl FarmSink for FailingSink {
-            fn on_cell(&mut self, _: usize, _: CellResult, _: bool) -> Result<(), String> {
+            fn on_cell(&mut self, _: usize, _: CellResult) -> Result<(), String> {
                 Err("sink full".into())
             }
         }

@@ -34,7 +34,7 @@
 //! * **Engine** ([`engine`]) — [`run_matrix`] fans cells out across the
 //!   workspace `rayon` pool and merges results **in cell order** (spec ×
 //!   size × seed), so tables and traces are byte-identical regardless of
-//!   scheduling. [`run_matrix_with`] additionally threads the telemetry
+//!   scheduling. [`run_cells_with`] additionally threads the telemetry
 //!   sidecar through every cell and wall-times each one — the profiling
 //!   path behind `experiments --profile` (wall data lives outside the
 //!   determinism domain; see `docs/OBSERVABILITY.md`).
@@ -51,10 +51,6 @@
 //!   results/trace lines incrementally in O(1 cell) memory. The
 //!   determinism invariants below are what make the cache *sound*: equal
 //!   keys replay byte-for-byte, so a hit is indistinguishable from a rerun.
-//! * **Serve** ([`mod@serve`]) — `experiments --serve` reads scenario requests
-//!   line-by-line from stdin, multiplexes them onto the farm, and streams
-//!   result blocks back under request-id framing (protocol in the module
-//!   docs and `docs/SCENARIO_FORMAT.md`).
 //! * **Scorecard** ([`scorecard`]) — [`run_scorecard`] runs every faulty
 //!   scenario next to its fault-free twin and aggregates success rate and
 //!   message/round overhead per `(protocol, fault class)` — the resilience
@@ -106,20 +102,17 @@ pub mod engine;
 pub mod farm;
 pub mod registry;
 pub mod scorecard;
-pub mod serve;
 pub mod spec;
 pub mod trace;
 
 pub use cache::{cache_key, cache_key_material, code_fingerprint, CellCache};
 pub use engine::{
     expand, results_table, results_table_header, results_table_row, results_table_with_wall,
-    run_cell, run_cell_with, run_cells, run_cells_with, run_matrix, run_matrix_with,
-    telemetry_env_enabled, Cell, CellResult,
+    run_cell_with, run_cells, run_cells_with, run_matrix, Cell, CellResult,
 };
 pub use farm::{run_cells_collect, run_farm, FarmOptions, FarmReport, FarmSink};
 pub use registry::{parse_topology, topology_name, CellOutcome, ProtocolKind, ALL_PROTOCOLS};
 pub use scorecard::{fault_class, fault_free_twin, run_scorecard, Scorecard, ScorecardRow};
-pub use serve::{serve, ServeOptions, ServeSummary};
 pub use spec::{ScenarioSpec, SpecError};
 
 use std::path::Path;

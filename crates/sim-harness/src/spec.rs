@@ -198,8 +198,8 @@ impl ScenarioSpec {
     /// # Errors
     ///
     /// Returns a [`SpecError`] naming the offending line for malformed
-    /// sections, keys, values, unknown topology/protocol names, or a
-    /// scenario missing its required keys.
+    /// sections, keys, values, unknown topology/protocol names, a repeated
+    /// single-valued key, or a scenario missing its required keys.
     pub fn parse_many(text: &str) -> Result<Vec<ScenarioSpec>, SpecError> {
         Parser::new(text).parse()
     }
@@ -275,6 +275,10 @@ impl std::fmt::Display for SpecError {
 impl std::error::Error for SpecError {}
 
 /// A partially-assembled scenario while its sections are being read.
+///
+/// Every single-valued key is an `Option`, so a second line for it is
+/// caught in its match arm (see [`set_once`]); the list-valued fault
+/// entries are repeatable.
 #[derive(Debug, Default)]
 struct Draft {
     name: Option<String>,
@@ -283,10 +287,10 @@ struct Draft {
     protocol: Option<String>,
     sizes: Option<Vec<usize>>,
     seeds: Option<Vec<u64>>,
-    shards: usize,
+    shards: Option<usize>,
     max_rounds: Option<u64>,
-    fault_seed: u64,
-    drop: f64,
+    fault_seed: Option<u64>,
+    drop: Option<f64>,
     outages: Vec<[u64; 4]>,
     latencies: Vec<[u64; 3]>,
     /// Crash entries as `[node, round, recover_round]` in encounter order
@@ -296,8 +300,8 @@ struct Draft {
     /// Byzantine windows as `[node, from_round, until_round]` in encounter
     /// order.
     byzantines: Vec<[u64; 3]>,
-    /// Adversarial frontier drops per round (0 = no adversary).
-    adversary: u64,
+    /// Adversarial frontier drops per round (absent or 0 = no adversary).
+    adversary: Option<u64>,
     /// Raw `mode` value ("round" or "event"), validated at the key line.
     mode: Option<String>,
     /// Parsed `scheduler = [name, bound, seed]` stanza, validated at the
@@ -344,7 +348,8 @@ impl Draft {
                 known.join(", ")
             ))
         })?;
-        let mut faults = FaultPlan::new(self.fault_seed).drop_probability(self.drop);
+        let mut faults =
+            FaultPlan::new(self.fault_seed.unwrap_or(0)).drop_probability(self.drop.unwrap_or(0.0));
         for [a, b, from, until] in self.outages {
             faults = faults.link_outage(a as usize, b as usize, from, until);
         }
@@ -361,8 +366,8 @@ impl Draft {
         for [node, from, until] in self.byzantines {
             faults = faults.byzantine(node as usize, from, until);
         }
-        if self.adversary > 0 {
-            faults = faults.adversarial_drops(self.adversary);
+        if let Some(adversary) = self.adversary.filter(|&a| a > 0) {
+            faults = faults.adversarial_drops(adversary);
         }
         let mut spec = ScenarioSpec::new(name, topology, protocol).faults(faults);
         // Absent keys fall back to the builder defaults; *explicitly* empty
@@ -380,7 +385,9 @@ impl Draft {
             }
             spec.seeds = seeds;
         }
-        spec.shards = self.shards;
+        if let Some(shards) = self.shards {
+            spec.shards = shards;
+        }
         match self.mode.as_deref() {
             // `mode = "event"` without a `scheduler` stanza runs under the
             // synchronous scheduler (reproducing round mode exactly).
@@ -474,32 +481,40 @@ impl<'a> Parser<'a> {
                 .as_mut()
                 .ok_or_else(|| err("key before the first [scenario] section".into()))?;
             match (section, key) {
-                (Section::Scenario, "name") => draft.name = Some(parse_string(value, line_no)?),
+                (Section::Scenario, "name") => {
+                    let name = parse_string(value, line_no)?;
+                    set_once(&mut draft.name, name, key, line_no)?;
+                }
                 (Section::Scenario, "topology") => {
-                    draft.topology = Some(parse_string(value, line_no)?);
+                    let topology = parse_string(value, line_no)?;
+                    set_once(&mut draft.topology, topology, key, line_no)?;
                 }
                 (Section::Scenario, "degree") => {
-                    draft.degree = Some(parse_int(value, line_no)? as usize);
+                    let degree = parse_int(value, line_no)? as usize;
+                    set_once(&mut draft.degree, degree, key, line_no)?;
                 }
                 (Section::Scenario, "protocol") => {
-                    draft.protocol = Some(parse_string(value, line_no)?);
+                    let protocol = parse_string(value, line_no)?;
+                    set_once(&mut draft.protocol, protocol, key, line_no)?;
                 }
                 (Section::Scenario, "sizes") => {
-                    draft.sizes = Some(
-                        parse_int_list(value, line_no)?
-                            .into_iter()
-                            .map(|x| x as usize)
-                            .collect(),
-                    );
+                    let sizes = parse_int_list(value, line_no)?
+                        .into_iter()
+                        .map(|x| x as usize)
+                        .collect();
+                    set_once(&mut draft.sizes, sizes, key, line_no)?;
                 }
                 (Section::Scenario, "seeds") => {
-                    draft.seeds = Some(parse_int_list(value, line_no)?);
+                    let seeds = parse_int_list(value, line_no)?;
+                    set_once(&mut draft.seeds, seeds, key, line_no)?;
                 }
                 (Section::Scenario, "shards") => {
-                    draft.shards = parse_int(value, line_no)? as usize;
+                    let shards = parse_int(value, line_no)? as usize;
+                    set_once(&mut draft.shards, shards, key, line_no)?;
                 }
                 (Section::Scenario, "max_rounds") => {
-                    draft.max_rounds = Some(parse_int(value, line_no)?);
+                    let max_rounds = parse_int(value, line_no)?;
+                    set_once(&mut draft.max_rounds, max_rounds, key, line_no)?;
                 }
                 (Section::Scenario, "mode") => {
                     let mode = parse_string(value, line_no)?;
@@ -508,16 +523,20 @@ impl<'a> Parser<'a> {
                             "unknown mode \"{mode}\" (expected \"round\" or \"event\")"
                         )));
                     }
-                    draft.mode = Some(mode);
+                    set_once(&mut draft.mode, mode, key, line_no)?;
                 }
                 (Section::Scenario, "scheduler") => {
-                    draft.scheduler = Some(parse_scheduler(value, line_no)?);
+                    let scheduler = parse_scheduler(value, line_no)?;
+                    set_once(&mut draft.scheduler, scheduler, key, line_no)?;
                 }
-                (Section::Faults, "seed") => draft.fault_seed = parse_int(value, line_no)?,
+                (Section::Faults, "seed") => {
+                    let seed = parse_int(value, line_no)?;
+                    set_once(&mut draft.fault_seed, seed, key, line_no)?;
+                }
                 (Section::Faults, "drop") => {
                     // `FaultPlan::drop_probability` clamps, so an out-of-range
                     // value would silently run as 0 or 1.
-                    draft.drop = value
+                    let drop = value
                         .parse::<f64>()
                         .ok()
                         .filter(|p| (0.0..=1.0).contains(p))
@@ -527,6 +546,7 @@ impl<'a> Parser<'a> {
                                 "drop probability must be a number in [0, 1], got \"{value}\""
                             ),
                         })?;
+                    set_once(&mut draft.drop, drop, key, line_no)?;
                 }
                 (Section::Faults, "outage") => {
                     let xs = parse_int_list(value, line_no)?;
@@ -587,7 +607,8 @@ impl<'a> Parser<'a> {
                     draft.byzantines.push([node, from, until]);
                 }
                 (Section::Faults, "adversary") => {
-                    draft.adversary = parse_int(value, line_no)?;
+                    let adversary = parse_int(value, line_no)?;
+                    set_once(&mut draft.adversary, adversary, key, line_no)?;
                 }
                 (_, other) => return Err(err(format!("unknown key \"{other}\""))),
             }
@@ -597,6 +618,19 @@ impl<'a> Parser<'a> {
         }
         Ok(specs)
     }
+}
+
+/// Stores the value of a single-valued key, rejecting a second line for it:
+/// a repeat would otherwise silently override the first.
+fn set_once<T>(slot: &mut Option<T>, value: T, key: &str, line: usize) -> Result<(), SpecError> {
+    if slot.is_some() {
+        return Err(SpecError {
+            line,
+            message: format!("duplicate key `{key}`"),
+        });
+    }
+    *slot = Some(value);
+    Ok(())
 }
 
 /// Strips a `#` comment, respecting double-quoted strings.
@@ -784,10 +818,25 @@ mod tests {
             ("drop = inf", "must be a number in [0, 1]"),
             ("drop = nan", "must be a number in [0, 1]"),
             ("drop = -0.5", "must be a number in [0, 1]"),
+            // `base` already sets the fault seed.
+            ("seed = 2", "duplicate key `seed`"),
+            ("drop = 0.1\ndrop = 0.2", "duplicate key `drop`"),
+            ("adversary = 1\nadversary = 2", "duplicate key `adversary`"),
         ] {
             let err = ScenarioSpec::parse_many(&format!("{base}{stanza}\n")).unwrap_err();
             assert!(err.message.contains(needle), "{stanza}: {err}");
         }
+        // The entry stanzas add one entry per line, so they repeat freely.
+        let entries = "outage = [0, 1, 2, 10]\noutage = [2, 3, 0, 4]\n\
+                       latency = [4, 5, 3]\nlatency = [5, 6, 2]\n\
+                       crash = [3, 4]\ncrash = [7, 1]\n\
+                       recover = [6, 2, 9]\nrecover = [8, 1, 3]\n\
+                       byzantine = [2, 0, 6]\nbyzantine = [9, 1, 2]\n";
+        let faults = &ScenarioSpec::parse_many(&format!("{base}{entries}")).unwrap()[0].faults;
+        assert_eq!(faults.outages().len(), 2);
+        assert_eq!(faults.latencies().len(), 2);
+        assert_eq!(faults.crashes().len(), 4);
+        assert_eq!(faults.byzantines().len(), 2);
     }
 
     #[test]
@@ -863,9 +912,27 @@ crash = [0, 1]
             ("max_rounds = 0", "`max_rounds` must be positive"),
             ("degree = 0", "`degree` must be positive"),
             ("degree = 6", "`degree` needs topology \"expander\""),
+            // A second line for a single-valued key is an error on that
+            // line, not a silent override (`base` sets the first three).
+            ("name = \"y\"", "duplicate key `name`"),
+            ("topology = \"torus\"", "duplicate key `topology`"),
+            ("protocol = \"ghs-le\"", "duplicate key `protocol`"),
+            ("degree = 4\ndegree = 6", "duplicate key `degree`"),
+            ("sizes = [8]\nsizes = [16]", "duplicate key `sizes`"),
+            ("seeds = [1]\nseeds = [2]", "duplicate key `seeds`"),
+            ("shards = 1\nshards = 4", "duplicate key `shards`"),
+            ("max_rounds = 9\nmax_rounds = 90", "duplicate key `max_rounds`"),
+            ("mode = \"event\"\nmode = \"round\"", "duplicate key `mode`"),
+            (
+                "mode = \"event\"\nscheduler = [\"worst-case\", 2, 0]\nscheduler = [\"worst-case\", 3, 0]",
+                "duplicate key `scheduler`",
+            ),
         ] {
             let err = ScenarioSpec::parse_many(&format!("{base}{key}\n")).unwrap_err();
             assert!(err.message.contains(needle), "{key}: {err}");
+            if needle.starts_with("duplicate") {
+                assert_eq!(err.line, 4 + key.lines().count(), "{key}: {err}");
+            }
         }
         // Absent keys still fall back to the builder defaults.
         let spec = &ScenarioSpec::parse_many(base).unwrap()[0];

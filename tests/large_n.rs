@@ -3,7 +3,8 @@
 //! peak graph + round-state memory **O(n + active)** — not the O(E) (for
 //! `K_n`: terabytes) that materialized CSR adjacency would cost. The paper's
 //! complete-network protocols run at `n = 2^16` under the same kind of
-//! ceiling.
+//! ceiling, and at `n = 2^18` they pin E1's quantum/classical crossover
+//! bracket.
 //!
 //! The shared tracking allocator (`tests/support`) keeps **thread-local**
 //! current/peak byte counters, so the concurrently running tests in this
@@ -21,7 +22,7 @@ use classical_baselines::KppCompleteLe;
 use congest_net::programs::{Flood, FloodFt};
 use congest_net::{topology, Network, NetworkConfig, SyncRuntime};
 use qle::algorithms::QuantumLe;
-use qle::LeaderElection;
+use qle::{AlphaChoice, KChoice, LeaderElection};
 
 #[global_allocator]
 static ALLOCATOR: support::TrackingAllocator = support::TrackingAllocator;
@@ -221,4 +222,39 @@ fn kpp_complete_le_on_complete_65536_stays_lean() {
         peak <= budget,
         "peak {peak} bytes exceeds KPP budget {budget}"
     );
+}
+
+/// Total messages of one run on implicit `K_n`. The run must elect exactly
+/// one leader, so protocols are compared at matched success.
+fn messages_electing_one_leader(protocol: &impl LeaderElection, n: usize, seed: u64) -> u64 {
+    let graph = topology::complete(n).unwrap();
+    let run = protocol.run(&graph, seed).unwrap();
+    let leaders = run.outcome.leaders().len();
+    assert_eq!(leaders, 1, "{} on K_{n}, seed {seed}", run.protocol);
+    run.cost.total_messages()
+}
+
+/// E1's crossover bracket: `QuantumLe`'s messages over `KppCompleteLe`'s on
+/// implicit `K_n`. At `α = 1/4` quantum is dearer at `n = 2^16` (measured
+/// 1.189 for seeds 1 and 2) and cheaper at `n = 2^18` (0.852). Under the
+/// registry default `α = 1/n²` each Grover search runs `⌈log₂ n²⌉` BBHT
+/// passes instead of 2, and quantum is still dearer at `n = 2^18` (15.035).
+/// A change that silently moves `α` or `k` moves a ratio across 1.
+#[test]
+#[ignore = "heavyweight (QuantumLE and KPP up to K_{2^18}); CI runs it in release"]
+fn e1_crossover_bracket_on_implicit_complete_graphs() {
+    let ratio = |quantum: &QuantumLe, n: usize, seed: u64| {
+        let q = messages_electing_one_leader(quantum, n, seed);
+        let c = messages_electing_one_leader(&KppCompleteLe::new(), n, seed);
+        q as f64 / c as f64
+    };
+    let constant_alpha = QuantumLe::with_parameters(KChoice::Optimal, AlphaChoice::Fixed(0.25));
+    for seed in [1, 2] {
+        let r = ratio(&constant_alpha, 1 << 16, seed);
+        assert!(r > 1.0, "α = 1/4, n = 2^16, seed {seed}: ratio {r:.3}");
+        let r = ratio(&constant_alpha, 1 << 18, seed);
+        assert!(r < 1.0, "α = 1/4, n = 2^18, seed {seed}: ratio {r:.3}");
+    }
+    let r = ratio(&QuantumLe::new(), 1 << 18, 1);
+    assert!(r > 1.0, "α = 1/n², n = 2^18, seed 1: ratio {r:.3}");
 }
