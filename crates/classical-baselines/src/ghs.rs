@@ -3,52 +3,24 @@
 //! for general graphs is `Ω(m)`, KPP+15a) — the regime `QuantumGeneralLE`
 //! improves to `Õ(√(m·n))`.
 //!
-//! The phase structure is identical to `QuantumGeneralLE` (find an outgoing
-//! edge per cluster, match clusters, merge); the only difference is step 1,
-//! where every node probes **all** of its incident edges to find outgoing
-//! ones instead of Grover-searching its neighbourhood.
+//! Phases 1b–3 (convergecast, matching, merge) and the final leader
+//! announcement are the tree-merging engine [`qle::merging`], which
+//! `QuantumGeneralLE` runs too; the only difference is step 1, where every
+//! node probes **all** of its incident edges to find outgoing ones instead of
+//! Grover-searching its neighbourhood.
 //!
 //! The cluster-probe phase (step 1) is **inbox-driven**: nodes answer only
 //! the queries that actually arrived and propose only edges whose replies
 //! they actually received, and crashed nodes neither query nor reply. Under
 //! an installed [`FaultPlan`](congest_net::FaultPlan) this genuinely changes
 //! which clusters merge — control flow, not just counters. The later phases
-//! (convergecast, matching, merge bookkeeping) still run off driver-side
-//! tree state, so their sends are charged but their decisions are
-//! fault-oblivious; a fully inbox-driven GHS is a ROADMAP follow-on.
+//! still run off driver-side tree state, so their sends are charged but
+//! their decisions are fault-oblivious; a fully inbox-driven GHS is a
+//! ROADMAP follow-on.
 
-use std::collections::{HashMap, HashSet, VecDeque};
-
-use congest_net::{Graph, Network, NodeId, Payload};
-use qle::problems::{LeaderElectionOutcome, NodeStatus};
-use qle::report::{CostSummary, LeaderElectionRun};
+use congest_net::{Graph, Network, NodeId};
+use qle::merging::{Clustering, MergeMessage, OutgoingEdge};
 use qle::{Error, LeaderElection, RunOptions, TracedRun};
-
-/// Messages exchanged by the classical tree-merging baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GhsMessage {
-    /// "Which cluster are you in?" probe carrying the sender's cluster id.
-    ClusterQuery(u64),
-    /// Reply: `true` means "different cluster".
-    ClusterReply(bool),
-    /// An outgoing-edge proposal travelling up the cluster tree.
-    Proposal(u64),
-    /// One step of the matching computation.
-    Matching(u64),
-    /// The merged cluster's new identifier.
-    NewCluster(u64),
-    /// The elected leader's identifier.
-    Leader(u64),
-}
-
-impl Payload for GhsMessage {
-    fn size_bits(&self) -> usize {
-        match self {
-            GhsMessage::ClusterReply(_) => 2,
-            _ => 64,
-        }
-    }
-}
 
 /// The classical `Θ(m·log n)`-message tree-merging leader election protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -62,34 +34,11 @@ impl GhsLe {
     }
 }
 
-fn tree_order(
-    cluster: u64,
-    cluster_of: &[u64],
-    tree_adj: &[Vec<NodeId>],
-) -> Vec<(NodeId, Option<NodeId>)> {
-    let center = cluster as NodeId;
-    let mut order = vec![(center, None)];
-    let mut seen = vec![false; cluster_of.len()];
-    seen[center] = true;
-    let mut queue = VecDeque::from([center]);
-    while let Some(v) = queue.pop_front() {
-        for &u in &tree_adj[v] {
-            if !seen[u] && cluster_of[u] == cluster {
-                seen[u] = true;
-                order.push((u, Some(v)));
-                queue.push_back(u);
-            }
-        }
-    }
-    order
-}
-
 impl LeaderElection for GhsLe {
     fn name(&self) -> &'static str {
         "GHS-TreeMergingLE (classical)"
     }
 
-    #[allow(clippy::too_many_lines)]
     fn run_with(&self, graph: &Graph, seed: u64, opts: &RunOptions) -> Result<TracedRun, Error> {
         graph.validate_as_network().map_err(Error::from)?;
         let n = graph.node_count();
@@ -99,9 +48,8 @@ impl LeaderElection for GhsLe {
                 reason: "need at least two nodes".into(),
             });
         }
-        let mut net: Network<GhsMessage> = opts.network(graph.clone(), seed);
-        let mut cluster_of: Vec<u64> = (0..n as u64).collect();
-        let mut tree_adj: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+        let mut net: Network<MergeMessage> = opts.network(graph.clone(), seed);
+        let mut clustering = Clustering::singletons(n);
         let max_phases = (n.max(2) as f64).log2().ceil() as usize + 2;
         let mut effective_rounds = 0u64;
         // Reusable scratch for reading inboxes back in step 1, and for the
@@ -110,10 +58,7 @@ impl LeaderElection for GhsLe {
         let mut query_scratch: Vec<(NodeId, u64)> = Vec::new();
 
         for _phase in 0..max_phases {
-            let mut clusters: Vec<u64> = cluster_of.clone();
-            clusters.sort_unstable();
-            clusters.dedup();
-            if clusters.len() <= 1 {
+            if clustering.cluster_count() <= 1 {
                 break;
             }
 
@@ -129,13 +74,14 @@ impl LeaderElection for GhsLe {
             // choices are byte-identical to the omniscient formulation:
             // inboxes deliver in ascending sender order, which is exactly
             // the neighbour order the old scan used.
-            let mut proposals: Vec<Option<(NodeId, NodeId)>> = vec![None; n];
+            let cluster_of = clustering.cluster_of();
+            let mut proposals: Vec<Option<OutgoingEdge>> = vec![None; n];
             for (v, &cluster) in cluster_of.iter().enumerate() {
                 if net.node_crashed(v) {
                     continue;
                 }
                 for w in graph.neighbors(v) {
-                    net.send(v, w, GhsMessage::ClusterQuery(cluster))?;
+                    net.send(v, w, MergeMessage::ClusterQuery(cluster))?;
                 }
             }
             net.advance_round();
@@ -156,7 +102,7 @@ impl LeaderElection for GhsLe {
                 // adds jittered latency.
                 query_scratch.clear();
                 for &(v, _port, msg) in inbox_scratch.iter() {
-                    if let GhsMessage::ClusterQuery(c) = msg {
+                    if let MergeMessage::ClusterQuery(c) = msg {
                         match query_scratch.iter_mut().find(|(from, _)| *from == v) {
                             Some(entry) => entry.1 = c,
                             None => query_scratch.push((v, c)),
@@ -164,7 +110,7 @@ impl LeaderElection for GhsLe {
                     }
                 }
                 for &(v, c) in query_scratch.iter() {
-                    net.send(w, v, GhsMessage::ClusterReply(c != own_cluster))?;
+                    net.send(w, v, MergeMessage::ClusterReply(c != own_cluster))?;
                 }
             }
             net.advance_round();
@@ -177,147 +123,30 @@ impl LeaderElection for GhsLe {
                 // neighbour-order scan on the fault-free path.
                 let mut best: Option<(usize, NodeId)> = None;
                 for &(w, port, msg) in inbox_scratch.iter() {
-                    if msg == GhsMessage::ClusterReply(true) && best.is_none_or(|(bp, _)| port < bp)
+                    if msg == MergeMessage::ClusterReply(true)
+                        && best.is_none_or(|(bp, _)| port < bp)
                     {
                         best = Some((port, w));
                     }
                 }
                 *proposal = best.map(|(_, w)| (v, w));
             }
-            effective_rounds += 2;
 
-            // Step 1b: convergecast one proposal per cluster to its centre.
-            let mut chosen: Vec<(u64, (NodeId, NodeId))> = Vec::new();
-            let mut max_depth = 0u64;
-            for &cluster in &clusters {
-                let order = tree_order(cluster, &cluster_of, &tree_adj);
-                max_depth = max_depth.max(order.len() as u64);
-                let mut best: Option<(NodeId, NodeId)> = None;
-                for &(node, parent) in order.iter().rev() {
-                    if best.is_none() || (proposals[node].is_some() && proposals[node] < best) {
-                        best = proposals[node].or(best);
-                    }
-                    if let (Some(parent), Some((_, to))) = (parent, best) {
-                        net.send(node, parent, GhsMessage::Proposal(to as u64))?;
-                    }
-                }
-                net.advance_round();
-                if let Some(edge) = best {
-                    chosen.push((cluster, edge));
-                }
-            }
-            effective_rounds += max_depth;
-
-            // Step 2: greedy maximal matching on the cluster supergraph,
-            // charged as one broadcast per cluster per matching round.
-            let super_edges: Vec<(u64, u64)> = chosen
-                .iter()
-                .map(|&(c, (_, to))| (c, cluster_of[to]))
-                .filter(|&(a, b)| a != b)
-                .collect();
-            for _ in 0..2 {
-                for &cluster in &clusters {
-                    for &(node, parent) in
-                        tree_order(cluster, &cluster_of, &tree_adj).iter().skip(1)
-                    {
-                        if let Some(parent) = parent {
-                            net.send(parent, node, GhsMessage::Matching(cluster))?;
-                        }
-                    }
-                }
-                for &(_, (from, to)) in &chosen {
-                    net.send(from, to, GhsMessage::Matching(cluster_of[from]))?;
-                }
-                net.advance_round();
-                effective_rounds += max_depth;
-            }
-            let mut matched: Vec<(u64, u64)> = Vec::new();
-            let mut in_matching: HashSet<u64> = HashSet::new();
-            for &(a, b) in &super_edges {
-                if !in_matching.contains(&a) && !in_matching.contains(&b) {
-                    in_matching.insert(a);
-                    in_matching.insert(b);
-                    matched.push((a, b));
-                }
-            }
-
-            // Step 3: merge matched pairs and hook unmatched clusters.
-            let mut new_root: HashMap<u64, u64> = HashMap::new();
-            for &(a, b) in &matched {
-                let root = a.min(b);
-                new_root.insert(a, root);
-                new_root.insert(b, root);
-            }
-            for &(cluster, (_, to)) in &chosen {
-                if !new_root.contains_key(&cluster) {
-                    let other = cluster_of[to];
-                    let root = new_root
-                        .get(&other)
-                        .copied()
-                        .unwrap_or_else(|| other.min(cluster));
-                    new_root.insert(cluster, root);
-                    new_root.entry(other).or_insert(root);
-                }
-            }
-            for &(cluster, (from, to)) in &chosen {
-                let this_root = new_root.get(&cluster).copied();
-                let other_root = new_root.get(&cluster_of[to]).copied();
-                if this_root.is_some() && this_root == other_root {
-                    tree_adj[from].push(to);
-                    tree_adj[to].push(from);
-                }
-            }
-            for cluster in cluster_of.iter_mut() {
-                if let Some(&root) = new_root.get(cluster) {
-                    *cluster = root;
-                }
-            }
-            let mut new_clusters: Vec<u64> = cluster_of.clone();
-            new_clusters.sort_unstable();
-            new_clusters.dedup();
-            let mut max_broadcast = 0u64;
-            for &cluster in &new_clusters {
-                let order = tree_order(cluster, &cluster_of, &tree_adj);
-                max_broadcast = max_broadcast.max(order.len() as u64);
-                for &(node, parent) in order.iter().skip(1) {
-                    if let Some(parent) = parent {
-                        net.send(parent, node, GhsMessage::NewCluster(cluster))?;
-                    }
-                }
-            }
-            net.advance_round();
-            effective_rounds += max_broadcast;
+            // Steps 1b–3, with the matching charged as two rounds of one
+            // broadcast per cluster tree.
+            let depths = clustering.merge_phase(&mut net, &proposals, 2)?;
+            effective_rounds += 2 + depths.tree + 2 * depths.tree + depths.merged;
         }
 
-        let mut clusters: Vec<u64> = cluster_of.clone();
-        clusters.sort_unstable();
-        clusters.dedup();
-        let mut statuses = vec![NodeStatus::NonElected; n];
-        for &cluster in &clusters {
-            statuses[cluster as NodeId] = NodeStatus::Elected;
-            for &(node, parent) in tree_order(cluster, &cluster_of, &tree_adj).iter().skip(1) {
-                if let Some(parent) = parent {
-                    net.send(parent, node, GhsMessage::Leader(cluster))?;
-                }
-            }
-        }
-        net.advance_round();
+        let statuses = clustering.announce_leaders(&mut net)?;
         effective_rounds += n as u64;
-
-        Ok(TracedRun {
-            run: LeaderElectionRun {
-                protocol: self.name().to_string(),
-                nodes: n,
-                edges: graph.edge_count(),
-                outcome: LeaderElectionOutcome::new(statuses),
-                cost: CostSummary {
-                    metrics: net.metrics(),
-                    effective_rounds,
-                },
-            },
-            trace: net.take_trace(),
-            telemetry: net.take_telemetry(),
-        })
+        Ok(TracedRun::new(
+            self.name(),
+            graph,
+            statuses,
+            effective_rounds,
+            net,
+        ))
     }
 }
 

@@ -10,8 +10,7 @@
 
 use congest_net::{Graph, Network, NodeId, Payload};
 use qle::candidate::sample_candidates;
-use qle::problems::{LeaderElectionOutcome, NodeStatus};
-use qle::report::{CostSummary, LeaderElectionRun};
+use qle::problems::NodeStatus;
 use qle::{Error, LeaderElection, RunOptions, TracedRun};
 use rand::Rng;
 
@@ -112,20 +111,7 @@ impl LeaderElection for KppCompleteLe {
         }
         net.advance_round();
 
-        Ok(TracedRun {
-            run: LeaderElectionRun {
-                protocol: self.name().to_string(),
-                nodes: n,
-                edges: graph.edge_count(),
-                outcome: LeaderElectionOutcome::new(statuses),
-                cost: CostSummary {
-                    metrics: net.metrics(),
-                    effective_rounds: 2,
-                },
-            },
-            trace: net.take_trace(),
-            telemetry: net.take_telemetry(),
-        })
+        Ok(TracedRun::new(self.name(), graph, statuses, 2, net))
     }
 }
 

@@ -69,7 +69,7 @@
 //! * A node of higher degree gets a *send log*: up to 14 ports used in one
 //!   round, tagged with that round's stamp. The log is promoted to a page,
 //!   keeping its ports' stamps, when the node sends more messages in one
-//!   round than it holds, or broadcasts.
+//!   round than it holds.
 //!
 //! So stamp state costs memory in proportion to what a node sends in a
 //! round, not to its degree, until it sends more than a log holds: on `K_n`

@@ -15,7 +15,7 @@
 //!   busy iff its stamp equals the current round stamp. A node of higher
 //!   degree gets a send log instead: the few ports it used in one round,
 //!   tagged with that round's stamp. The log becomes a page when the node
-//!   sends more messages in one round than the log holds, or broadcasts.
+//!   sends more messages in one round than the log holds.
 //!   Either way there is no hashing and nothing to clear between rounds,
 //!   nodes that never transmit never pay for stamps at all, and a node
 //!   that sends a few messages a round pays for those, not for its degree
@@ -91,11 +91,6 @@ pub struct NetworkConfig {
     /// by the agreement protocol of Section 6. Leader election protocols do
     /// not use it.
     pub shared_coin: bool,
-    /// Whether to enforce the CONGEST constraints at send time: the per-round
-    /// one-message-per-directed-edge rule and the `O(log n)` bit budget.
-    /// Enabled by default; disable only for deliberately out-of-model
-    /// experiments.
-    pub enforce_congest: bool,
     /// Whether to retain a per-round [`RoundReport`] history (costs memory on
     /// very long runs; metrics totals are always kept).
     pub track_round_history: bool,
@@ -113,14 +108,13 @@ pub struct NetworkConfig {
 }
 
 impl NetworkConfig {
-    /// A default configuration with the given seed: CONGEST enforcement on,
-    /// no shared coin, history tracking off.
+    /// A default configuration with the given seed: no shared coin, history
+    /// tracking off, auto shard count.
     #[must_use]
     pub fn with_seed(seed: u64) -> Self {
         NetworkConfig {
             seed,
             shared_coin: false,
-            enforce_congest: true,
             track_round_history: false,
             shard_count: 0,
         }
@@ -147,13 +141,6 @@ impl NetworkConfig {
         self.track_round_history = enabled;
         self
     }
-
-    /// Enables or disables CONGEST enforcement.
-    #[must_use]
-    pub fn enforce_congest(mut self, enabled: bool) -> Self {
-        self.enforce_congest = enabled;
-        self
-    }
 }
 
 impl Default for NetworkConfig {
@@ -172,8 +159,8 @@ pub type Delivery<M> = (NodeId, Port, M);
 /// A synchronous CONGEST network carrying messages of payload type `M`.
 ///
 /// Protocols interact with the network exclusively through this handle:
-/// sending ([`send`](Network::send), [`send_through_port`](Network::send_through_port),
-/// [`broadcast`](Network::broadcast)), advancing rounds
+/// sending ([`send`](Network::send), [`send_through_port`](Network::send_through_port)),
+/// advancing rounds
 /// ([`advance_round`](Network::advance_round)), reading delivered messages
 /// ([`inbox`](Network::inbox), [`take_inbox`](Network::take_inbox),
 /// [`swap_inbox`](Network::swap_inbox)), drawing private randomness
@@ -203,7 +190,7 @@ pub struct Network<M: Payload> {
     /// sent. Keeps round state O(n + messages per round) for nodes on logs
     /// and O(deg) for nodes on pages, instead of O(E) — essential for
     /// implicit million-node topologies. Monotone stamps make clearing
-    /// unnecessary. Only consulted when CONGEST enforcement is on.
+    /// unnecessary.
     send_state: Vec<SendState>,
     /// The current round's stamp; starts at 1 so a zero-initialised stamp
     /// page means "never used".
@@ -319,12 +306,6 @@ impl<M: Payload> Network<M> {
         self.faults = Some(FaultState::new(plan, self.graph.node_count()));
     }
 
-    /// Whether a fault plan is installed.
-    #[must_use]
-    pub fn fault_plan_active(&self) -> bool {
-        self.faults.is_some()
-    }
-
     /// Installs a scheduler adversary, which is all event mode is: whatever
     /// drives this network — a [`SyncRuntime`](crate::SyncRuntime), sharded
     /// or not, or a protocol calling the network directly — runs unchanged
@@ -342,20 +323,6 @@ impl<M: Payload> Network<M> {
     /// byte-identical to installing none.
     pub fn set_scheduler(&mut self, spec: &SchedulerSpec) {
         self.scheduler = Some(SchedulerState::new(spec));
-    }
-
-    /// Whether a scheduler adversary is installed.
-    #[must_use]
-    pub fn scheduler_active(&self) -> bool {
-        self.scheduler.is_some()
-    }
-
-    /// Total delivery delay the installed scheduler has imposed so far, in
-    /// ticks summed over messages (0 without a scheduler — and 0 under the
-    /// synchronous policy, which never skews).
-    #[must_use]
-    pub fn total_scheduler_skew(&self) -> u64 {
-        self.scheduler.as_ref().map_or(0, |s| s.total_skew)
     }
 
     /// Turns on the trace sink: from now on, fault events are recorded with
@@ -421,14 +388,6 @@ impl<M: Payload> Network<M> {
         if let Some(t) = self.telemetry.as_deref_mut() {
             t.record_shard_busy(shard, nanos);
         }
-    }
-
-    /// Current depth of the cross-round event heap: messages parked by
-    /// link-latency faults or scheduler skew, not yet matured. Always 0
-    /// without latency faults or a scheduler adversary.
-    #[must_use]
-    pub fn delayed_len(&self) -> usize {
-        self.delayed.len()
     }
 
     /// Whether node `v` is down (crashed and not yet recovered, per the
@@ -613,17 +572,14 @@ impl<M: Payload> Network<M> {
         msg: M,
     ) -> Result<(), Error> {
         let bits = msg.size_bits();
-        if self.config.enforce_congest {
-            if bits > self.budget_bits {
-                return Err(Error::MessageTooLarge {
-                    bits,
-                    budget: self.budget_bits,
-                });
-            }
-            if !self.send_state[from].try_stamp(|| self.graph.degree(from), port, self.round_stamp)
-            {
-                return Err(Error::EdgeBusy { from, to });
-            }
+        if bits > self.budget_bits {
+            return Err(Error::MessageTooLarge {
+                bits,
+                budget: self.budget_bits,
+            });
+        }
+        if !self.send_state[from].try_stamp(|| self.graph.degree(from), port, self.round_stamp) {
+            return Err(Error::EdgeBusy { from, to });
         }
         self.recorder.record_send(bits);
         self.pending.push((from, arrival, to, msg));
@@ -642,8 +598,7 @@ impl<M: Payload> Network<M> {
     /// * [`Error::NodeOutOfRange`] if either endpoint is out of range,
     /// * [`Error::NotAdjacent`] if the nodes are not neighbours,
     /// * [`Error::MessageTooLarge`] if the payload exceeds the CONGEST budget,
-    /// * [`Error::EdgeBusy`] if the directed edge was already used this round
-    ///   (only when CONGEST enforcement is on).
+    /// * [`Error::EdgeBusy`] if the directed edge was already used this round.
     pub fn send(&mut self, from: NodeId, to: NodeId, msg: M) -> Result<(), Error> {
         let n = self.graph.node_count();
         if from >= n {
@@ -679,55 +634,6 @@ impl<M: Payload> Network<M> {
                 degree,
             }),
         }
-    }
-
-    /// Sends `msg` from `v` to every neighbour of `v`, without allocating
-    /// (beyond `v`'s stamp page on its first broadcast: a broadcast always
-    /// runs on a page, so a node on a send log is promoted here, its logged
-    /// ports keeping their stamps).
-    ///
-    /// The budget check and the stamp-page lookup are hoisted out of the
-    /// per-port loop — on high-degree nodes (the star hub, any node of
-    /// `K_n`) this is the hottest loop in the crate. A busy port fails the
-    /// broadcast with [`Error::EdgeBusy`], leaving the sends through the
-    /// ports before it queued.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`send`](Network::send).
-    pub fn broadcast(&mut self, v: NodeId, msg: M) -> Result<(), Error> {
-        if v >= self.graph.node_count() {
-            return Err(Error::NodeOutOfRange {
-                node: v,
-                n: self.graph.node_count(),
-            });
-        }
-        let degree = self.graph.degree(v);
-        let bits = msg.size_bits();
-        // Without enforcement the page is empty and no port is stamped.
-        let page: &mut [u64] = if self.config.enforce_congest {
-            if bits > self.budget_bits {
-                return Err(Error::MessageTooLarge {
-                    bits,
-                    budget: self.budget_bits,
-                });
-            }
-            self.send_state[v].page(degree)
-        } else {
-            &mut []
-        };
-        for port in 0..degree {
-            let (to, arrival) = self.graph.delivery_slot(v, port);
-            if let Some(stamp) = page.get_mut(port) {
-                if *stamp == self.round_stamp {
-                    return Err(Error::EdgeBusy { from: v, to });
-                }
-                *stamp = self.round_stamp;
-            }
-            self.recorder.record_send(bits);
-            self.pending.push((v, arrival, to, msg.clone()));
-        }
-        Ok(())
     }
 
     /// Delivers all pending messages and advances the round clock by one.
@@ -1144,21 +1050,6 @@ impl<M: Payload> Network<M> {
         out
     }
 
-    /// Whether a quantum scope is currently active.
-    #[must_use]
-    pub fn in_quantum_scope(&self) -> bool {
-        self.recorder.quantum_depth > 0
-    }
-
-    /// Resets all metrics (but not node state or randomness). Useful when a
-    /// caller wants to measure phases of a protocol separately.
-    pub fn reset_metrics(&mut self) {
-        self.recorder = MetricsRecorder::default();
-        for shard in &mut self.shard_counters {
-            *shard = ShardCounters::default();
-        }
-    }
-
     /// The resolved shard count `k` (`1` = sequential execution).
     #[must_use]
     pub fn shard_count(&self) -> usize {
@@ -1215,7 +1106,6 @@ impl<M: Payload> Network<M> {
                 down_windows,
                 fault_clock,
                 round_stamp: self.round_stamp,
-                enforce_congest: self.config.enforce_congest,
                 budget_bits: self.budget_bits,
                 quantum,
                 inboxes: shard_inboxes,
@@ -1248,7 +1138,6 @@ pub struct ShardView<'a, M: Payload> {
     /// The fault clock at view creation (the round being executed).
     fault_clock: u64,
     round_stamp: u64,
-    enforce_congest: bool,
     budget_bits: usize,
     /// Whether sends this round are charged to the quantum meter (captured
     /// from the recorder at view creation).
@@ -1368,8 +1257,7 @@ impl<M: Payload> ShardView<'_, M> {
     ///
     /// * [`Error::PortOutOfRange`] if `port >= deg(from)`,
     /// * [`Error::MessageTooLarge`] if the payload exceeds the CONGEST budget,
-    /// * [`Error::EdgeBusy`] if the directed edge was already used this round
-    ///   (only when CONGEST enforcement is on).
+    /// * [`Error::EdgeBusy`] if the directed edge was already used this round.
     ///
     /// # Panics
     ///
@@ -1395,20 +1283,18 @@ impl<M: Payload> ShardView<'_, M> {
             }
         };
         let bits = msg.size_bits();
-        if self.enforce_congest {
-            if bits > self.budget_bits {
-                return Err(Error::MessageTooLarge {
-                    bits,
-                    budget: self.budget_bits,
-                });
-            }
-            if !self.send_state[from - self.node_lo].try_stamp(
-                || self.graph.degree(from),
-                port,
-                self.round_stamp,
-            ) {
-                return Err(Error::EdgeBusy { from, to });
-            }
+        if bits > self.budget_bits {
+            return Err(Error::MessageTooLarge {
+                bits,
+                budget: self.budget_bits,
+            });
+        }
+        if !self.send_state[from - self.node_lo].try_stamp(
+            || self.graph.degree(from),
+            port,
+            self.round_stamp,
+        ) {
+            return Err(Error::EdgeBusy { from, to });
         }
         self.counters.record_send(bits, self.quantum);
         self.pending.push((from, arrival, to, msg));
@@ -1446,7 +1332,7 @@ enum SendState {
     Page(Box<[u64]>),
     /// The ports used in the log's round, for a node of degree above
     /// [`PAGE_MAX_DEGREE`] that has so far sent at most [`LOG_PORTS`]
-    /// messages in every round and never broadcast.
+    /// messages in every round.
     Log(Box<SendLog>),
 }
 
@@ -1586,7 +1472,7 @@ mod tests {
             Err(Error::PortOutOfRange { .. })
         ));
         assert!(matches!(
-            net.broadcast(9, 1),
+            net.send_through_port(9, 0, 1),
             Err(Error::NodeOutOfRange { .. })
         ));
     }
@@ -1688,8 +1574,11 @@ mod tests {
 
     #[test]
     fn broadcast_reaches_all_neighbors() {
+        // A broadcast is one send through every port.
         let mut net = small_net(false);
-        net.broadcast(0, 11).unwrap();
+        for port in 0..5 {
+            net.send_through_port(0, port, 11).unwrap();
+        }
         net.advance_round();
         for v in 1..6 {
             let inbox = net.inbox(v);

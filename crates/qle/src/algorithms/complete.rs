@@ -27,9 +27,8 @@ use crate::candidate::{sample_candidates, Candidate};
 use crate::config::{AlphaChoice, KChoice};
 use crate::error::Error;
 use crate::framework::{distributed_grover_search, CheckingOracle};
-use crate::problems::{LeaderElectionOutcome, NodeStatus};
+use crate::problems::NodeStatus;
 use crate::protocol::{LeaderElection, RunOptions, TracedRun};
-use crate::report::{CostSummary, LeaderElectionRun};
 
 /// Messages exchanged by `QuantumLE`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -193,7 +192,6 @@ impl LeaderElection for QuantumLe {
     fn run_with(&self, graph: &Graph, seed: u64, opts: &RunOptions) -> Result<TracedRun, Error> {
         Self::validate(graph)?;
         let n = graph.node_count();
-        let edges = graph.edge_count();
         let k = self.k.resolve(n, 1.0 / 3.0);
         let alpha = self.alpha.resolve(n);
         let mut net: Network<LeMessage> = opts.network(graph.clone(), seed);
@@ -235,20 +233,13 @@ impl LeaderElection for QuantumLe {
             };
         }
 
-        Ok(TracedRun {
-            run: LeaderElectionRun {
-                protocol: self.name().to_string(),
-                nodes: n,
-                edges,
-                outcome: LeaderElectionOutcome::new(statuses),
-                cost: CostSummary {
-                    metrics: net.metrics(),
-                    effective_rounds: classical_rounds + max_quantum_rounds,
-                },
-            },
-            trace: net.take_trace(),
-            telemetry: net.take_telemetry(),
-        })
+        Ok(TracedRun::new(
+            self.name(),
+            graph,
+            statuses,
+            classical_rounds + max_quantum_rounds,
+            net,
+        ))
     }
 }
 

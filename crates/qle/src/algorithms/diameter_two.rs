@@ -51,9 +51,8 @@ use crate::error::Error;
 use crate::framework::{
     distributed_grover_search, distributed_walk_search, CheckingOracle, WalkOracle,
 };
-use crate::problems::{LeaderElectionOutcome, NodeStatus};
+use crate::problems::NodeStatus;
 use crate::protocol::{LeaderElection, RunOptions, TracedRun};
-use crate::report::{CostSummary, LeaderElectionRun};
 
 /// Messages exchanged by `QuantumQWLE`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -570,20 +569,13 @@ impl LeaderElection for QuantumQwLe {
                 statuses[c.node] = NodeStatus::Elected;
             }
         }
-        Ok(TracedRun {
-            run: LeaderElectionRun {
-                protocol: self.name().to_string(),
-                nodes: n,
-                edges: graph.edge_count(),
-                outcome: LeaderElectionOutcome::new(statuses),
-                cost: CostSummary {
-                    metrics: net.metrics(),
-                    effective_rounds,
-                },
-            },
-            trace: net.take_trace(),
-            telemetry: net.take_telemetry(),
-        })
+        Ok(TracedRun::new(
+            self.name(),
+            graph,
+            statuses,
+            effective_rounds,
+            net,
+        ))
     }
 }
 

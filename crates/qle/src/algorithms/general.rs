@@ -16,51 +16,21 @@
 //! `Õ(√deg(v))` messages; summed over all nodes this is `Õ(√(m·n))` by
 //! Cauchy–Schwarz (Lemma 5.8), which yields the `Õ(√(m·n))` total of
 //! Theorem 5.10.
+//!
+//! Everything after step 1 (convergecast, matching, merge and the final
+//! leader announcement) is the tree-merging engine in
+//! [`merging`](crate::merging), which the classical GHS baseline runs too,
+//! so the two protocols differ by construction only in step 1.
 
-use std::collections::VecDeque;
-
-use congest_net::{Graph, Network, NodeId, Payload};
+use congest_net::{Graph, Network, NodeId};
 use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::config::AlphaChoice;
 use crate::error::Error;
 use crate::framework::{distributed_grover_search, CheckingOracle};
-use crate::problems::{LeaderElectionOutcome, NodeStatus};
+use crate::merging::{Clustering, MergeMessage, OutgoingEdge};
 use crate::protocol::{LeaderElection, RunOptions, TracedRun};
-use crate::report::{CostSummary, LeaderElectionRun};
-
-/// Messages exchanged by `QuantumGeneralLE`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GenMessage {
-    /// "Which cluster are you in?" — carries the sender's cluster identifier.
-    ClusterQuery(u64),
-    /// Reply to a cluster query: `true` means "different cluster".
-    ClusterReply(bool),
-    /// An outgoing-edge proposal travelling up the cluster tree.
-    Proposal {
-        /// The proposing endpoint inside the cluster.
-        from: u64,
-        /// The endpoint outside the cluster.
-        to: u64,
-    },
-    /// One step of the simulated Cole–Vishkin matching computation.
-    Matching(u64),
-    /// The merged cluster's new identifier, broadcast over the merged tree.
-    NewCluster(u64),
-    /// The elected leader's identifier, broadcast at the end.
-    Leader(u64),
-}
-
-impl Payload for GenMessage {
-    fn size_bits(&self) -> usize {
-        match self {
-            GenMessage::ClusterReply(_) => 2,
-            GenMessage::Proposal { .. } => 64,
-            _ => 64,
-        }
-    }
-}
 
 /// The `Checking_v` oracle of Lemma 5.8: ask a neighbour whether its cluster
 /// centre differs from ours (two messages, two rounds).
@@ -91,14 +61,14 @@ impl<'a> OutgoingEdgeOracle<'a> {
     }
 }
 
-impl CheckingOracle<GenMessage> for OutgoingEdgeOracle<'_> {
+impl CheckingOracle<MergeMessage> for OutgoingEdgeOracle<'_> {
     type Item = NodeId;
 
-    fn check(&mut self, net: &mut Network<GenMessage>, w: &NodeId) -> Result<bool, Error> {
-        net.send(self.node, *w, GenMessage::ClusterQuery(self.cluster))?;
+    fn check(&mut self, net: &mut Network<MergeMessage>, w: &NodeId) -> Result<bool, Error> {
+        net.send(self.node, *w, MergeMessage::ClusterQuery(self.cluster))?;
         net.advance_round();
         let answer = self.cluster_of[*w] != self.cluster;
-        net.send(*w, self.node, GenMessage::ClusterReply(answer))?;
+        net.send(*w, self.node, MergeMessage::ClusterReply(answer))?;
         net.advance_round();
         Ok(answer)
     }
@@ -121,50 +91,6 @@ impl CheckingOracle<GenMessage> for OutgoingEdgeOracle<'_> {
         } else {
             Some(self.marked[rng.gen_range(0..self.marked.len())])
         }
-    }
-}
-
-/// Cluster bookkeeping: identifiers are the centre node's id.
-#[derive(Debug)]
-struct Clustering {
-    cluster_of: Vec<u64>,
-    /// Spanning-tree adjacency (tree edges are always graph edges).
-    tree_adj: Vec<Vec<NodeId>>,
-}
-
-impl Clustering {
-    fn singletons(n: usize) -> Self {
-        Clustering {
-            cluster_of: (0..n as u64).collect(),
-            tree_adj: vec![Vec::new(); n],
-        }
-    }
-
-    fn cluster_ids(&self) -> Vec<u64> {
-        let mut ids = self.cluster_of.clone();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
-    }
-
-    /// Breadth-first order of the cluster tree from its centre, as
-    /// `(node, parent)` pairs; used for convergecast/broadcast charging.
-    fn tree_order(&self, cluster: u64) -> Vec<(NodeId, Option<NodeId>)> {
-        let center = cluster as NodeId;
-        let mut order = vec![(center, None)];
-        let mut seen = vec![false; self.cluster_of.len()];
-        seen[center] = true;
-        let mut queue = VecDeque::from([center]);
-        while let Some(v) = queue.pop_front() {
-            for &u in &self.tree_adj[v] {
-                if !seen[u] && self.cluster_of[u] == cluster {
-                    seen[u] = true;
-                    order.push((u, Some(v)));
-                    queue.push_back(u);
-                }
-            }
-        }
-        order
     }
 }
 
@@ -216,7 +142,6 @@ impl LeaderElection for QuantumGeneralLe {
         "QuantumGeneralLE"
     }
 
-    #[allow(clippy::too_many_lines)]
     fn run_with(&self, graph: &Graph, seed: u64, opts: &RunOptions) -> Result<TracedRun, Error> {
         graph.validate_as_network()?;
         let n = graph.node_count();
@@ -227,18 +152,19 @@ impl LeaderElection for QuantumGeneralLe {
             });
         }
         let alpha = self.alpha.resolve_inner(n);
-        let mut net: Network<GenMessage> = opts.network(graph.clone(), seed);
+        let mut net: Network<MergeMessage> = opts.network(graph.clone(), seed);
         let mut clustering = Clustering::singletons(n);
         // The halving argument needs ⌈log₂ n⌉ phases when every cluster finds
         // an outgoing edge; a small amount of slack absorbs per-node Grover
         // failures in the constant-success configuration (the loop exits as
         // soon as a single cluster remains, so slack phases are free).
         let max_phases = 2 * (n.max(2) as f64).log2().ceil() as usize + 2;
+        // The matching is simulated by the clusters with Cole–Vishkin.
+        let cv_rounds = log_star(n) + 1;
         let mut effective_rounds = 0u64;
 
         for _phase in 0..max_phases {
-            let clusters = clustering.cluster_ids();
-            if clusters.len() <= 1 {
+            if clustering.cluster_count() <= 1 {
                 break;
             }
 
@@ -246,11 +172,10 @@ impl LeaderElection for QuantumGeneralLe {
             // incident outgoing edge. The per-node searches are logically
             // parallel (they use disjoint edges), so the phase's round cost
             // is the maximum over nodes.
-            let cluster_of = clustering.cluster_of.clone();
-            let mut proposals: Vec<Option<(NodeId, NodeId)>> = vec![None; n];
+            let mut proposals: Vec<Option<OutgoingEdge>> = vec![None; n];
             let mut max_search_rounds = 0u64;
             for (v, proposal) in proposals.iter_mut().enumerate() {
-                let mut oracle = OutgoingEdgeOracle::new(v, graph, &cluster_of);
+                let mut oracle = OutgoingEdgeOracle::new(v, graph, clustering.cluster_of());
                 if oracle.domain_size() == 0 {
                     continue;
                 }
@@ -261,158 +186,24 @@ impl LeaderElection for QuantumGeneralLe {
                     *proposal = Some((v, w));
                 }
             }
-            effective_rounds += max_search_rounds;
 
-            // Step 1b: convergecast one proposal per cluster to its centre
-            // (one message per tree edge on the path, aggregated so each tree
-            // edge carries at most one proposal).
-            let mut chosen: Vec<(u64, (NodeId, NodeId))> = Vec::new();
-            let mut max_tree_depth = 0u64;
-            for &cluster in &clusters {
-                let order = clustering.tree_order(cluster);
-                max_tree_depth = max_tree_depth.max(order.len() as u64);
-                let mut best: Option<(NodeId, NodeId)> = None;
-                // Walk the tree bottom-up: each non-centre node forwards the
-                // best proposal seen in its subtree to its parent.
-                for &(node, parent) in order.iter().rev() {
-                    if best.is_none() || (proposals[node].is_some() && proposals[node] < best) {
-                        best = proposals[node];
-                    }
-                    if let (Some(parent), Some((from, to))) = (parent, best) {
-                        net.send(
-                            node,
-                            parent,
-                            GenMessage::Proposal {
-                                from: from as u64,
-                                to: to as u64,
-                            },
-                        )?;
-                    }
-                }
-                net.advance_round();
-                if let Some(edge) = best {
-                    chosen.push((cluster, edge));
-                }
-            }
-            effective_rounds += max_tree_depth;
-
-            // Step 2: maximal matching on the cluster supergraph, simulated
-            // by the clusters with Cole–Vishkin. The matching itself is
-            // deterministic greedy over the chosen edges; the simulation cost
-            // is log*(n) rounds of one broadcast per cluster tree plus one
-            // message across each chosen outgoing edge.
-            let super_edges: Vec<(u64, u64)> = chosen
-                .iter()
-                .map(|&(c, (_, to))| (c, cluster_of[to]))
-                .filter(|&(a, b)| a != b)
-                .collect();
-            let cv_rounds = log_star(n) + 1;
-            for _ in 0..cv_rounds {
-                for &cluster in &clusters {
-                    for &(node, parent) in clustering.tree_order(cluster).iter().skip(1) {
-                        if let Some(parent) = parent {
-                            net.send(parent, node, GenMessage::Matching(cluster))?;
-                        }
-                    }
-                }
-                for &(cluster, (from, to)) in &chosen {
-                    let _ = cluster;
-                    net.send(from, to, GenMessage::Matching(cluster_of[from]))?;
-                }
-                net.advance_round();
-            }
-            effective_rounds += cv_rounds + max_tree_depth * cv_rounds;
-
-            let mut matched: Vec<(u64, u64)> = Vec::new();
-            let mut in_matching: std::collections::HashSet<u64> = std::collections::HashSet::new();
-            for &(a, b) in &super_edges {
-                if !in_matching.contains(&a) && !in_matching.contains(&b) {
-                    in_matching.insert(a);
-                    in_matching.insert(b);
-                    matched.push((a, b));
-                }
-            }
-
-            // Step 3: merge. Matched pairs merge along their chosen edge; an
-            // unmatched cluster with a chosen edge hooks onto the (matched)
-            // cluster on the other side. The merged cluster takes the
-            // smallest involved centre as its new centre, and the new id is
-            // broadcast over the merged tree.
-            let mut new_root: std::collections::HashMap<u64, u64> =
-                std::collections::HashMap::new();
-            for &(a, b) in &matched {
-                let root = a.min(b);
-                new_root.insert(a, root);
-                new_root.insert(b, root);
-            }
-            for &(cluster, (_, to)) in &chosen {
-                if !new_root.contains_key(&cluster) {
-                    let other = cluster_of[to];
-                    let root = new_root.get(&other).copied().unwrap_or(other.min(cluster));
-                    new_root.insert(cluster, root);
-                    new_root.entry(other).or_insert(root);
-                }
-            }
-            // Install the new tree edges (each chosen edge used for a merge).
-            for &(cluster, (from, to)) in &chosen {
-                let this_root = new_root.get(&cluster).copied();
-                let other_root = new_root.get(&cluster_of[to]).copied();
-                if this_root.is_some() && this_root == other_root {
-                    clustering.tree_adj[from].push(to);
-                    clustering.tree_adj[to].push(from);
-                }
-            }
-            // Relabel nodes and broadcast the new cluster identifier.
-            for v in 0..n {
-                if let Some(&root) = new_root.get(&clustering.cluster_of[v]) {
-                    clustering.cluster_of[v] = root;
-                }
-            }
-            let new_clusters = clustering.cluster_ids();
-            let mut max_broadcast = 0u64;
-            for &cluster in &new_clusters {
-                let order = clustering.tree_order(cluster);
-                max_broadcast = max_broadcast.max(order.len() as u64);
-                for &(node, parent) in order.iter().skip(1) {
-                    if let Some(parent) = parent {
-                        net.send(parent, node, GenMessage::NewCluster(cluster))?;
-                    }
-                }
-            }
-            net.advance_round();
-            effective_rounds += max_broadcast;
+            // Steps 1b–3, with each of the `cv_rounds` matching rounds
+            // charged as one round across the chosen edges plus one
+            // broadcast per cluster tree.
+            let depths = clustering.merge_phase(&mut net, &proposals, cv_rounds)?;
+            effective_rounds +=
+                max_search_rounds + depths.tree + cv_rounds * (1 + depths.tree) + depths.merged;
         }
 
-        // Ending: the surviving cluster's centre is the leader and broadcasts
-        // its identity over the spanning tree (explicit leader election).
-        let clusters = clustering.cluster_ids();
-        let mut statuses = vec![NodeStatus::NonElected; n];
-        for &cluster in &clusters {
-            statuses[cluster as NodeId] = NodeStatus::Elected;
-            let order = clustering.tree_order(cluster);
-            for &(node, parent) in order.iter().skip(1) {
-                if let Some(parent) = parent {
-                    net.send(parent, node, GenMessage::Leader(cluster))?;
-                }
-            }
-        }
-        net.advance_round();
+        let statuses = clustering.announce_leaders(&mut net)?;
         effective_rounds += n as u64;
-
-        Ok(TracedRun {
-            run: LeaderElectionRun {
-                protocol: self.name().to_string(),
-                nodes: n,
-                edges: graph.edge_count(),
-                outcome: LeaderElectionOutcome::new(statuses),
-                cost: CostSummary {
-                    metrics: net.metrics(),
-                    effective_rounds,
-                },
-            },
-            trace: net.take_trace(),
-            telemetry: net.take_telemetry(),
-        })
+        Ok(TracedRun::new(
+            self.name(),
+            graph,
+            statuses,
+            effective_rounds,
+            net,
+        ))
     }
 }
 

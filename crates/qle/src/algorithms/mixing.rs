@@ -36,9 +36,8 @@ use crate::candidate::{sample_candidates, Candidate};
 use crate::config::{AlphaChoice, KChoice};
 use crate::error::Error;
 use crate::framework::{distributed_grover_search, CheckingOracle};
-use crate::problems::{LeaderElectionOutcome, NodeStatus};
+use crate::problems::NodeStatus;
 use crate::protocol::{LeaderElection, RunOptions, TracedRun};
-use crate::report::{CostSummary, LeaderElectionRun};
 
 /// Messages exchanged by `QuantumRWLE`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -289,7 +288,6 @@ impl LeaderElection for QuantumRwLe {
                 reason: "need at least three nodes".into(),
             });
         }
-        let edges = graph.edge_count();
         let tau = self.resolve_tau(graph);
         let walk_length = tau;
         let k = self.resolve_k(n, tau);
@@ -355,20 +353,13 @@ impl LeaderElection for QuantumRwLe {
             };
         }
 
-        Ok(TracedRun {
-            run: LeaderElectionRun {
-                protocol: self.name().to_string(),
-                nodes: n,
-                edges,
-                outcome: LeaderElectionOutcome::new(statuses),
-                cost: CostSummary {
-                    metrics: net.metrics(),
-                    effective_rounds: classical_rounds + max_quantum_rounds,
-                },
-            },
-            trace: net.take_trace(),
-            telemetry: net.take_telemetry(),
-        })
+        Ok(TracedRun::new(
+            self.name(),
+            graph,
+            statuses,
+            classical_rounds + max_quantum_rounds,
+            net,
+        ))
     }
 }
 

@@ -22,8 +22,9 @@
 //!   (complete graphs with shared randomness, `Õ(n^{1/5})` expected);
 //! * the problem definitions and outcome validators of Section 2.2
 //!   ([`problems`]), the candidate/rank machinery of Appendix C
-//!   ([`candidate`]), and the star-graph worked example of Appendix B.2
-//!   ([`star`]).
+//!   ([`candidate`]), the tree-merging phases `QuantumGeneralLE` shares with
+//!   the classical GHS baseline ([`merging`]), and the star-graph worked
+//!   example of Appendix B.2 ([`star`]).
 //!
 //! Quantum behaviour is simulated exactly at the level the protocols consume
 //! it (outcome laws of Grover search, quantum counting, and MNRS walks; see
@@ -61,6 +62,7 @@ pub mod candidate;
 pub mod config;
 pub mod error;
 pub mod framework;
+pub mod merging;
 pub mod problems;
 pub mod protocol;
 pub mod report;

@@ -20,7 +20,8 @@ use congest_net::{
 };
 
 use crate::error::Error;
-use crate::report::{AgreementRun, LeaderElectionRun};
+use crate::problems::{LeaderElectionOutcome, NodeStatus};
+use crate::report::{AgreementRun, CostSummary, LeaderElectionRun};
 
 /// Execution options threaded through [`LeaderElection::run_with`]: the
 /// knobs a scenario applies to a protocol's internal network without the
@@ -116,6 +117,35 @@ pub struct TracedRun {
     /// [`congest_net::telemetry::WallTelemetry`] half and never participate
     /// in determinism or replay comparisons.
     pub telemetry: Option<TelemetryReport>,
+}
+
+impl TracedRun {
+    /// The report of a finished leader-election run on `graph`: the final
+    /// `statuses` and `effective_rounds` come from the driver, the metrics,
+    /// trace and telemetry from the network it ran on.
+    #[must_use]
+    pub fn new<M: Payload>(
+        protocol: &str,
+        graph: &Graph,
+        statuses: Vec<NodeStatus>,
+        effective_rounds: u64,
+        mut net: Network<M>,
+    ) -> Self {
+        TracedRun {
+            run: LeaderElectionRun {
+                protocol: protocol.to_string(),
+                nodes: graph.node_count(),
+                edges: graph.edge_count(),
+                outcome: LeaderElectionOutcome::new(statuses),
+                cost: CostSummary {
+                    metrics: net.metrics(),
+                    effective_rounds,
+                },
+            },
+            trace: net.take_trace(),
+            telemetry: net.take_telemetry(),
+        }
+    }
 }
 
 /// A (randomized or quantum) implicit leader-election protocol.

@@ -19,7 +19,7 @@
 use classical_baselines::GhsLe;
 use congest_net::programs::Flood;
 use congest_net::{topology, FaultPlan, Metrics, NetworkConfig, SyncRuntime, TraceEvent};
-use qle::algorithms::{QuantumLe, QuantumQwLe};
+use qle::algorithms::{QuantumGeneralLe, QuantumLe, QuantumQwLe};
 use qle::star::quantum_star_count;
 use qle::{AlphaChoice, KChoice, LeaderElection, RunOptions};
 use quantum_sim::{Complex, StateVector};
@@ -225,6 +225,47 @@ fn ghs_is_deterministic_and_matches_golden() {
     assert_eq!(a.cost.total_messages(), 2583);
     assert_eq!(a.cost.metrics.rounds, 78);
     assert_eq!(a.cost.metrics.total_bits, 102_072);
+    assert_eq!(a.cost.effective_rounds, 313);
+}
+
+/// One `QuantumGeneralLe::new()` run, as the golden below pins it: classical
+/// and quantum messages, network rounds, total bits, effective rounds and
+/// the elected set.
+fn general_le_golden_row(
+    graph: &congest_net::Graph,
+    seed: u64,
+) -> (u64, u64, u64, u64, u64, Vec<usize>) {
+    let run = QuantumGeneralLe::new().run(graph, seed).unwrap();
+    (
+        run.cost.metrics.classical_messages,
+        run.cost.metrics.quantum_messages,
+        run.cost.metrics.rounds,
+        run.cost.metrics.total_bits,
+        run.cost.effective_rounds,
+        run.outcome.leaders(),
+    )
+}
+
+#[test]
+fn quantum_general_le_is_deterministic_and_matches_golden() {
+    // Golden: QuantumGeneralLE (α = 1/n³) with protocol seed 5, on the GHS
+    // golden's G(48, 0.15) and on the implicit 6 x 6 torus. Step 1 is the
+    // per-node Grover search; every later phase is the tree-merging
+    // bookkeeping GHS shares, so these rows pin both.
+    let er = topology::erdos_renyi_connected(48, 0.15, 7).unwrap();
+    let first = general_le_golden_row(&er, 5);
+    assert_eq!(
+        first,
+        general_le_golden_row(&er, 5),
+        "QuantumGeneralLE differs between identical runs"
+    );
+    assert_eq!(first, (1096, 76_976, 77_072, 2_610_352, 3131, vec![0]));
+    let torus = topology::torus(6, 6).unwrap();
+    assert!(torus.is_implicit());
+    assert_eq!(
+        general_le_golden_row(&torus, 5),
+        (816, 27_648, 27_728, 964_608, 1029, vec![0])
+    );
 }
 
 #[test]

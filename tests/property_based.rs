@@ -365,16 +365,6 @@ impl ReferenceNetwork<'_> {
         }
     }
 
-    /// Port by port, so a busy port fails the broadcast and leaves the
-    /// sends before it queued.
-    fn broadcast(&mut self, v: usize, msg: Probe) -> Result<(), Error> {
-        let n = self.graph.node_count();
-        if v >= n {
-            return Err(Error::NodeOutOfRange { node: v, n });
-        }
-        (0..self.graph.degree(v)).try_for_each(|port| self.send_through_port(v, port, msg))
-    }
-
     /// The inboxes of the round that ends now, indexed by node.
     fn advance_round(&mut self) -> Vec<Vec<(usize, Port, Probe)>> {
         let mut inboxes = vec![Vec::new(); self.graph.node_count()];
@@ -388,12 +378,11 @@ impl ReferenceNetwork<'_> {
 }
 
 /// Drives `graph`'s [`Network`] and a [`ReferenceNetwork`] through the same
-/// random sequence of sends, broadcasts, round advances and skips, and
+/// random sequence of sends, round advances and skips, and
 /// asserts that every result, every delivered inbox and the metrics agree.
 /// Rounds vary from idle to dozens of sends, most of them from one hot node
 /// and concentrated on its low ports, so high-degree senders fill their
-/// send logs, reuse logged ports, get promoted to pages mid-round and
-/// broadcast over ports they already used.
+/// send logs, reuse logged ports and get promoted to pages mid-round.
 fn check_congest_against_reference(graph: &Graph, seed: u64) {
     let n = graph.node_count();
     let mut net: Network<Probe> = Network::new(graph.clone(), NetworkConfig::with_seed(seed));
@@ -430,8 +419,7 @@ fn check_congest_against_reference(graph: &Graph, seed: u64) {
                 _ => rng.gen_range(0..degree),
             };
             let (got, want) = match rng.gen_range(0..20u32) {
-                0 => (net.broadcast(from, msg), reference.broadcast(from, msg)),
-                1..=9 => {
+                0..=9 => {
                     let to = match graph.neighbor_through_port(from.min(n - 1), port) {
                         Ok(u) if rng.gen_bool(0.9) => u,
                         _ => rng.gen_range(0..n + 1),
