@@ -532,8 +532,8 @@ ENVIRONMENT:
     CONGEST_SHARDS=<k>               worker shards for auto-configured networks
                                      (default 1 = sequential; metrics and traces
                                      are byte-identical for every k)
-    RAYON_NUM_THREADS=<t>            thread-pool size for sweeps, scenario cells,
-                                     and sharded rounds (default: available cores)
+    RAYON_NUM_THREADS=<t>            thread-pool size for scenario cells and
+                                     sharded rounds (default: available cores)
 
 Scenario cells honour CONGEST_SHARDS; traces recorded at one shard count replay
 byte-identically at any other (the deterministic barrier-merge invariant).

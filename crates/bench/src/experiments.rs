@@ -25,7 +25,6 @@ use qle::star::{
     classical_star_count, classical_star_search, quantum_star_count, quantum_star_search,
 };
 use qle::{Agreement, AlphaChoice, KChoice, LeaderElection};
-use rayon::prelude::*;
 
 use crate::fit::fit_exponent;
 use crate::table::ExperimentTable;
@@ -33,31 +32,20 @@ use crate::table::ExperimentTable;
 /// Number of seeds averaged per configuration in the sweep experiments.
 const SEEDS: u64 = 2;
 
-/// Runs `protocol` once per seed **in parallel** and averages the measured
-/// costs. Every seed is an independent simulation with its own network, so
-/// the sweep is embarrassingly parallel; per-seed results are merged in seed
-/// order, keeping the averages bit-identical to the sequential loop.
-fn average_le<P: LeaderElection + Sync>(
+/// Runs `protocol` once per seed `0..seeds` and averages the measured costs
+/// (messages, effective rounds, success rate).
+fn average_le<P: LeaderElection>(
     protocol: &P,
     graph: &congest_net::Graph,
     seeds: u64,
 ) -> (f64, f64, f64) {
-    let runs: Vec<(f64, f64, f64)> = (0..seeds)
-        .into_par_iter()
-        .map(|seed| {
-            let run = protocol.run(graph, seed).expect("protocol run failed");
-            (
-                run.cost.total_messages() as f64,
-                run.cost.effective_rounds as f64,
-                f64::from(u8::from(run.succeeded())),
-            )
-        })
-        .collect();
-    let (messages, rounds, successes) = runs
-        .iter()
-        .fold((0.0, 0.0, 0.0), |(m, r, s), &(rm, rr, rs)| {
-            (m + rm, r + rr, s + rs)
-        });
+    let (mut messages, mut rounds, mut successes) = (0.0, 0.0, 0.0);
+    for seed in 0..seeds {
+        let run = protocol.run(graph, seed).expect("protocol run failed");
+        messages += run.cost.total_messages() as f64;
+        rounds += run.cost.effective_rounds as f64;
+        successes += f64::from(u8::from(run.succeeded()));
+    }
     (
         messages / seeds as f64,
         rounds / seeds as f64,
@@ -293,7 +281,7 @@ pub fn e6_agreement() -> ExperimentTable {
             "amp valid",
         ],
     );
-    let quantum = QuantumAgreement::with_parameters(None, None, AlphaChoice::Fixed(0.25));
+    let quantum = QuantumAgreement::with_alpha(AlphaChoice::Fixed(0.25));
     let amp = AmpSharedCoinAgreement::new();
     let private = PrivateCoinAgreement::new();
     for &n in &[64usize, 256, 1024] {
@@ -433,17 +421,13 @@ pub fn e10_candidate_sampling() -> ExperimentTable {
     );
     for &n in &[64usize, 256, 1024, 4096] {
         let trials = 200u64;
-        // Independent Monte-Carlo trials, one per seed: run them in parallel
-        // and merge counts in seed order.
-        let outcomes: Vec<(usize, bool)> = (0..trials)
-            .into_par_iter()
-            .map(|seed| {
-                let candidates = sample_candidates_seeded(n, seed);
-                (candidates.len(), satisfies_fact_c2(n, &candidates))
-            })
-            .collect();
-        let satisfied = outcomes.iter().filter(|(_, ok)| *ok).count() as u64;
-        let total_candidates: usize = outcomes.iter().map(|(len, _)| len).sum();
+        // Independent Monte-Carlo trials, one per seed.
+        let (mut satisfied, mut total_candidates) = (0u64, 0usize);
+        for seed in 0..trials {
+            let candidates = sample_candidates_seeded(n, seed);
+            satisfied += u64::from(satisfies_fact_c2(n, &candidates));
+            total_candidates += candidates.len();
+        }
         table.push_row(vec![
             n.to_string(),
             trials.to_string(),
@@ -460,9 +444,9 @@ pub fn e10_candidate_sampling() -> ExperimentTable {
 mod tests {
     use super::*;
 
-    // The full sweeps are exercised by the `experiments` binary and the
-    // Criterion benches; the unit tests here only check the cheap experiments
-    // end-to-end so the table plumbing stays correct.
+    // The full sweeps are exercised by the `experiments` binary (and pinned
+    // by `tests/golden/experiments.txt`); the unit tests here only check the
+    // cheap experiments end-to-end so the table plumbing stays correct.
 
     #[test]
     fn star_and_sampling_tables_have_expected_shape() {

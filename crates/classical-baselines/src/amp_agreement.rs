@@ -42,24 +42,16 @@ impl Payload for AmpMessage {
 }
 
 /// The classical shared-coin agreement protocol with expected message
-/// complexity `Õ(n^{2/5})`.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct AmpSharedCoinAgreement {
-    /// Estimation accuracy; `None` uses `ε = min(n^{−1/5}, 1/20)`.
-    pub epsilon: Option<f64>,
-}
+/// complexity `Õ(n^{2/5})`, at estimation accuracy
+/// `ε = n^{−1/5}` clamped to `[1/n, 1/20]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct AmpSharedCoinAgreement;
 
 impl AmpSharedCoinAgreement {
     /// The standard configuration.
     #[must_use]
     pub fn new() -> Self {
-        AmpSharedCoinAgreement::default()
-    }
-
-    fn resolve_epsilon(&self, n: usize) -> f64 {
-        self.epsilon
-            .unwrap_or_else(|| (n as f64).powf(-0.2))
-            .clamp(1.0 / n as f64, 0.05)
+        AmpSharedCoinAgreement
     }
 }
 
@@ -83,7 +75,7 @@ impl Agreement for AmpSharedCoinAgreement {
                 reason: "requires a complete network of at least four nodes".into(),
             });
         }
-        let epsilon = self.resolve_epsilon(n);
+        let epsilon = (n as f64).powf(-0.2).clamp(1.0 / n as f64, 0.05);
         let notify = ((epsilon * n as f64).sqrt().ceil() as usize).clamp(1, n - 1);
         let probes_per_detection = ((n as f64 / notify as f64) * (n as f64).ln()).ceil() as usize;
         let samples = (1.0 / (epsilon * epsilon)).ceil() as usize;

@@ -30,26 +30,21 @@ impl Payload for KppMessage {
 }
 
 /// The classical `Õ(√n)`-message leader election protocol for complete
-/// networks.
+/// networks. Every candidate contacts `⌈√(n·ln n)⌉` referees.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct KppCompleteLe {
-    /// Optional override of the referee-set size (defaults to
-    /// `⌈√(n·ln n)⌉`).
-    pub referees: Option<usize>,
-}
+pub struct KppCompleteLe;
 
 impl KppCompleteLe {
     /// The standard configuration.
     #[must_use]
     pub fn new() -> Self {
-        KppCompleteLe { referees: None }
+        KppCompleteLe
     }
+}
 
-    fn referee_count(&self, n: usize) -> usize {
-        self.referees
-            .unwrap_or_else(|| ((n as f64) * (n as f64).ln()).sqrt().ceil() as usize)
-            .clamp(1, n.saturating_sub(1).max(1))
-    }
+/// The referee-set size `⌈√(n·ln n)⌉`, clamped to `1..=n−1`.
+fn referee_count(n: usize) -> usize {
+    (((n as f64) * (n as f64).ln()).sqrt().ceil() as usize).clamp(1, n.saturating_sub(1).max(1))
 }
 
 impl LeaderElection for KppCompleteLe {
@@ -65,7 +60,7 @@ impl LeaderElection for KppCompleteLe {
                 reason: "requires a complete network of at least two nodes".into(),
             });
         }
-        let s = self.referee_count(n);
+        let s = referee_count(n);
         let mut net: Network<KppMessage> = opts.network(graph.clone(), seed);
         let candidates = sample_candidates(&mut net);
         let mut statuses = vec![NodeStatus::NonElected; n];

@@ -30,12 +30,9 @@ impl Payload for KppWalkMessage {
 }
 
 /// The classical `Õ(τ·√n)`-message leader election protocol for graphs with
-/// mixing time `τ`.
+/// mixing time `τ`. Every candidate launches `⌈2·√(n·ln n)⌉` walk tokens.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct KppMixingLe {
-    /// Optional override of the token count per candidate (defaults to
-    /// `⌈√(n·ln n)⌉`).
-    pub tokens: Option<usize>,
     /// The mixing time to assume; `None` estimates it spectrally.
     pub tau: Option<usize>,
 }
@@ -50,10 +47,7 @@ impl KppMixingLe {
     /// A configuration with an explicit mixing time.
     #[must_use]
     pub fn with_tau(tau: usize) -> Self {
-        KppMixingLe {
-            tokens: None,
-            tau: Some(tau),
-        }
+        KppMixingLe { tau: Some(tau) }
     }
 }
 
@@ -79,10 +73,7 @@ impl LeaderElection for KppMixingLe {
         // endpoint-collision failure probability negligible even when walk
         // endpoints repeat (unlike the complete-graph protocol, the same node
         // can absorb several tokens).
-        let s = self
-            .tokens
-            .unwrap_or_else(|| (2.0 * ((n as f64) * (n as f64).ln()).sqrt()).ceil() as usize)
-            .clamp(1, 4 * n);
+        let s = ((2.0 * ((n as f64) * (n as f64).ln()).sqrt()).ceil() as usize).clamp(1, 4 * n);
         let mut net: Network<KppWalkMessage> = opts.network(graph.clone(), seed);
         let candidates = sample_candidates(&mut net);
         let mut statuses = vec![NodeStatus::NonElected; n];

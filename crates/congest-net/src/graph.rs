@@ -9,7 +9,7 @@
 //!
 //! A [`Graph`] is either **materialized** (CSR) or **implicit** (closed
 //! form). Both answer the same queries with *identical* results — the same
-//! neighbour order, the same port numbering, the same edge-id layout — so
+//! neighbour order, the same port numbering, the same reverse ports — so
 //! everything downstream (round engines, fault plane, protocols, traces) is
 //! backend-agnostic and fault-free runs are byte-identical across backends.
 //!
@@ -20,26 +20,26 @@
 //! * `neighbors` (`2m` entries): the flat adjacency, sorted by neighbour id
 //!   within each node's segment — so a node's *port numbering* is its index
 //!   into this segment,
-//! * `rev_port` (`2m` entries): the **reverse-port table**. For the directed
-//!   edge slot `e = offsets[v] + p` describing `v →(port p)→ u`,
-//!   `rev_port[e]` is the port of `u` whose slot points back at `v`.
+//! * `rev_port` (`2m` entries): the **reverse-port table**. For the slot
+//!   `offsets[v] + p` describing `v →(port p)→ u`, `rev_port` holds the port
+//!   of `u` whose slot points back at `v`.
 //!
 //! **Implicit backend** (structured families: complete, star, cycle,
-//! hypercube, torus): no adjacency is stored at all. `neighbors`, `edge_id`,
-//! `reverse_port`, and `shard_boundaries` are computed on the fly from the
-//! family's closed-form port map, chosen to reproduce the CSR
+//! hypercube, torus): no adjacency is stored at all. `neighbor`,
+//! `reverse_port_at`, `port_to` and `shard_boundaries` are computed on the
+//! fly from the family's closed-form port map, chosen to reproduce the CSR
 //! sorted-neighbour numbering exactly. Graph memory is O(1), so a
 //! million-node `complete` — ~4 TB as CSR — costs a few machine words.
 //!
-//! Every directed edge has a stable integer identity ([`Graph::edge_id`], in
-//! `0..2m`, laid out as `first_edge_id(v) + port`) which the
-//! [`Network`](crate::Network) uses for O(1) arrival-port resolution and
-//! round-stamped CONGEST enforcement without hashing. The invariants,
-//! checked by the CSR constructor and pinned by property tests on both
-//! backends, are:
+//! The [`Network`](crate::Network) resolves a message's arrival port at send
+//! time through [`Graph::reverse_port_at`], an O(1) lookup on both backends,
+//! so no receiver ever scans an adjacency list. The invariants, checked by
+//! the CSR constructor and pinned by property tests on both backends, are,
+//! for every port `p` of every node `v` with `u = neighbor(v, p)`:
 //!
-//! * `neighbor(u, reverse_port(e)) == v` for every slot `e` of `v`,
-//! * `rev_port[reverse_edge(e)] == port of e` (the table is an involution),
+//! * `neighbor(u, reverse_port_at(v, p)) == v`,
+//! * `reverse_port_at(u, reverse_port_at(v, p)) == p` (the table is an
+//!   involution),
 //! * each neighbour list is strictly increasing (no duplicates, no loops).
 
 use std::collections::VecDeque;
@@ -56,11 +56,6 @@ pub type NodeId = usize;
 
 /// A port of a node: an index into that node's adjacency list, in `0..deg(v)`.
 pub type Port = usize;
-
-/// Identifier of a *directed* edge slot, in `0..2m`: the flat index
-/// `first_edge_id(v) + port`. The two directions of an undirected edge have
-/// two distinct ids, related by [`Graph::reverse_edge`].
-pub type EdgeId = usize;
 
 /// A structured family whose adjacency is a closed form: the port map is
 /// computed on demand instead of stored, and is defined to agree exactly
@@ -119,7 +114,7 @@ impl ImplicitFamily {
 
     /// `Σ_{u < v} deg(u)` — the CSR offset the family never stores. Defined
     /// for `v = n` too (yields `2m`), exactly like `offsets[n]`.
-    fn first_edge_id(self, v: NodeId) -> EdgeId {
+    fn offset(self, v: NodeId) -> usize {
         match self {
             ImplicitFamily::Complete { n } => v * (n - 1),
             ImplicitFamily::Star { n } => {
@@ -331,11 +326,10 @@ enum Backend {
 /// assert!(g.is_connected());
 /// assert_eq!(g.diameter(), 2);
 ///
-/// // Directed edge identities: port 0 of node 0 leads to node 1, and the
-/// // reverse port names the port of 1 that leads back to 0.
-/// let e = g.edge_id(0, 0);
-/// assert_eq!(g.edge_target(e), 1);
-/// assert_eq!(g.neighbor(1, g.reverse_port(e)), 0);
+/// // Port 0 of node 0 leads to node 1, and the reverse port names the port
+/// // of 1 that leads back to 0.
+/// assert_eq!(g.neighbor(0, 0), 1);
+/// assert_eq!(g.neighbor(1, g.reverse_port_at(0, 0)), 0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Graph {
@@ -526,7 +520,7 @@ impl Graph {
     }
 
     /// A materialized (CSR) copy of this graph with the identical adjacency,
-    /// port numbering, and edge-id layout. On a CSR graph this is a plain
+    /// port numbering, and reverse ports. On a CSR graph this is a plain
     /// clone. Intended for equivalence tests and for algorithms that want
     /// slice access; do not call on huge implicit graphs (it allocates the
     /// full O(E) arrays being avoided).
@@ -558,9 +552,8 @@ impl Graph {
         self.directed_edge_count() / 2
     }
 
-    /// Number of *directed* edge slots, `2m` — the domain of [`EdgeId`].
-    #[must_use]
-    pub fn directed_edge_count(&self) -> usize {
+    /// Number of *directed* edge slots, `2m` (the CSR offset of node `n`).
+    fn directed_edge_count(&self) -> usize {
         match &self.backend {
             Backend::Csr { neighbors, .. } => neighbors.len(),
             Backend::Implicit(family) => family.directed_edge_count(),
@@ -639,50 +632,16 @@ impl Graph {
         }
     }
 
-    /// The directed edge id of `v`'s port `p`: `first_edge_id(v) + p`. O(1).
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if `p >= deg(v)`; `v >= n` panics always.
-    #[must_use]
-    #[inline]
-    pub fn edge_id(&self, v: NodeId, p: Port) -> EdgeId {
-        debug_assert!(p < self.degree(v), "port {p} out of range for node {v}");
-        self.first_edge_id(v) + p
-    }
-
-    /// The first directed edge slot of node `v`; `v = n` is allowed and
-    /// yields `2m`. Together with [`edge_id`](Graph::edge_id) this makes
-    /// `first_edge_id(v)..first_edge_id(v + 1)` the edge-id range owned by
-    /// `v` — the contiguity that lets the sharded round engine hand each
-    /// shard a disjoint node range with a disjoint edge-id range.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v > n`.
-    #[must_use]
-    #[inline]
-    pub fn first_edge_id(&self, v: NodeId) -> EdgeId {
-        match &self.backend {
-            Backend::Csr { offsets, .. } => offsets[v],
-            Backend::Implicit(family) => {
-                assert!(v <= family.node_count(), "node {v} out of range");
-                family.first_edge_id(v)
-            }
-        }
-    }
-
     /// Partitions the nodes into `shards` contiguous ranges balanced by
     /// **directed-edge count** (per-round simulation work is proportional to
     /// sends plus deliveries, i.e. to degree sums, not node counts).
     ///
     /// Returns `k + 1` fenceposts `b_0 = 0 < b_1 < … < b_k = n`; shard `s`
-    /// owns nodes `b_s..b_{s+1}` and (by the edge-id layout) the contiguous
-    /// directed edge ids `first_edge_id(b_s)..first_edge_id(b_{s+1})`. The
-    /// effective shard count `k` is `shards` clamped to `1..=n`, so every
-    /// shard is non-empty. Deterministic: depends only on the graph — and
-    /// identical across backends, because both compute the same
-    /// partition point of the same offset sequence.
+    /// owns nodes `b_s..b_{s+1}`. The effective shard count `k` is `shards`
+    /// clamped to `1..=n`, so every shard is non-empty. Deterministic:
+    /// depends only on the graph — and identical across backends, because
+    /// both compute the same partition point of the same offset sequence
+    /// (the degree prefix sums).
     #[must_use]
     pub fn shard_boundaries(&self, shards: usize) -> Vec<usize> {
         let n = self.node_count();
@@ -698,12 +657,12 @@ impl Graph {
                 Backend::Csr { offsets, .. } => offsets.partition_point(|&o| o < target),
                 Backend::Implicit(family) => {
                     // partition_point over the implied offsets 0..=n: the
-                    // count of v with first_edge_id(v) < target, found by
-                    // binary search on the monotone closed form.
+                    // count of v with offset(v) < target, found by binary
+                    // search on the monotone closed form.
                     let (mut lo, mut hi) = (0usize, n + 1);
                     while lo < hi {
                         let mid = lo + (hi - lo) / 2;
-                        if family.first_edge_id(mid) < target {
+                        if family.offset(mid) < target {
                             lo = mid + 1;
                         } else {
                             hi = mid;
@@ -719,48 +678,9 @@ impl Graph {
         bounds
     }
 
-    /// The node a directed edge slot points at: for `e = edge_id(v, p)` this
-    /// is the neighbour of `v` behind port `p`. O(1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e >= 2m`.
-    #[must_use]
-    #[inline]
-    pub fn edge_target(&self, e: EdgeId) -> NodeId {
-        match &self.backend {
-            Backend::Csr { neighbors, .. } => neighbors[e],
-            Backend::Implicit(family) => {
-                let (v, p) = implicit_edge_source(*family, e);
-                family.neighbor(v, p)
-            }
-        }
-    }
-
-    /// The reverse port of a directed edge slot: for `e = edge_id(v, p)`
-    /// pointing at `u`, the port of `u` that leads back to `v`. O(1) — this
-    /// is the lookup that lets the simulator resolve the *arrival port* of a
-    /// delivered message without scanning `u`'s adjacency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e >= 2m`.
-    #[must_use]
-    pub fn reverse_port(&self, e: EdgeId) -> Port {
-        match &self.backend {
-            Backend::Csr { rev_port, .. } => rev_port[e],
-            Backend::Implicit(family) => {
-                let (v, p) = implicit_edge_source(*family, e);
-                let u = family.neighbor(v, p);
-                family.port_to(u, v).expect("asymmetric implicit adjacency")
-            }
-        }
-    }
-
-    /// The reverse port of `v`'s port `p` without forming the [`EdgeId`]:
-    /// the arrival port at `neighbor(v, p)` for a message sent by `v` on
-    /// `p`. O(1) on both backends — the send path uses this so implicit
-    /// families never pay an edge-id division.
+    /// The reverse port of `v`'s port `p`: the arrival port at
+    /// `neighbor(v, p)` for a message sent by `v` on `p`, i.e. the port of
+    /// the neighbour that leads back to `v`. O(1) on both backends.
     ///
     /// # Panics
     ///
@@ -851,52 +771,6 @@ impl Graph {
                 )
             }
         }
-    }
-
-    /// The opposite directed slot of `e`: if `e` describes `v → u`, the
-    /// returned id describes `u → v`. O(1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e >= 2m`.
-    #[must_use]
-    pub fn reverse_edge(&self, e: EdgeId) -> EdgeId {
-        match &self.backend {
-            Backend::Csr {
-                offsets,
-                neighbors,
-                rev_port,
-            } => offsets[neighbors[e]] + rev_port[e],
-            Backend::Implicit(family) => {
-                let (v, p) = implicit_edge_source(*family, e);
-                let u = family.neighbor(v, p);
-                let back = family.port_to(u, v).expect("asymmetric implicit adjacency");
-                family.first_edge_id(u) + back
-            }
-        }
-    }
-
-    /// The neighbour of `v` reached through port `p`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::PortOutOfRange`] if `p >= deg(v)` and
-    /// [`Error::NodeOutOfRange`] if `v >= n`.
-    pub fn neighbor_through_port(&self, v: NodeId, p: Port) -> Result<NodeId, Error> {
-        if v >= self.node_count() {
-            return Err(Error::NodeOutOfRange {
-                node: v,
-                n: self.node_count(),
-            });
-        }
-        if p >= self.degree(v) {
-            return Err(Error::PortOutOfRange {
-                node: v,
-                port: p,
-                degree: self.degree(v),
-            });
-        }
-        Ok(self.neighbor(v, p))
     }
 
     /// The port of `v` that leads to `u`, if `u` is adjacent to `v`.
@@ -1011,16 +885,6 @@ impl Graph {
         }
     }
 
-    /// Sum of `sqrt(deg(v))` over all nodes; appears in the message bound of
-    /// Theorem 5.10 via the Cauchy–Schwarz inequality
-    /// (`Σ√deg(v) ≤ √(2·m·n)`).
-    #[must_use]
-    pub fn sum_sqrt_degrees(&self) -> f64 {
-        (0..self.node_count())
-            .map(|v| (self.degree(v) as f64).sqrt())
-            .sum()
-    }
-
     /// Degree-weighted stationary distribution `π(v) = deg(v) / 2m` of the
     /// simple random walk on the graph.
     #[must_use]
@@ -1042,27 +906,6 @@ impl Graph {
             return Err(Error::Disconnected);
         }
         Ok(())
-    }
-}
-
-/// Recovers `(source node, port)` from a directed edge id on an implicit
-/// family — a division for the constant-degree families, piecewise for the
-/// star. (The round engine avoids this entirely by carrying ports; only the
-/// edge-id-facing API pays it.)
-fn implicit_edge_source(family: ImplicitFamily, e: EdgeId) -> (NodeId, Port) {
-    assert!(e < family.directed_edge_count(), "edge id {e} out of range");
-    match family {
-        ImplicitFamily::Complete { n } => (e / (n - 1), e % (n - 1)),
-        ImplicitFamily::Star { n } => {
-            if e < n - 1 {
-                (0, e)
-            } else {
-                (e - (n - 2), 0)
-            }
-        }
-        ImplicitFamily::Cycle { .. } => (e / 2, e % 2),
-        ImplicitFamily::Hypercube { dims } => (e / dims as usize, e % dims as usize),
-        ImplicitFamily::Torus { .. } => (e / 4, e % 4),
     }
 }
 
@@ -1095,6 +938,15 @@ mod tests {
         zoo
     }
 
+    /// `offsets[v]` on CSR, the family's closed form of it on implicit
+    /// graphs: the degree prefix sum `shard_boundaries` bisects.
+    fn offset(g: &Graph, v: NodeId) -> usize {
+        match &g.backend {
+            Backend::Csr { offsets, .. } => offsets[v],
+            Backend::Implicit(family) => family.offset(v),
+        }
+    }
+
     #[test]
     fn from_edges_rejects_zero_nodes() {
         assert!(matches!(
@@ -1122,22 +974,9 @@ mod tests {
     fn ports_are_sorted_and_symmetric() {
         let g = Graph::from_edges(5, &[(0, 3), (0, 1), (0, 4), (1, 2)]).unwrap();
         assert_eq!(g.neighbors(0).to_vec(), vec![1, 3, 4]);
-        assert_eq!(g.neighbor_through_port(0, 1).unwrap(), 3);
+        assert_eq!(g.neighbor(0, 1), 3);
         assert_eq!(g.port_to(3, 0), Some(0));
         assert_eq!(g.port_to(0, 2), None);
-    }
-
-    #[test]
-    fn neighbor_through_port_errors() {
-        let g = path_graph(3);
-        assert!(matches!(
-            g.neighbor_through_port(0, 5),
-            Err(Error::PortOutOfRange { .. })
-        ));
-        assert!(matches!(
-            g.neighbor_through_port(9, 0),
-            Err(Error::NodeOutOfRange { .. })
-        ));
     }
 
     #[test]
@@ -1177,15 +1016,6 @@ mod tests {
     }
 
     #[test]
-    fn sum_sqrt_degrees_cauchy_schwarz() {
-        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
-            .unwrap();
-        let lhs = g.sum_sqrt_degrees();
-        let rhs = ((2 * g.edge_count() * g.node_count()) as f64).sqrt();
-        assert!(lhs <= rhs + 1e-9);
-    }
-
-    #[test]
     fn reverse_port_table_is_consistent() {
         let g = Graph::from_edges(
             6,
@@ -1203,16 +1033,14 @@ mod tests {
         .unwrap();
         for v in 0..g.node_count() {
             for p in 0..g.degree(v) {
-                let e = g.edge_id(v, p);
-                let u = g.edge_target(e);
+                let u = g.neighbor(v, p);
+                let rp = g.reverse_port_at(v, p);
                 // The reverse port points back at v...
-                assert_eq!(g.neighbor(u, g.reverse_port(e)), v);
-                // ...and agrees with the binary-search path and the
-                // port-level lookup.
-                assert_eq!(g.port_to(u, v), Some(g.reverse_port(e)));
-                assert_eq!(g.reverse_port_at(v, p), g.reverse_port(e));
-                // reverse_edge is an involution.
-                assert_eq!(g.reverse_edge(g.reverse_edge(e)), e);
+                assert_eq!(g.neighbor(u, rp), v);
+                // ...agrees with the binary-search path...
+                assert_eq!(g.port_to(u, v), Some(rp));
+                // ...and the table is an involution.
+                assert_eq!(g.reverse_port_at(u, rp), p);
             }
         }
     }
@@ -1233,7 +1061,7 @@ mod tests {
                 // Edge ranges tile the directed-edge domain.
                 let edges: usize = bounds
                     .windows(2)
-                    .map(|w| g.first_edge_id(w[1]) - g.first_edge_id(w[0]))
+                    .map(|w| offset(&g, w[1]) - offset(&g, w[0]))
                     .sum();
                 assert_eq!(edges, g.directed_edge_count());
             }
@@ -1250,25 +1078,10 @@ mod tests {
     }
 
     #[test]
-    fn edge_ids_cover_the_csr_domain() {
-        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
-        assert_eq!(g.directed_edge_count(), 2 * g.edge_count());
-        let mut seen = vec![false; g.directed_edge_count()];
-        for v in 0..g.node_count() {
-            for p in 0..g.degree(v) {
-                let e = g.edge_id(v, p);
-                assert!(!seen[e], "edge id {e} assigned twice");
-                seen[e] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
     fn implicit_families_match_their_materialization_exactly() {
         // The whole backend contract in one sweep: adjacency, port
-        // numbering, edge-id layout, reverse ports, and shard boundaries of
-        // every implicit instance agree with an independently constructed
+        // numbering, degree prefix sums, reverse ports, and shard boundaries
+        // of every implicit instance agree with an independently constructed
         // CSR graph over the same edge set.
         for g in implicit_zoo() {
             assert!(g.is_implicit());
@@ -1279,25 +1092,21 @@ mod tests {
             assert_eq!(g, csr, "semantic equality across backends");
             for v in 0..g.node_count() {
                 assert_eq!(g.degree(v), csr.degree(v), "degree({v})");
-                assert_eq!(g.first_edge_id(v), csr.first_edge_id(v));
+                assert_eq!(offset(&g, v), offset(&csr, v), "offset({v})");
                 assert_eq!(
                     g.neighbors(v).to_vec(),
                     csr.neighbors(v).to_vec(),
                     "neighbors({v})"
                 );
                 for p in 0..g.degree(v) {
-                    let e = g.edge_id(v, p);
-                    assert_eq!(e, csr.edge_id(v, p));
-                    assert_eq!(g.edge_target(e), csr.edge_target(e));
-                    assert_eq!(g.reverse_port(e), csr.reverse_port(e));
+                    assert_eq!(g.neighbor(v, p), csr.neighbor(v, p));
                     assert_eq!(g.reverse_port_at(v, p), csr.reverse_port_at(v, p));
-                    assert_eq!(g.reverse_edge(e), csr.reverse_edge(e));
                 }
                 for u in 0..g.node_count() {
                     assert_eq!(g.port_to(v, u), csr.port_to(v, u), "port_to({v}, {u})");
                 }
             }
-            assert_eq!(g.first_edge_id(g.node_count()), g.directed_edge_count());
+            assert_eq!(offset(&g, g.node_count()), g.directed_edge_count());
             for k in [1usize, 2, 3, 4, 7, 64] {
                 assert_eq!(
                     g.shard_boundaries(k),
@@ -1325,10 +1134,10 @@ mod tests {
         for g in implicit_zoo() {
             for v in 0..g.node_count() {
                 for p in 0..g.degree(v) {
-                    let e = g.edge_id(v, p);
-                    let u = g.edge_target(e);
-                    assert_eq!(g.neighbor(u, g.reverse_port(e)), v);
-                    assert_eq!(g.reverse_edge(g.reverse_edge(e)), e);
+                    let u = g.neighbor(v, p);
+                    let rp = g.reverse_port_at(v, p);
+                    assert_eq!(g.neighbor(u, rp), v);
+                    assert_eq!(g.reverse_port_at(u, rp), p);
                 }
             }
         }

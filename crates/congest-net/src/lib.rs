@@ -39,15 +39,15 @@
 //! Random/irregular topologies store flat `offsets` / `neighbors` arrays
 //! (compressed sparse row) plus a precomputed `rev_port` table. Structured
 //! families (complete, star, cycle, hypercube, torus) store only their
-//! *parameters* and compute `neighbor(v, p)`, `edge_id(v, p)` and
-//! `reverse_port` from closed forms — a million-node `K_n` is a few bytes,
-//! not the ~8 TiB its CSR adjacency would occupy. [`Graph::materialize`]
-//! produces the CSR twin with the identical neighbour order, port numbering
-//! and edge-id layout, so fault-free runs are byte-identical across backends.
+//! *parameters* and compute `neighbor(v, p)` and `reverse_port_at(v, p)`
+//! from closed forms — a million-node `K_n` is a few bytes, not the ~8 TiB
+//! its CSR adjacency would occupy. [`Graph::materialize`] produces the CSR
+//! twin with the identical neighbour order, port numbering and reverse
+//! ports, so fault-free runs are byte-identical across backends.
 //!
-//! **Invariant:** for every edge id `e = edge_id(v, p)` with target `u`,
-//! `neighbor(u, reverse_port(e)) == v`, and
-//! `reverse_edge(reverse_edge(e)) == e` — on *both* backends. Consequently
+//! **Invariant:** for every port `p` of `v` with `u = neighbor(v, p)` and
+//! `rp = reverse_port_at(v, p)`, `neighbor(u, rp) == v` and
+//! `reverse_port_at(u, rp) == p` — on *both* backends. Consequently
 //! the arrival port of a message is an O(1) lookup (array read or closed
 //! form) at send time; nothing on the delivery path ever scans or searches
 //! an adjacency list. The *send* side is another matter:
@@ -291,7 +291,7 @@ pub use event::{ExecMode, SchedulerKind, SchedulerSpec};
 pub use fault::{
     ByzantineWindow, CrashPoint, DropCause, FaultPlan, LinkLatency, LinkOutage, TraceEvent,
 };
-pub use graph::{EdgeId, Graph, Neighbors, NodeId, Port};
+pub use graph::{Graph, Neighbors, NodeId, Port};
 pub use message::Payload;
 pub use metrics::{Metrics, RoundReport};
 pub use network::{Delivery, Network, NetworkConfig, ShardView};

@@ -26,9 +26,8 @@
 //!   reverse-port table read on the CSR backend, an O(1) closed form on
 //!   implicit topologies — so receivers (and the
 //!   [`SyncRuntime`](crate::runtime::SyncRuntime)) never scan adjacency
-//!   lists. The whole send path carries `(node, port)` pairs and never
-//!   materialises an [`EdgeId`](crate::graph::EdgeId), which on implicit
-//!   backends would cost a division to decode.
+//!   lists. The whole send path carries `(node, port)` pairs, so a send on
+//!   an implicit backend costs one closed-form evaluation and no division.
 
 use std::collections::BinaryHeap;
 
@@ -162,9 +161,8 @@ pub type Delivery<M> = (NodeId, Port, M);
 /// sending ([`send`](Network::send), [`send_through_port`](Network::send_through_port)),
 /// advancing rounds
 /// ([`advance_round`](Network::advance_round)), reading delivered messages
-/// ([`inbox`](Network::inbox), [`take_inbox`](Network::take_inbox),
-/// [`swap_inbox`](Network::swap_inbox)), drawing private randomness
-/// ([`rng`](Network::rng)) or the shared coin
+/// ([`inbox`](Network::inbox), [`swap_inbox`](Network::swap_inbox)),
+/// drawing private randomness ([`rng`](Network::rng)) or the shared coin
 /// ([`shared_coin_uniform`](Network::shared_coin_uniform)), and charging
 /// quantum subroutine traffic ([`quantum_scope`](Network::quantum_scope)).
 #[derive(Debug)]
@@ -552,8 +550,6 @@ impl<M: Payload> Network<M> {
     /// compare against the sender's stamp page (or a scan of its send log
     /// of at most 14 ports) and the arrival port an O(1) reverse-port
     /// lookup — closed-form on implicit backends, table read on CSR.
-    /// Carrying ports instead of edge ids keeps implicit topologies off the
-    /// edge-id decode (division) path entirely.
     fn send_on_port(&mut self, from: NodeId, port: Port, msg: M) -> Result<(), Error> {
         let (to, arrival) = self.graph.delivery_slot(from, port);
         self.send_resolved(from, port, to, arrival, msg)
@@ -1011,16 +1007,6 @@ impl<M: Payload> Network<M> {
     #[must_use]
     pub fn inbox(&self, v: NodeId) -> &[Delivery<M>] {
         &self.inboxes[v]
-    }
-
-    /// Takes (and clears) the inbox of `v`. Allocates a replacement buffer;
-    /// zero-allocation consumers should use [`swap_inbox`](Network::swap_inbox).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v >= n`.
-    pub fn take_inbox(&mut self, v: NodeId) -> Vec<Delivery<M>> {
-        std::mem::take(&mut self.inboxes[v])
     }
 
     /// Exchanges the inbox of `v` with `scratch`: `scratch` is cleared and
@@ -1599,15 +1585,6 @@ mod tests {
         assert_eq!(net.round_history().len(), 2);
         assert_eq!(net.round_history()[0].messages, 1);
         assert_eq!(net.round_history()[1].messages, 0);
-    }
-
-    #[test]
-    fn take_inbox_clears() {
-        let mut net = small_net(false);
-        net.send(0, 1, 5).unwrap();
-        net.advance_round();
-        assert_eq!(net.take_inbox(1), vec![(0, 0, 5)]);
-        assert!(net.inbox(1).is_empty());
     }
 
     #[test]

@@ -149,21 +149,6 @@ impl Log2Histogram {
         &self.buckets[..last]
     }
 
-    /// Human-readable range label of bucket `i` (`"0"`, `"1"`, `"2-3"`,
-    /// `"4-7"`, …).
-    #[must_use]
-    pub fn bucket_label(i: usize) -> String {
-        match i {
-            0 => "0".to_string(),
-            1 => "1".to_string(),
-            _ => {
-                let lo = 1u64 << (i - 1);
-                let hi = if i >= 64 { u64::MAX } else { (1u64 << i) - 1 };
-                format!("{lo}-{hi}")
-            }
-        }
-    }
-
     /// Renders the trimmed bucket counts as a JSON array (`"[12,3,0,1]"`).
     #[must_use]
     pub fn to_json(&self) -> String {
@@ -556,14 +541,6 @@ mod tests {
         h.record(5);
         assert_eq!(h.to_json(), "[1,0,0,1]");
         assert_eq!(Log2Histogram::new().to_json(), "[]");
-    }
-
-    #[test]
-    fn bucket_labels_are_ranges() {
-        assert_eq!(Log2Histogram::bucket_label(0), "0");
-        assert_eq!(Log2Histogram::bucket_label(1), "1");
-        assert_eq!(Log2Histogram::bucket_label(2), "2-3");
-        assert_eq!(Log2Histogram::bucket_label(4), "8-15");
     }
 
     #[test]

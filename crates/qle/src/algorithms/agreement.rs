@@ -180,15 +180,15 @@ impl CheckingOracle<AgMessage> for DetectOracle<'_> {
     }
 }
 
-/// The `QuantumAgreement` protocol (Algorithm 4).
+/// The notification/detection trade-off `γ = 2/15`, the message-optimal
+/// choice in `[0, 1/3]`.
+const GAMMA: f64 = 2.0 / 15.0;
+
+/// The `QuantumAgreement` protocol (Algorithm 4), at the paper's
+/// message-optimal parameters: estimation accuracy `ε = n^{−1/5}` (clamped
+/// to `[1/n, 1/20]`) and `γ = 2/15`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantumAgreement {
-    /// The estimation accuracy `ε ∈ [Θ(1/n), 1/20]`. `None` uses the
-    /// message-optimal `ε = n^{−1/5}`.
-    pub epsilon: Option<f64>,
-    /// The notification/detection trade-off `γ ∈ [0, 1/3]`. `None` uses the
-    /// message-optimal `γ = 2/15`.
-    pub gamma: Option<f64>,
     /// The failure probability of the quantum subroutines.
     pub alpha: AlphaChoice,
 }
@@ -196,29 +196,23 @@ pub struct QuantumAgreement {
 impl Default for QuantumAgreement {
     fn default() -> Self {
         QuantumAgreement {
-            epsilon: None,
-            gamma: None,
             alpha: AlphaChoice::HighProbability,
         }
     }
 }
 
 impl QuantumAgreement {
-    /// The paper's message-optimal configuration (`ε = n^{−1/5}`,
-    /// `γ = 2/15`).
+    /// The paper's configuration, with high-probability quantum subroutines.
     #[must_use]
     pub fn new() -> Self {
         QuantumAgreement::default()
     }
 
-    /// A configuration with explicit parameter choices.
+    /// The paper's configuration with an explicit failure probability for
+    /// the quantum subroutines.
     #[must_use]
-    pub fn with_parameters(epsilon: Option<f64>, gamma: Option<f64>, alpha: AlphaChoice) -> Self {
-        QuantumAgreement {
-            epsilon,
-            gamma,
-            alpha,
-        }
+    pub fn with_alpha(alpha: AlphaChoice) -> Self {
+        QuantumAgreement { alpha }
     }
 
     fn validate(&self, graph: &Graph, inputs: &[bool]) -> Result<(), Error> {
@@ -241,33 +235,7 @@ impl QuantumAgreement {
                 reason: "requires a complete network".into(),
             });
         }
-        if let Some(eps) = self.epsilon {
-            if !(0.0 < eps && eps <= 0.05) {
-                return Err(Error::InvalidConfig {
-                    name: "epsilon",
-                    reason: format!("must be in (0, 1/20], got {eps}"),
-                });
-            }
-        }
-        if let Some(gamma) = self.gamma {
-            if !(0.0..=1.0 / 3.0).contains(&gamma) {
-                return Err(Error::InvalidConfig {
-                    name: "gamma",
-                    reason: format!("must be in [0, 1/3], got {gamma}"),
-                });
-            }
-        }
         Ok(())
-    }
-
-    fn resolve_epsilon(&self, n: usize) -> f64 {
-        self.epsilon
-            .unwrap_or_else(|| (n as f64).powf(-0.2))
-            .clamp(1.0 / n as f64, 0.05)
-    }
-
-    fn resolve_gamma(&self) -> f64 {
-        self.gamma.unwrap_or(2.0 / 15.0)
     }
 }
 
@@ -280,8 +248,7 @@ impl Agreement for QuantumAgreement {
     fn run(&self, graph: &Graph, inputs: &[bool], seed: u64) -> Result<AgreementRun, Error> {
         self.validate(graph, inputs)?;
         let n = graph.node_count();
-        let epsilon = self.resolve_epsilon(n);
-        let gamma = self.resolve_gamma();
+        let epsilon = (n as f64).powf(-0.2).clamp(1.0 / n as f64, 0.05);
         let alpha_estimate = match self.alpha {
             AlphaChoice::HighProbability => 1.0 / (2.0 * (n as f64).powi(2)),
             AlphaChoice::Fixed(a) => a,
@@ -292,9 +259,9 @@ impl Agreement for QuantumAgreement {
             AlphaChoice::Fixed(a) => (a / 2.0).clamp(1e-12, 0.49),
         }
         .clamp(1e-12, 0.49);
-        let notify_count = ((n as f64).powf(1.0 / 3.0 - gamma).ceil() as usize).clamp(1, n - 1);
+        let notify_count = ((n as f64).powf(1.0 / 3.0 - GAMMA).ceil() as usize).clamp(1, n - 1);
         let detect_epsilon = (n as f64)
-            .powf(-2.0 / 3.0 - gamma)
+            .powf(-2.0 / 3.0 - GAMMA)
             .min(notify_count as f64 / n as f64);
 
         let mut net: Network<AgMessage> = Network::new(
@@ -454,16 +421,6 @@ mod tests {
             protocol.run(&cycle, &[true; 16], 0),
             Err(Error::UnsupportedTopology { .. })
         ));
-        assert!(
-            QuantumAgreement::with_parameters(Some(0.7), None, AlphaChoice::HighProbability)
-                .run(&graph, &[true; 16], 0)
-                .is_err()
-        );
-        assert!(
-            QuantumAgreement::with_parameters(None, Some(0.9), AlphaChoice::HighProbability)
-                .run(&graph, &[true; 16], 0)
-                .is_err()
-        );
     }
 
     #[test]
@@ -484,7 +441,7 @@ mod tests {
         // Õ(n^{1/5}) per-candidate cost: an 8x larger network should cost far
         // less than 8x the messages (the log-factor candidate count makes the
         // measured total grow a bit faster than n^{1/5} alone).
-        let protocol = QuantumAgreement::with_parameters(None, None, AlphaChoice::Fixed(0.2));
+        let protocol = QuantumAgreement::with_alpha(AlphaChoice::Fixed(0.2));
         let measure = |n: usize| {
             let graph = topology::complete(n).unwrap();
             let inputs = mixed_inputs(n, 0.5);

@@ -108,12 +108,6 @@ pub fn satisfies_fact_c2(n: usize, candidates: &[Candidate]) -> bool {
     ranks.windows(2).all(|w| w[0] != w[1])
 }
 
-/// The candidate holding the highest rank, if any.
-#[must_use]
-pub fn highest_ranked(candidates: &[Candidate]) -> Option<Candidate> {
-    candidates.iter().copied().max_by_key(|c| c.rank)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,20 +162,6 @@ mod tests {
             (mean - expected).abs() < expected * 0.3,
             "mean = {mean}, expected = {expected}"
         );
-    }
-
-    #[test]
-    fn highest_ranked_finds_maximum() {
-        let candidates = vec![
-            Candidate { node: 3, rank: 17 },
-            Candidate { node: 5, rank: 99 },
-            Candidate { node: 9, rank: 42 },
-        ];
-        assert_eq!(
-            highest_ranked(&candidates),
-            Some(Candidate { node: 5, rank: 99 })
-        );
-        assert_eq!(highest_ranked(&[]), None);
     }
 
     #[test]

@@ -334,4 +334,30 @@ mod tests {
         assert_eq!(statuses[0], NodeStatus::Elected);
         assert!(statuses[1..].iter().all(|&s| s == NodeStatus::NonElected));
     }
+
+    #[test]
+    fn tree_order_is_a_tree_when_a_matched_pair_closes_a_cycle() {
+        let graph = topology::cycle(4).unwrap();
+        let mut net = Network::new(graph.clone(), NetworkConfig::with_seed(1));
+        let mut clustering = Clustering::singletons(4);
+        let proposals = [Some((0, 1)), Some((1, 0)), Some((2, 3)), Some((3, 2))];
+        clustering.merge_phase(&mut net, &proposals, 1).unwrap();
+        assert_eq!(clustering.cluster_of(), &[0, 0, 2, 2]);
+        // {0, 1} chooses (1, 2) and {2, 3} chooses (3, 0). The two clusters
+        // are matched and both chosen edges are installed, so the tree
+        // edges now close the 4-cycle.
+        let proposals = [None, Some((1, 2)), None, Some((3, 0))];
+        clustering.merge_phase(&mut net, &proposals, 1).unwrap();
+        assert_eq!(clustering.cluster_of(), &[0, 0, 0, 0]);
+        let order = clustering.tree_order(0);
+        let mut nodes: Vec<NodeId> = order.iter().map(|&(v, _)| v).collect();
+        nodes.sort_unstable();
+        assert_eq!(nodes, [0, 1, 2, 3], "every node listed once");
+        assert_eq!(order[0], (0, None));
+        for (i, &(v, parent)) in order.iter().enumerate().skip(1) {
+            let parent = parent.expect("only the centre has no parent");
+            assert!(graph.are_adjacent(v, parent), "parent {parent} of {v}");
+            assert!(order[..i].iter().any(|&(u, _)| u == parent));
+        }
+    }
 }

@@ -62,19 +62,6 @@ impl LeaderElectionOutcome {
             .count();
         elected == 1 && undecided == 0
     }
-
-    /// Like [`is_valid`](Self::is_valid) but tolerating undecided non-leaders,
-    /// the weaker condition met by protocols that elect a unique leader
-    /// without explicitly notifying every node (not used by the paper's
-    /// protocols, which all set every status, but useful for diagnostics).
-    #[must_use]
-    pub fn has_unique_leader(&self) -> bool {
-        self.statuses
-            .iter()
-            .filter(|s| **s == NodeStatus::Elected)
-            .count()
-            == 1
-    }
 }
 
 /// The final state of a single node after an implicit-agreement protocol run.
@@ -171,7 +158,6 @@ mod tests {
         statuses[2] = NodeStatus::Elected;
         let outcome = LeaderElectionOutcome::new(statuses);
         assert!(outcome.is_valid());
-        assert!(outcome.has_unique_leader());
         assert_eq!(outcome.leaders(), vec![2]);
     }
 
@@ -186,12 +172,10 @@ mod tests {
             NodeStatus::NonElected,
         ]);
         assert!(!two.is_valid());
-        assert!(!two.has_unique_leader());
         // Leftover undecided node.
         let undecided =
             LeaderElectionOutcome::new(vec![NodeStatus::Elected, NodeStatus::Undecided]);
         assert!(!undecided.is_valid());
-        assert!(undecided.has_unique_leader());
     }
 
     #[test]

@@ -56,17 +56,6 @@ fn success_probability_at(theta: f64, iterations: u64) -> f64 {
     ((2 * iterations + 1) as f64 * theta).sin().powi(2)
 }
 
-/// The optimal (error-minimising) iteration count `⌊π / (4θ)⌋` for a *known*
-/// marked fraction.
-#[must_use]
-pub fn optimal_iterations(fraction_marked: f64) -> u64 {
-    if fraction_marked <= 0.0 {
-        return 0;
-    }
-    let theta = rotation_angle(fraction_marked);
-    (std::f64::consts::FRAC_PI_4 / theta).floor() as u64
-}
-
 /// The staged iteration caps of one BBHT pass for a marked-fraction lower
 /// bound `ε`: caps grow geometrically (factor 6/5, as in BBHT) until they
 /// reach `⌈1/√ε⌉`, so a single pass costs `O(1/√ε)` oracle calls in total and
@@ -287,15 +276,6 @@ mod tests {
         assert_eq!(success_probability(0.0, 10), 0.0);
         assert_eq!(success_probability(1.0, 0), 1.0);
         assert!((success_probability(0.25, 1) - 1.0).abs() < 1e-12); // N=4, t=1 is exact after 1 iteration
-    }
-
-    #[test]
-    fn optimal_iterations_scales_like_inverse_sqrt() {
-        let j1 = optimal_iterations(1.0 / 100.0);
-        let j2 = optimal_iterations(1.0 / 10_000.0);
-        assert!(j2 >= 9 * j1, "j1={j1}, j2={j2}");
-        assert!(success_probability(1.0 / 10_000.0, j2) > 0.99);
-        assert_eq!(optimal_iterations(0.0), 0);
     }
 
     #[test]

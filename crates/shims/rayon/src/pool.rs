@@ -5,8 +5,8 @@
 //! living on the caller's stack, exactly like upstream `rayon` does. The
 //! soundness argument is short and local:
 //!
-//! * [`ThreadPool::scope_execute`] **never returns before every task of its
-//!   batch has completed** — including when a task (or the inline task)
+//! * [`ThreadPool::scope_execute_batch`] **never returns before every task
+//!   of its batch has completed** — including when a task (or the inline task)
 //!   panics — so the erased `&mut` borrows cannot outlive the frame that
 //!   owns them.
 //! * Each task pointer is derived from a distinct `&mut` in the caller's
@@ -17,9 +17,10 @@
 //!
 //! Waiting callers *help*: while their batch is outstanding they pop and run
 //! queued tasks instead of blocking, so nested scopes (a task that itself
-//! calls [`ThreadPool::scope_execute`] or [`join`]) cannot deadlock even
-//! when every worker is busy — the 200 µs re-check below bounds the window
-//! in which a queued task can sit unnoticed.
+//! calls [`ThreadPool::scope_execute_batch`], as a farm cell running sharded
+//! does) cannot deadlock even when every worker is busy — the 200 µs
+//! re-check below bounds the window in which a queued task can sit
+//! unnoticed.
 //!
 //! Workers are spawned once, on first use, and live for the process
 //! lifetime; per-batch dispatch is a queue push + condvar notify, so a
@@ -35,7 +36,7 @@ use std::time::Duration;
 
 type PanicPayload = Box<dyn std::any::Any + Send + 'static>;
 
-/// Completion latch for one `scope_execute` batch. Lives on the caller's
+/// Completion latch for one `scope_execute_batch` batch. Lives on the caller's
 /// stack; workers reach it through a raw pointer that stays valid because
 /// the caller never returns before the count reaches zero.
 struct Latch {
@@ -76,14 +77,14 @@ impl Latch {
 }
 
 /// A lifetime-erased task: a pointer to a closure in some live
-/// `scope_execute` frame, plus the latch that frame is waiting on.
+/// `scope_execute_batch` frame, plus the latch that frame is waiting on.
 struct Task {
     func: *mut (dyn FnMut() + Send),
     latch: *const Latch,
 }
 
 // SAFETY: the pointee closure is `Send` (enforced by the public signatures),
-// each pointer is consumed by exactly one thread, and `scope_execute` keeps
+// each pointer is consumed by exactly one thread, and `scope_execute_batch` keeps
 // both pointees alive until the latch reports completion.
 unsafe impl Send for Task {}
 
@@ -94,7 +95,7 @@ struct Shared {
 
 /// Runs one task and reports its completion (and any panic) to its latch.
 fn execute(task: Task) {
-    // SAFETY: `func` points into a live `scope_execute` frame (that frame is
+    // SAFETY: `func` points into a live `scope_execute_batch` frame (that frame is
     // blocked in `wait_helping` until we call `complete`), and this thread
     // is the only one holding this pointer.
     let func = unsafe { &mut *task.func };
@@ -171,7 +172,8 @@ impl ThreadPool {
     ///
     /// Taking a slice of concrete closures (trait-object erasure happens
     /// internally) means callers dispatch a `Vec` of closures directly —
-    /// no per-call `Vec<&mut dyn FnMut>` staging.
+    /// no per-call `Vec<&mut dyn FnMut>` staging; a heterogeneous batch is
+    /// a slice of boxed closures.
     pub fn scope_execute_batch<F: FnMut() + Send>(&self, tasks: &mut [F]) {
         let Some((first, rest)) = tasks.split_first_mut() else {
             return;
@@ -213,12 +215,6 @@ impl ThreadPool {
         }
     }
 
-    /// [`scope_execute_batch`](ThreadPool::scope_execute_batch) over
-    /// already-erased trait objects, for heterogeneous batches.
-    pub fn scope_execute(&self, tasks: &mut [&mut (dyn FnMut() + Send)]) {
-        self.scope_execute_batch(tasks);
-    }
-
     /// Blocks until `latch` reports completion, executing queued tasks (of
     /// any batch) in the meantime so that nested scopes make progress even
     /// with every worker occupied.
@@ -257,31 +253,6 @@ pub fn global() -> &'static ThreadPool {
     POOL.get_or_init(ThreadPool::new)
 }
 
-/// Runs `oper_a` and `oper_b` potentially in parallel and returns both
-/// results, like `rayon::join`. One closure runs inline on the calling
-/// thread; the other is offered to the pool.
-pub fn join<A, B, RA, RB>(oper_a: A, oper_b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    let mut a = Some(oper_a);
-    let mut b = Some(oper_b);
-    let mut result_a = None;
-    let mut result_b = None;
-    {
-        let mut run_a = || result_a = Some((a.take().expect("join task ran twice"))());
-        let mut run_b = || result_b = Some((b.take().expect("join task ran twice"))());
-        global().scope_execute(&mut [&mut run_a, &mut run_b]);
-    }
-    (
-        result_a.expect("join task a did not run"),
-        result_b.expect("join task b did not run"),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,23 +273,20 @@ mod tests {
     }
 
     #[test]
-    fn join_returns_both_results() {
-        let (a, b) = join(|| 2 + 2, || "hi".len());
-        assert_eq!((a, b), (4, 2));
-    }
-
-    #[test]
     fn nested_scopes_complete() {
         let counter = AtomicUsize::new(0);
         let counter_ref = &counter;
         let mut outer: Vec<_> = (0..4)
             .map(|_| {
                 move || {
-                    let (x, y) = join(
-                        || counter_ref.fetch_add(1, Ordering::Relaxed),
-                        || counter_ref.fetch_add(1, Ordering::Relaxed),
-                    );
-                    let _ = (x, y);
+                    let mut inner: Vec<_> = (0..2)
+                        .map(|_| {
+                            || {
+                                counter_ref.fetch_add(1, Ordering::Relaxed);
+                            }
+                        })
+                        .collect();
+                    global().scope_execute_batch(&mut inner);
                 }
             })
             .collect();
@@ -330,14 +298,15 @@ mod tests {
     fn panics_propagate_after_batch_completes() {
         let finished = AtomicUsize::new(0);
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let mut ok1 = || {
+            let ok = || {
                 finished.fetch_add(1, Ordering::Relaxed);
             };
-            let mut boom = || panic!("task panic");
-            let mut ok2 = || {
-                finished.fetch_add(1, Ordering::Relaxed);
-            };
-            global().scope_execute(&mut [&mut ok1, &mut boom, &mut ok2]);
+            let mut batch: [Box<dyn FnMut() + Send>; 3] = [
+                Box::new(ok),
+                Box::new(|| panic!("task panic")),
+                Box::new(ok),
+            ];
+            global().scope_execute_batch(&mut batch);
         }));
         assert!(result.is_err());
         assert_eq!(finished.load(Ordering::Relaxed), 2);

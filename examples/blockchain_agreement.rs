@@ -20,11 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("Committee agreement among {validators} validators (70% vote to accept)\n");
     let protocols: Vec<Box<dyn Agreement>> = vec![
-        Box::new(QuantumAgreement::with_parameters(
-            None,
-            None,
-            AlphaChoice::Fixed(0.25),
-        )),
+        Box::new(QuantumAgreement::with_alpha(AlphaChoice::Fixed(0.25))),
         Box::new(AmpSharedCoinAgreement::new()),
         Box::new(PrivateCoinAgreement::new()),
     ];

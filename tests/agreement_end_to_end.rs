@@ -7,11 +7,7 @@ use qle::{Agreement, AgreementDecision, AlphaChoice};
 
 fn protocols() -> Vec<Box<dyn Agreement>> {
     vec![
-        Box::new(QuantumAgreement::with_parameters(
-            None,
-            None,
-            AlphaChoice::Fixed(0.25),
-        )),
+        Box::new(QuantumAgreement::with_alpha(AlphaChoice::Fixed(0.25))),
         Box::new(AmpSharedCoinAgreement::new()),
         Box::new(PrivateCoinAgreement::new()),
     ]

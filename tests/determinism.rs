@@ -315,8 +315,8 @@ fn flood_golden_is_invariant_across_shard_counts() {
 fn flood_and_ghs_are_byte_identical_across_graph_backends() {
     // The structured topology constructors now return *implicit* graphs
     // (closed-form adjacency, O(1) memory); `materialize()` produces the CSR
-    // twin with the identical neighbour order, port numbering, and edge-id
-    // layout. A fault-free run must be byte-identical between the two
+    // twin with the identical neighbour order, port numbering, and reverse
+    // ports. A fault-free run must be byte-identical between the two
     // backends — same metrics, same per-round history, same RNG streams —
     // at every shard count. (The golden tests above already pin the
     // implicit backend against values captured on the CSR engine; this test
