@@ -42,11 +42,6 @@ impl KppCompleteLe {
     }
 }
 
-/// The referee-set size `⌈√(n·ln n)⌉`, clamped to `1..=n−1`.
-fn referee_count(n: usize) -> usize {
-    (((n as f64) * (n as f64).ln()).sqrt().ceil() as usize).clamp(1, n.saturating_sub(1).max(1))
-}
-
 impl LeaderElection for KppCompleteLe {
     fn name(&self) -> &'static str {
         "KPP-CompleteLE (classical)"
@@ -60,7 +55,7 @@ impl LeaderElection for KppCompleteLe {
                 reason: "requires a complete network of at least two nodes".into(),
             });
         }
-        let s = referee_count(n);
+        let s = (((n as f64) * (n as f64).ln()).sqrt().ceil() as usize).clamp(1, n - 1);
         let mut net: Network<KppMessage> = opts.network(graph.clone(), seed);
         let candidates = sample_candidates(&mut net);
         let mut statuses = vec![NodeStatus::NonElected; n];

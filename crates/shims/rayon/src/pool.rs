@@ -36,9 +36,9 @@ use std::time::Duration;
 
 type PanicPayload = Box<dyn std::any::Any + Send + 'static>;
 
-/// Completion latch for one `scope_execute_batch` batch. Lives on the caller's
-/// stack; workers reach it through a raw pointer that stays valid because
-/// the caller never returns before the count reaches zero.
+/// Completion latch for one `scope_execute_batch` batch. Lives on the
+/// caller's stack; workers reach it through a raw pointer that stays valid
+/// because the caller never returns before the count reaches zero.
 struct Latch {
     state: Mutex<LatchState>,
     completed: Condvar,
@@ -84,8 +84,8 @@ struct Task {
 }
 
 // SAFETY: the pointee closure is `Send` (enforced by the public signatures),
-// each pointer is consumed by exactly one thread, and `scope_execute_batch` keeps
-// both pointees alive until the latch reports completion.
+// each pointer is consumed by exactly one thread, and `scope_execute_batch`
+// keeps both pointees alive until the latch reports completion.
 unsafe impl Send for Task {}
 
 struct Shared {
@@ -95,9 +95,9 @@ struct Shared {
 
 /// Runs one task and reports its completion (and any panic) to its latch.
 fn execute(task: Task) {
-    // SAFETY: `func` points into a live `scope_execute_batch` frame (that frame is
-    // blocked in `wait_helping` until we call `complete`), and this thread
-    // is the only one holding this pointer.
+    // SAFETY: `func` points into a live `scope_execute_batch` frame (that
+    // frame is blocked in `wait_helping` until we call `complete`), and this
+    // thread is the only one holding this pointer.
     let func = unsafe { &mut *task.func };
     let result = catch_unwind(AssertUnwindSafe(func));
     // SAFETY: same frame-liveness argument as above.
