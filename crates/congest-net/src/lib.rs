@@ -66,24 +66,28 @@
 //! * A node of degree at most 64 gets a *stamp page*: `deg(v)` round
 //!   stamps, one per port (at most 512 B), and a port is busy iff its stamp
 //!   equals the current `round_stamp`.
-//! * A node of higher degree gets a *send log*: up to 14 ports used in one
-//!   round, tagged with that round's stamp. The log is promoted to a page,
-//!   keeping its ports' stamps, when the node sends more messages in one
-//!   round than it holds.
+//! * A node of higher degree gets a *port set*: an open-addressed hash set
+//!   of `(stamp, port)` slots holding the ports it used in one round. The
+//!   set doubles, keeping only the current round's ports, when it would be
+//!   over half full, and becomes a page, keeping their stamps, when
+//!   doubling would make it bigger than the page (16 B per slot against
+//!   8 B per port).
 //!
 //! So stamp state costs memory in proportion to what a node sends in a
-//! round, not to its degree, until it sends more than a log holds: on `K_n`
-//! the referees that answer a few queries stay on 128-byte logs instead of
-//! `8·(n − 1)`-byte pages, and the former O(E) flat array (terabytes on an
-//! implicit `K_n`) is long gone. Advancing a round just increments
+//! round, not to its degree: on `K_n` a referee that answers one query a
+//! round keeps a 48-byte set instead of an `8·(n − 1)`-byte page, a
+//! candidate that contacts `s` referees in one round keeps fewer than
+//! `4·s` slots, and the former O(E) flat array (terabytes on an implicit
+//! `K_n`) is long gone. A node that sends through an eighth to a quarter of
+//! its ports in one round ends on a page. Advancing a round just increments
 //! `round_stamp`.
 //!
 //! **Invariant:** `round_stamp` is strictly monotone (`advance_round` adds 1,
 //! `skip_rounds(r)` adds `r`), so a stamp written in an earlier round can
-//! never compare equal again — a stale page entry, or a log whose stamp is
-//! stale (which counts as empty), needs no clearing, and enforcement is one
-//! load + compare + store on a page or a scan of at most 14 ports on a log,
-//! with no `HashSet` in sight.
+//! never compare equal again — a stale page entry, or a set slot whose
+//! stamp is stale (which counts as free), needs no clearing, and
+//! enforcement is one load + compare + store on a page or an expected O(1)
+//! probe of a set that is at most half full.
 //!
 //! ## 3. Double-buffered inboxes and outboxes
 //!

@@ -13,15 +13,16 @@
 //!   16-byte **send-state** slot per node, filled on the node's first send.
 //!   A node of degree at most 64 gets a round-stamped page: port `p` is
 //!   busy iff its stamp equals the current round stamp. A node of higher
-//!   degree gets a send log instead: the few ports it used in one round,
-//!   tagged with that round's stamp. The log becomes a page when the node
-//!   sends more messages in one round than the log holds.
-//!   Either way there is no hashing and nothing to clear between rounds,
-//!   nodes that never transmit never pay for stamps at all, and a node
-//!   that sends a few messages a round pays for those, not for its degree
-//!   (a page per sender is 512 KiB on `K_65536`; the former eager
-//!   `Vec<u64>` over all directed edge ids was O(E), which at a
-//!   million-node complete graph is a terabyte).
+//!   degree gets a port set instead: an open-addressed hash set of the
+//!   ports it used in one round, each slot tagged with its round's stamp.
+//!   The set doubles when it would be over half full, and becomes a page
+//!   when doubling would make it bigger than one.
+//!   Either way nothing is cleared between rounds, nodes that never
+//!   transmit never pay for stamps at all, and a node that sends a few
+//!   messages a round pays for those, not for its degree (a page per
+//!   sender is 8 MiB on `K_{2^20}`; the former eager `Vec<u64>` over all
+//!   directed edge ids was O(E), which at a million-node complete graph is
+//!   a terabyte).
 //! * The arrival port of every message is resolved at *send* time — an O(1)
 //!   reverse-port table read on the CSR backend, an O(1) closed form on
 //!   implicit topologies — so receivers (and the
@@ -183,12 +184,12 @@ pub struct Network<M: Payload> {
     /// of `O(n)`).
     dirty_inboxes: Vec<NodeId>,
     /// Per-node send state: which ports of `v` already carry a message this
-    /// round, as a stamp page or, for a high-degree node that sends little,
-    /// a send log (see [`SendState`]); an empty page means `v` has never
-    /// sent. Keeps round state O(n + messages per round) for nodes on logs
-    /// and O(deg) for nodes on pages, instead of O(E) — essential for
-    /// implicit million-node topologies. Monotone stamps make clearing
-    /// unnecessary.
+    /// round, as a stamp page or, for a node of degree above 64, a port set
+    /// that grows with what `v` sends in a round (see [`SendState`]); an
+    /// empty slot means `v` has never sent. Keeps round state O(n + messages
+    /// per round) for nodes on sets and O(deg) for nodes on pages, instead
+    /// of O(E) — essential for implicit million-node topologies. Monotone
+    /// stamps make clearing unnecessary.
     send_state: Vec<SendState>,
     /// The current round's stamp; starts at 1 so a zero-initialised stamp
     /// page means "never used".
@@ -547,9 +548,10 @@ impl<M: Payload> Network<M> {
 
     /// The hot send path: every send funnels here with a resolved
     /// `(from, port)` pair, where CONGEST enforcement is an O(1) stamp
-    /// compare against the sender's stamp page (or a scan of its send log
-    /// of at most 14 ports) and the arrival port an O(1) reverse-port
-    /// lookup — closed-form on implicit backends, table read on CSR.
+    /// compare against the sender's stamp page (or an expected O(1) probe
+    /// of its port set, which is at most half full) and the arrival port an
+    /// O(1) reverse-port lookup — closed-form on implicit backends, table
+    /// read on CSR.
     fn send_on_port(&mut self, from: NodeId, port: Port, msg: M) -> Result<(), Error> {
         let (to, arrival) = self.graph.delivery_slot(from, port);
         self.send_resolved(from, port, to, arrival, msg)
@@ -972,12 +974,21 @@ impl<M: Payload> Network<M> {
     /// sent. Used to account for the predetermined synchronisation slack of
     /// the quantum subroutines (Definition 4.1) without simulating each empty
     /// round individually.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the round clock would reach 2^63: send state tells round
+    /// stamps from port-set words by the top bit.
     pub fn skip_rounds(&mut self, rounds: u64) {
         debug_assert!(
             self.pending.is_empty() && self.shard_pending.iter().all(Vec::is_empty),
             "skip_rounds with undelivered messages"
         );
-        self.round_stamp += rounds;
+        self.round_stamp = self
+            .round_stamp
+            .checked_add(rounds)
+            .filter(|&stamp| stamp < SET_BIT)
+            .expect("round stamps stay below 2^63");
         if let Some(faults) = self.faults.as_mut() {
             // Keep outage windows, latencies, and crash rounds aligned with
             // protocol round numbers; crashes/recoveries inside the skipped
@@ -1107,7 +1118,7 @@ impl<M: Payload> Network<M> {
 
 /// One shard's exclusive, thread-safe window onto the network for a single
 /// round of sharded execution: the shard's inboxes, private RNG streams, the
-/// send state (stamp pages and send logs) of its nodes' outgoing directed
+/// send state (stamp pages and port sets) of its nodes' outgoing directed
 /// edges, and its own outbox queue and send counters. Produced by
 /// [`Network::shard_views`].
 #[derive(Debug)]
@@ -1289,48 +1300,45 @@ impl<M: Payload> ShardView<'_, M> {
 }
 
 /// Highest degree whose node gets a full stamp page on its first send: the
-/// page is then at most 512 B. Nodes of higher degree start with a
-/// [`SendLog`].
+/// page is then at most 512 B. Nodes of higher degree start on a port set.
 const PAGE_MAX_DEGREE: usize = 64;
 
-/// Ports a [`SendLog`] holds, sized so the log is 128 B.
-const LOG_PORTS: usize = 14;
+/// Set in every word of a port set. Round stamps stay below it (see
+/// [`Network::skip_rounds`]), so no set word reads as a page stamp of the
+/// current round or an earlier one.
+const SET_BIT: u64 = 1 << 63;
 
-/// The ports a high-degree node has used in one round. A log whose `stamp`
-/// is not the current round stamp counts as empty, so, like a page, it is
-/// never cleared.
-#[derive(Debug)]
-struct SendLog {
-    /// The round stamp the logged ports belong to.
-    stamp: u64,
-    len: usize,
-    ports: [Port; LOG_PORTS],
-}
+/// Words before a port set's first slot: the round its count belongs to,
+/// and the count of slots holding that round's ports.
+const SET_HEADER: usize = 2;
+
+/// Slots in a new port set, enough for the one port of its first send.
+const SET_MIN_SLOTS: usize = 2;
 
 /// One node's CONGEST edge-busy state: which of its ports already carry a
-/// message this round. It costs memory in proportion to what the node
-/// sends in a round, not to its degree, until the node sends more than a
-/// log holds.
-#[derive(Debug)]
-enum SendState {
-    /// One round stamp per port; port `p` is busy iff `page[p]` equals the
-    /// current round stamp. Empty until the node first sends.
-    Page(Box<[u64]>),
-    /// The ports used in the log's round, for a node of degree above
-    /// [`PAGE_MAX_DEGREE`] that has so far sent at most [`LOG_PORTS`]
-    /// messages in every round.
-    Log(Box<SendLog>),
-}
+/// message this round, in one boxed word slice that is empty until the node
+/// first sends.
+///
+/// * A **page** holds one round stamp per port: port `p` is busy iff
+///   `words[p]` equals the current round stamp. A node of degree at most
+///   [`PAGE_MAX_DEGREE`] gets one on its first send.
+/// * A **port set**, for a node of higher degree, is an open-addressed
+///   hash set of the ports used in one round: the [`SET_HEADER`] words,
+///   then power-of-two many `(stamp, port)` slots probed linearly, every
+///   word tagged with [`SET_BIT`]. A slot whose stamp is not the current
+///   round's is free. The set doubles, carrying only the current round's
+///   ports, when it would be over half full, and becomes a page, carrying
+///   their stamps, when doubling would make it bigger than the page.
+///
+/// So the state costs memory in proportion to what the node sends in a
+/// round, not to its degree, and nothing is ever cleared. A page entry is
+/// at most the current stamp and a set word is above every stamp, so one
+/// indexed load tells a page's free and busy ports from a set.
+#[derive(Debug, Default)]
+struct SendState(Box<[u64]>);
 
-// One slot per node: the log's box fits beside the page's non-null
-// pointer, so the enum is no larger than the page it replaces.
+// One slot per node: a boxed slice, empty until the node first sends.
 const _: () = assert!(std::mem::size_of::<SendState>() == 16);
-
-impl Default for SendState {
-    fn default() -> Self {
-        SendState::Page(Box::default())
-    }
-}
 
 impl SendState {
     /// Marks `port` used in round `round_stamp`. Returns `false` iff the
@@ -1340,65 +1348,114 @@ impl SendState {
     /// pays the backend dispatch for it.
     #[inline]
     fn try_stamp(&mut self, degree: impl FnOnce() -> usize, port: Port, round_stamp: u64) -> bool {
-        let page = match self {
-            SendState::Page(page) if !page.is_empty() => page,
-            SendState::Log(log) => {
-                if log.stamp != round_stamp {
-                    log.stamp = round_stamp;
-                    log.len = 0;
-                }
-                if log.ports[..log.len].contains(&port) {
-                    return false;
-                }
-                if log.len < LOG_PORTS {
-                    log.ports[log.len] = port;
-                    log.len += 1;
-                    return true;
-                }
-                self.page(degree())
+        if let Some(stamp) = self.0.get_mut(port) {
+            if *stamp == round_stamp {
+                return false;
             }
-            SendState::Page(_) => {
-                let degree = degree();
-                if degree > PAGE_MAX_DEGREE {
-                    let mut ports = [0; LOG_PORTS];
-                    ports[0] = port;
-                    *self = SendState::Log(Box::new(SendLog {
-                        stamp: round_stamp,
-                        len: 1,
-                        ports,
-                    }));
-                    return true;
-                }
-                self.page(degree)
+            if *stamp < round_stamp {
+                *stamp = round_stamp;
+                return true;
             }
-        };
-        let stamp = &mut page[port];
-        if *stamp == round_stamp {
-            return false;
         }
-        *stamp = round_stamp;
+        if self.0.is_empty() {
+            self.first_send(degree(), port, round_stamp);
+            return true;
+        }
+        self.set_insert(degree, port, round_stamp)
+    }
+
+    /// Allocates the node's page or port set and marks `port` in it.
+    #[cold]
+    #[inline(never)]
+    fn first_send(&mut self, degree: usize, port: Port, round_stamp: u64) {
+        if degree <= PAGE_MAX_DEGREE {
+            self.0 = vec![0; degree].into_boxed_slice();
+            self.0[port] = round_stamp;
+        } else {
+            self.0 = vec![SET_BIT; SET_HEADER + 2 * SET_MIN_SLOTS].into_boxed_slice();
+            self.set_insert(|| degree, port, round_stamp);
+        }
+    }
+
+    /// [`try_stamp`](SendState::try_stamp) on a port set. Kept out of line
+    /// so that the page path inlined into every send stays small.
+    #[inline(never)]
+    fn set_insert(&mut self, degree: impl FnOnce() -> usize, port: Port, round_stamp: u64) -> bool {
+        let round = round_stamp | SET_BIT;
+        let key = port as u64 | SET_BIT;
+        let words = &mut self.0;
+        if words[0] != round {
+            words[0] = round;
+            words[1] = SET_BIT;
+        }
+        let Some(at) = vacancy(words, key, round) else {
+            return false;
+        };
+        let count = words[1] & !SET_BIT;
+        if 2 * (count as usize + 1) > slot_count(words) {
+            self.grow(degree(), key, round);
+            return true;
+        }
+        words[at] = round;
+        words[at + 1] = key;
+        words[1] += 1;
         true
     }
 
-    /// The node's stamp page, allocated (one `u64` per port) on its first
-    /// send, or promoted from its log, whose ports keep their stamp.
-    fn page(&mut self, degree: usize) -> &mut [u64] {
-        if let SendState::Log(log) = self {
-            let mut page = vec![0u64; degree].into_boxed_slice();
-            for &port in &log.ports[..log.len] {
-                page[port] = log.stamp;
+    /// Doubles the port set, or turns it into the node's page once the
+    /// doubled set would be bigger, and adds `key` to it. Either keeps only
+    /// the current round's ports.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, degree: usize, key: u64, round: u64) {
+        let old = std::mem::take(&mut self.0);
+        let current = old[SET_HEADER..]
+            .chunks_exact(2)
+            .filter(|slot| slot[0] == round)
+            .map(|slot| slot[1])
+            .chain([key]);
+        let slots = 2 * slot_count(&old);
+        if SET_HEADER + 2 * slots > degree {
+            let mut page = vec![0; degree].into_boxed_slice();
+            for key in current {
+                page[(key & !SET_BIT) as usize] = round & !SET_BIT;
             }
-            *self = SendState::Page(page);
+            self.0 = page;
+            return;
         }
-        match self {
-            SendState::Page(page) => {
-                if page.is_empty() {
-                    *page = vec![0u64; degree].into_boxed_slice();
-                }
-                page
-            }
-            SendState::Log(_) => unreachable!("log promoted above"),
+        let mut words = vec![SET_BIT; SET_HEADER + 2 * slots].into_boxed_slice();
+        words[0] = round;
+        for key in current {
+            let at = vacancy(&words, key, round).expect("ports in a set are distinct");
+            words[at] = round;
+            words[at + 1] = key;
+            words[1] += 1;
         }
+        self.0 = words;
+    }
+}
+
+/// The number of slots of a port set.
+fn slot_count(words: &[u64]) -> usize {
+    (words.len() - SET_HEADER) / 2
+}
+
+/// The word index of the slot where `key` goes in a port set, or `None` if
+/// the set holds it for the current round. Probes linearly from the key's
+/// Fibonacci hash; a set at most half full always has a free slot.
+fn vacancy(words: &[u64], key: u64, round: u64) -> Option<usize> {
+    let slots = slot_count(words);
+    let mut slot =
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - slots.trailing_zeros())) as usize;
+    loop {
+        let at = SET_HEADER + 2 * slot;
+        if words[at] != round {
+            return Some(at);
+        }
+        if words[at + 1] == key {
+            return None;
+        }
+        slot = (slot + 1) & (slots - 1);
     }
 }
 

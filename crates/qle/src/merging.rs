@@ -26,7 +26,7 @@
 //! These phases run off driver-side tree state: their sends are charged on
 //! the network, but their decisions are fault-oblivious.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 
 use congest_net::{Network, NodeId, Payload};
 
@@ -87,6 +87,8 @@ pub struct Clustering {
     tree_adj: Vec<Vec<NodeId>>,
     /// The distinct values of `cluster_of`, ascending.
     ids: Vec<u64>,
+    /// `tree_order`'s visited marks, all `false` between calls.
+    seen: Vec<bool>,
 }
 
 impl Clustering {
@@ -97,6 +99,7 @@ impl Clustering {
             cluster_of: (0..n as u64).collect(),
             tree_adj: vec![Vec::new(); n],
             ids: (0..n as u64).collect(),
+            seen: vec![false; n],
         }
     }
 
@@ -114,20 +117,24 @@ impl Clustering {
 
     /// Breadth-first order of the cluster tree from its centre, as
     /// `(node, parent)` pairs; used for convergecast/broadcast charging.
-    fn tree_order(&self, cluster: u64) -> Vec<(NodeId, Option<NodeId>)> {
+    fn tree_order(&mut self, cluster: u64) -> Vec<(NodeId, Option<NodeId>)> {
         let center = cluster as NodeId;
         let mut order = vec![(center, None)];
-        let mut seen = vec![false; self.cluster_of.len()];
-        seen[center] = true;
-        let mut queue = VecDeque::from([center]);
-        while let Some(v) = queue.pop_front() {
+        self.seen[center] = true;
+        // The order doubles as the queue: entries from `head` on are still
+        // to be expanded.
+        let mut head = 0;
+        while let Some(&(v, _)) = order.get(head) {
+            head += 1;
             for &u in &self.tree_adj[v] {
-                if !seen[u] && self.cluster_of[u] == cluster {
-                    seen[u] = true;
+                if !self.seen[u] && self.cluster_of[u] == cluster {
+                    self.seen[u] = true;
                     order.push((u, Some(v)));
-                    queue.push_back(u);
                 }
             }
+        }
+        for &(v, _) in &order {
+            self.seen[v] = false;
         }
         order
     }
@@ -135,12 +142,13 @@ impl Clustering {
     /// Sends `msg(cluster)` from every tree node to its children, over every
     /// cluster in ascending id order, and returns the largest tree's size.
     fn broadcast_down(
-        &self,
+        &mut self,
         net: &mut Network<MergeMessage>,
         msg: fn(u64) -> MergeMessage,
     ) -> Result<u64, Error> {
         let mut largest = 0u64;
-        for &cluster in &self.ids {
+        for i in 0..self.ids.len() {
+            let cluster = self.ids[i];
             let order = self.tree_order(cluster);
             largest = largest.max(order.len() as u64);
             for &(node, parent) in order.iter().skip(1) {
@@ -176,13 +184,14 @@ impl Clustering {
     /// tree edge carries at most one proposal), one round per cluster.
     /// Returns each cluster's chosen edge and the largest tree's size.
     fn convergecast(
-        &self,
+        &mut self,
         net: &mut Network<MergeMessage>,
         proposals: &[Option<OutgoingEdge>],
     ) -> Result<(Vec<(u64, OutgoingEdge)>, u64), Error> {
         let mut chosen = Vec::new();
         let mut largest = 0u64;
-        for &cluster in &self.ids {
+        for i in 0..self.ids.len() {
+            let cluster = self.ids[i];
             let order = self.tree_order(cluster);
             largest = largest.max(order.len() as u64);
             let mut best: Option<OutgoingEdge> = None;
@@ -213,7 +222,7 @@ impl Clustering {
     /// each chosen edge; the matching itself is greedy over the chosen
     /// edges in cluster order.
     fn match_clusters(
-        &self,
+        &mut self,
         net: &mut Network<MergeMessage>,
         chosen: &[(u64, OutgoingEdge)],
         rounds: u64,
@@ -297,7 +306,7 @@ impl Clustering {
     /// Returns a network error if a send breaks the CONGEST rules (a
     /// protocol bug).
     pub fn announce_leaders(
-        &self,
+        &mut self,
         net: &mut Network<MergeMessage>,
     ) -> Result<Vec<NodeStatus>, Error> {
         let mut statuses = vec![NodeStatus::NonElected; self.cluster_of.len()];

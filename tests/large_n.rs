@@ -2,9 +2,9 @@
 //! structured families at `n = 2^20` must run real protocol workloads with
 //! peak graph + round-state memory **O(n + active)** — not the O(E) (for
 //! `K_n`: terabytes) that materialized CSR adjacency would cost. The paper's
-//! complete-network protocols run at `n = 2^16` under the same kind of
-//! ceiling, and at `n = 2^18` they pin E1's quantum/classical crossover
-//! bracket.
+//! complete-network protocols run at `n = 2^16` and `n = 2^20` under the
+//! same kind of ceiling, and from `n = 2^16` to `2^20` they pin E1's
+//! quantum/classical crossover bracket.
 //!
 //! The shared tracking allocator (`tests/support`) keeps **thread-local**
 //! current/peak byte counters, so the concurrently running tests in this
@@ -39,8 +39,8 @@ const MILLION: usize = 1 << 20;
 /// sending through every port: the topology whose CSR adjacency alone would
 /// be ~8 TiB (2^40 directed edges). The implicit backend makes the graph
 /// O(1) and the round O(n + messages): one stamp page for the sender (its
-/// send log becomes a page at the 15th send), one pending entry and one
-/// inbox slot per recipient.
+/// port set doubles until it would outgrow the page, then becomes one), one
+/// pending entry and one inbox slot per recipient.
 #[test]
 fn million_node_complete_broadcast_stays_lean() {
     let ((), peak) = measured(|| {
@@ -178,28 +178,29 @@ fn million_node_hypercube_flood_completes() {
     );
 }
 
+/// One run on implicit `K_n`: its total messages and its peak tracked
+/// bytes. The run must elect exactly one leader, so protocols are compared
+/// at matched success.
+fn run_electing_one_leader(protocol: &impl LeaderElection, n: usize, seed: u64) -> (u64, u64) {
+    let (run, peak) = measured(|| protocol.run(&topology::complete(n).unwrap(), seed).unwrap());
+    let leaders = run.outcome.leaders().len();
+    assert_eq!(leaders, 1, "{} on K_{n}, seed {seed}", run.protocol);
+    (run.cost.total_messages(), peak)
+}
+
 /// The paper's `QuantumLE` with the scenario registry's defaults
 /// (`k = n^{1/3}`, `α = 1/n²`) on implicit `K_65536`. About 133 candidates
 /// each send their rank to 40 referees, then run a Grover search in which
-/// every check makes one node reply once. Nodes of degree above 64 start
-/// CONGEST enforcement on a send log of a few ports, so the replying nodes
-/// never allocate a 512 KiB stamp page; only the candidates, which send
-/// 40 ranks in one round, are promoted to one.
-///
-/// `n = 2^20` waits for the candidates' own pages to go: there ~166
-/// candidates hold an 8 MiB page each, and the run peaks at about 1.66 GB
-/// resident (11 s in release on a 2-vCPU host; KPP: 1.36 GB, 2.4 s).
+/// every check makes one node reply once. Nodes of degree above 64 enforce
+/// CONGEST on a port set that grows with what they send in a round, so no
+/// node allocates a 512 KiB stamp page: a node that replies once a round
+/// keeps a set of 2 slots, and a candidate's grows to 128.
 #[test]
 fn quantum_le_on_complete_65536_stays_lean() {
-    let (leaders, peak) = measured(|| {
-        let graph = topology::complete(1 << 16).unwrap();
-        let run = QuantumLe::new().run(&graph, 1).unwrap();
-        run.outcome.leaders().len()
-    });
-    assert_eq!(leaders, 1, "QuantumLE must elect exactly one leader");
-    // Measured peak: 95.5 MB, most of it the candidates' stamp pages. The
-    // budget is about twice that; a page for every sender needed ~11.4 GB.
-    let budget = 190_000_000;
+    let (_, peak) = run_electing_one_leader(&QuantumLe::new(), 1 << 16, 1);
+    // Measured peak: 17.7 MB. The budget is about twice that. A stamp page
+    // for every candidate needed 95.0 MB, and one for every sender ~11.4 GB.
+    let budget = 36_000_000;
     assert!(
         peak <= budget,
         "peak {peak} bytes exceeds QuantumLE budget {budget}"
@@ -207,48 +208,65 @@ fn quantum_le_on_complete_65536_stays_lean() {
 }
 
 /// The classical `Õ(√n)` baseline on implicit `K_65536`: about 133
-/// candidates each contact ~850 random referees in one round (so each is
-/// promoted to a stamp page), and every referee answers the few candidates
-/// that contacted it from its send log.
+/// candidates each contact ~850 random referees in one round (a port set of
+/// 2,048 slots, 32 KiB, where a stamp page is 512 KiB), and every referee
+/// answers the few candidates that contacted it.
 #[test]
 fn kpp_complete_le_on_complete_65536_stays_lean() {
-    let (leaders, peak) = measured(|| {
-        let graph = topology::complete(1 << 16).unwrap();
-        let run = KppCompleteLe::new().run(&graph, 1).unwrap();
-        run.outcome.leaders().len()
-    });
-    assert_eq!(leaders, 1, "KPP must elect exactly one leader");
-    // Measured peak: 103.9 MB, most of it the candidates' stamp pages. The
-    // budget is about twice that; a page for every sender needed ~780 MB.
-    let budget = 210_000_000;
+    let (_, peak) = run_electing_one_leader(&KppCompleteLe::new(), 1 << 16, 1);
+    // Measured peak: 34.2 MB. The budget is about twice that. A stamp page
+    // for every candidate needed 103.9 MB, and one for every sender ~780 MB.
+    let budget = 70_000_000;
     assert!(
         peak <= budget,
         "peak {peak} bytes exceeds KPP budget {budget}"
     );
 }
 
-/// Total messages of one run on implicit `K_n`. The run must elect exactly
-/// one leader, so protocols are compared at matched success.
-fn messages_electing_one_leader(protocol: &impl LeaderElection, n: usize, seed: u64) -> u64 {
-    let graph = topology::complete(n).unwrap();
-    let run = protocol.run(&graph, seed).unwrap();
-    let leaders = run.outcome.leaders().len();
-    assert_eq!(leaders, 1, "{} on K_{n}, seed {seed}", run.protocol);
-    run.cost.total_messages()
+/// `QuantumLE` with the registry defaults on implicit `K_{2^20}`: about 166
+/// candidates each send their rank to 102 referees and run their Grover
+/// searches. With a stamp page per candidate (8 MiB each) the run needed
+/// 1.67 GB.
+#[test]
+#[ignore = "heavyweight (17M messages on K_{2^20}); CI runs it in release"]
+fn quantum_le_on_million_node_complete_stays_lean() {
+    let (_, peak) = run_electing_one_leader(&QuantumLe::new(), MILLION, 1);
+    // Measured peak: 268 MB (255 B/node). The budget is about twice that.
+    let budget = 540_000_000;
+    assert!(
+        peak <= budget,
+        "peak {peak} bytes exceeds QuantumLE budget {budget}"
+    );
+}
+
+/// KPP on implicit `K_{2^20}`: about 166 candidates each contact ~3,800
+/// random referees in one round. With a stamp page per candidate (8 MiB
+/// each) the run needed 1.60 GB; a port set of 8,192 slots is 128 KiB.
+#[test]
+#[ignore = "heavyweight (one million nodes); CI runs it in release"]
+fn kpp_complete_le_on_million_node_complete_stays_lean() {
+    let (_, peak) = run_electing_one_leader(&KppCompleteLe::new(), MILLION, 1);
+    // Measured peak: 271 MB (259 B/node). The budget is about twice that.
+    let budget = 540_000_000;
+    assert!(
+        peak <= budget,
+        "peak {peak} bytes exceeds KPP budget {budget}"
+    );
 }
 
 /// E1's crossover bracket: `QuantumLe`'s messages over `KppCompleteLe`'s on
 /// implicit `K_n`. At `α = 1/4` quantum is dearer at `n = 2^16` (measured
-/// 1.189 for seeds 1 and 2) and cheaper at `n = 2^18` (0.852). Under the
-/// registry default `α = 1/n²` each Grover search runs `⌈log₂ n²⌉` BBHT
-/// passes instead of 2, and quantum is still dearer at `n = 2^18` (15.035).
-/// A change that silently moves `α` or `k` moves a ratio across 1.
+/// 1.189 for seeds 1 and 2) and cheaper at `n = 2^18` (0.852) and at
+/// `n = 2^20` (0.716). Under the registry default `α = 1/n²` each Grover
+/// search runs `⌈log₂ n²⌉` BBHT passes instead of 2, and quantum is still
+/// dearer at `n = 2^18` (15.035). A change that silently moves `α` or `k`
+/// moves a ratio across 1.
 #[test]
-#[ignore = "heavyweight (QuantumLE and KPP up to K_{2^18}); CI runs it in release"]
+#[ignore = "heavyweight (QuantumLE and KPP up to K_{2^20}); CI runs it in release"]
 fn e1_crossover_bracket_on_implicit_complete_graphs() {
     let ratio = |quantum: &QuantumLe, n: usize, seed: u64| {
-        let q = messages_electing_one_leader(quantum, n, seed);
-        let c = messages_electing_one_leader(&KppCompleteLe::new(), n, seed);
+        let (q, _) = run_electing_one_leader(quantum, n, seed);
+        let (c, _) = run_electing_one_leader(&KppCompleteLe::new(), n, seed);
         q as f64 / c as f64
     };
     let constant_alpha = QuantumLe::with_parameters(KChoice::Optimal, AlphaChoice::Fixed(0.25));
@@ -257,6 +275,8 @@ fn e1_crossover_bracket_on_implicit_complete_graphs() {
         assert!(r > 1.0, "α = 1/4, n = 2^16, seed {seed}: ratio {r:.3}");
         let r = ratio(&constant_alpha, 1 << 18, seed);
         assert!(r < 1.0, "α = 1/4, n = 2^18, seed {seed}: ratio {r:.3}");
+        let r = ratio(&constant_alpha, MILLION, seed);
+        assert!(r < 1.0, "α = 1/4, n = 2^20, seed {seed}: ratio {r:.3}");
     }
     let r = ratio(&QuantumLe::new(), 1 << 18, 1);
     assert!(r > 1.0, "α = 1/n², n = 2^18, seed 1: ratio {r:.3}");

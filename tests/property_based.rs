@@ -380,9 +380,11 @@ impl ReferenceNetwork<'_> {
 /// Drives `graph`'s [`Network`] and a [`ReferenceNetwork`] through the same
 /// random sequence of sends, round advances and skips, and
 /// asserts that every result, every delivered inbox and the metrics agree.
-/// Rounds vary from idle to dozens of sends, most of them from one hot node
-/// and concentrated on its low ports, so high-degree senders fill their
-/// send logs, reuse logged ports and get promoted to pages mid-round.
+/// Rounds vary from idle to 150 sends, most of them from one hot node and
+/// concentrated on its low ports. So a high-degree sender reuses ports in
+/// its port set, reuses ports stamped in earlier rounds, and in the largest
+/// rounds passes through every doubling of its set and its conversion to a
+/// page, with ports repeated on both sides of each step.
 fn check_congest_against_reference(graph: &Graph, seed: u64) {
     let n = graph.node_count();
     let mut net: Network<Probe> = Network::new(graph.clone(), NetworkConfig::with_seed(seed));
@@ -399,7 +401,7 @@ fn check_congest_against_reference(graph: &Graph, seed: u64) {
     let mut id = 0u32;
     for _ in 0..40 {
         let round_hot = hot[rng.gen_range(0..hot.len())];
-        let ops = [0, 4, 16, 40][rng.gen_range(0..4usize)];
+        let ops = [0, 4, 16, 40, 150][rng.gen_range(0..5usize)];
         for _ in 0..ops {
             id += 1;
             let msg = Probe {
@@ -451,8 +453,9 @@ fn check_congest_against_reference(graph: &Graph, seed: u64) {
 
 /// A [`NodeProgram`] that sends 1–20 messages a round through a random run
 /// of consecutive ports, for a fixed number of rounds, folding what it
-/// receives into a digest. On `K_100` its rounds straddle the send-log
-/// capacity, so nodes move from logs to pages at different rounds.
+/// receives into a digest. On `K_100` a port set becomes a page at the 17th
+/// port of one round, so nodes grow their sets and move to pages at
+/// different rounds.
 #[derive(Debug)]
 struct BurstSender {
     rounds_left: u64,
@@ -504,8 +507,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// CONGEST enforcement matches the set-based reference on implicit
-    /// `K_n` (degree above the page threshold, so senders start on send
-    /// logs), on its materialized CSR twin, on a star (one log-backed hub,
+    /// `K_n` (degree above the page threshold, so senders start on port
+    /// sets), on its materialized CSR twin, on a star (one set-backed hub,
     /// page-backed leaves) and on an 8-regular graph (pages only).
     #[test]
     fn congest_enforcement_matches_reference(n in 80usize..200, seed in 0u64..10_000) {
@@ -516,9 +519,9 @@ proptest! {
         check_congest_against_reference(&topology::random_regular(n, 8, seed).unwrap(), seed);
     }
 
-    /// Senders crossing the send-log capacity at different rounds give the
-    /// same metrics, per-round history and received messages with 1 and 4
-    /// shards.
+    /// Senders growing their port sets and moving to pages at different
+    /// rounds give the same metrics, per-round history and received messages
+    /// with 1 and 4 shards.
     #[test]
     fn burst_senders_match_across_shard_counts(seed in 0u64..10_000) {
         let run = |shards: usize| {
