@@ -284,7 +284,7 @@ fn run_profile(rest: &[String]) -> Result<(), CliError> {
         }
         if matches!(r.cell.mode, congest_net::ExecMode::Event(_)) {
             println!(
-                "  event heap depth buckets {} skew buckets {}",
+                "  event queue depth buckets {} skew buckets {}",
                 det.heap_depth.to_json(),
                 det.skew_per_round.to_json()
             );

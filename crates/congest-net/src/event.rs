@@ -17,11 +17,12 @@
 //! # Execution model (the contract, in brief)
 //!
 //! * **Virtual time** is the round clock: one barrier = one tick. A message
-//!   sent at time `t` and skewed by `δ ∈ [0, bound]` matures at time
-//!   `t + δ` on the network's global event heap, keyed by
-//!   `(due time, delivery-order seq)` — the same heap (and the same
-//!   sequence-number stream) that link-latency faults use, so fault delays
-//!   and scheduler skews share one total order.
+//!   sent at time `t` and skewed by `δ ∈ [0, bound]` waits on the
+//!   network's global event queue until the barrier at time `t + δ`
+//!   (saturating at `u64::MAX`, a time no barrier reaches). The queue is a
+//!   FIFO bucket per due time; link-latency faults park on the same
+//!   buckets in the same delivery order, so fault delays and scheduler
+//!   skews share one total order: by due time, then by parking order.
 //! * **Determinism**: each scheduler draws from a dedicated PRNG stream
 //!   (`plan seed ⊕ "SCHEDULE"` salt — like the fault plane's `BYZ_MUTA` /
 //!   `ADV_DROP` streams), consulted only at the barrier in delivery order.
@@ -244,7 +245,8 @@ pub(crate) struct SchedulerState {
     /// Starts at 0 and advances with every barrier and skipped round,
     /// exactly like the fault clock.
     pub(crate) clock: u64,
-    /// Sum of all chosen delays (exposed for diagnostics/tests).
+    /// Sum of all chosen delays, saturating at `u64::MAX` (exposed for
+    /// diagnostics/tests).
     pub(crate) total_skew: u64,
 }
 
@@ -282,8 +284,14 @@ impl SchedulerState {
                 if self.bound == 0 {
                     0
                 } else {
-                    let d = self.cursor % (self.bound + 1);
-                    self.cursor += 1;
+                    // The period `bound + 1` is the whole `u64` range when
+                    // the bound is `u64::MAX`: the cursor itself is the
+                    // delay, and it wraps with that period.
+                    let d = self
+                        .bound
+                        .checked_add(1)
+                        .map_or(self.cursor, |period| self.cursor % period);
+                    self.cursor = self.cursor.wrapping_add(1);
                     d
                 }
             }
@@ -292,7 +300,7 @@ impl SchedulerState {
                 None => 0,
             },
         };
-        self.total_skew += delay;
+        self.total_skew = self.total_skew.saturating_add(delay);
         delay
     }
 }

@@ -59,10 +59,10 @@
 //! drop PRNG stream, every fault decision, the fault counters in
 //! [`Metrics`](crate::Metrics), and the emitted [`TraceEvent`]s are
 //! byte-identical for every shard count too. Messages delayed by link
-//! latency are parked on a cross-round heap keyed by
-//! `(due round, delivery-order sequence number)` — the sequence number is
-//! assigned in that same deterministic delivery order, so the drain order at
-//! a later barrier is also byte-identical for every shard count. The
+//! latency are parked on a cross-round queue, in a FIFO bucket per due
+//! round, in that same deterministic delivery order; a later barrier drains
+//! the buckets in due order and each in parking order, so the drain order
+//! is also byte-identical for every shard count. The
 //! workspace fault-plane test suite pins this, together with the stronger
 //! property that installing an *empty* plan leaves a run byte-identical to
 //! the pristine fault-free path.
@@ -449,7 +449,7 @@ pub enum TraceEvent {
         /// Why the message was dropped.
         cause: DropCause,
     },
-    /// A message was parked on the cross-round delivery heap by a link
+    /// A message was parked on the cross-round event queue by a link
     /// latency fault.
     MessageDelayed {
         /// The send round of the delayed message.
@@ -482,7 +482,7 @@ pub enum TraceEvent {
         /// The equivocating node.
         node: NodeId,
     },
-    /// A message was parked on the event heap by the scheduler adversary of
+    /// A message was parked on the event queue by the scheduler adversary of
     /// the event-driven execution mode (see the [`event`](crate::event)
     /// module). Like `MessageDelayed` but chosen by the scheduler's policy
     /// rather than a fault-plan latency; the two never tally the same
@@ -505,7 +505,7 @@ pub enum TraceEvent {
 pub(crate) enum Verdict {
     /// Deliver at this barrier, as usual.
     Deliver,
-    /// Park on the cross-round heap; deliver this many rounds late.
+    /// Park on the cross-round event queue; deliver this many rounds late.
     Delay(u64),
     /// Drop, for the given cause.
     Drop(DropCause),
@@ -810,10 +810,10 @@ impl FaultState {
         Verdict::Deliver
     }
 
-    /// Decides the fate of a latency-delayed message popped from the
-    /// cross-round heap at its due barrier: only the receiver-crash check
-    /// remains (sender crash, outages, and the drop lottery were all judged
-    /// at the send barrier).
+    /// Decides the fate of a latency-delayed message drained from the
+    /// cross-round event queue at its due barrier: only the receiver-crash
+    /// check remains (sender crash, outages, and the drop lottery were all
+    /// judged at the send barrier).
     pub(crate) fn judge_delayed(&self, to: NodeId) -> Option<DropCause> {
         self.unreachable_at(to, self.clock + 1)
             .then_some(DropCause::ReceiverCrashed)

@@ -168,12 +168,12 @@
 //! event, which is what the scenario engine's replay mode re-verifies.
 //!
 //! Latency faults make the delivery queue **span rounds**: delayed messages
-//! are parked on a heap keyed by `(due round, delivery-order sequence
-//! number)` and drained at their due barrier in that order. Both the park
-//! decision and the sequence number are assigned in delivery order, so the
-//! cross-round drain order is byte-identical for every shard count too —
-//! the shard-invariance invariant survives cross-round delivery (pinned by
-//! the fault-plane suite's latency goldens and property tests).
+//! are parked in a FIFO bucket per due round and drained at their due
+//! barrier, bucket by bucket in due order and each bucket in parking order.
+//! Messages are parked in delivery order, so the cross-round drain order is
+//! byte-identical for every shard count too — the shard-invariance
+//! invariant survives cross-round delivery (pinned by the fault-plane
+//! suite's latency goldens, drain-order test and property tests).
 //!
 //! Beyond the benign classes, the plan models an **adversary**: Byzantine
 //! windows ([`FaultPlan::byzantine`]) in which a node's surviving outgoing
@@ -211,16 +211,16 @@
 //! ([`SchedulerSpec`], installed via [`Network::set_scheduler`]; see the
 //! [`event`] module) chooses a delivery delay in `0..=bound` for every
 //! message — at the barrier, in delivery order, from a dedicated salted
-//! PRNG stream, generalising the latency heap of §5 into a global event
-//! heap keyed by `(due time, seq)`. [`SyncRuntime`], and every protocol that
-//! drives [`Network`] directly, runs unchanged over such a network; that is
-//! all event mode ([`ExecMode::Event`]) is. Under the `synchronous`
-//! scheduler every delay is 0, so an event-mode run equals the round-mode
-//! run **byte-for-byte** (metrics, history, and trace), which is what keeps
-//! the two models comparable; the full execution-model contract — clock
-//! semantics, the scheduler catalogue, the equivalence theorem, and the
-//! replay guarantee — lives in `docs/EXECUTION_MODELS.md` in the
-//! repository root.
+//! PRNG stream. Skewed messages park in the due-round buckets of §5, which
+//! thereby serve as one global event queue. [`SyncRuntime`], and every
+//! protocol that drives [`Network`] directly, runs unchanged over such a
+//! network; that is all event mode ([`ExecMode::Event`]) is. Under the
+//! `synchronous` scheduler every delay is 0, so an event-mode run equals
+//! the round-mode run **byte-for-byte** (metrics, history, and trace),
+//! which is what keeps the two models comparable; the full execution-model
+//! contract — clock semantics, the scheduler catalogue, the equivalence
+//! theorem, and the replay guarantee — lives in `docs/EXECUTION_MODELS.md`
+//! in the repository root.
 //!
 //! **Invariant:** scheduler decisions are made only at the barrier, in the
 //! delivery order the §4 merge fixes, and consume only the scheduler's own
@@ -235,9 +235,10 @@
 //! per-round phase spans (node-step, barrier-merge, fault-judge,
 //! scheduler-oracle), per-shard busy-time and message counters, and
 //! deterministic log2-bucket histograms (messages per round, inbox sizes,
-//! and — in event mode — heap depth and scheduler skew). It is enabled per
-//! run via [`Network::enable_telemetry`] (or the `SyncRuntime` wrapper) and
-//! harvested with [`Network::take_telemetry`] into a [`TelemetryReport`].
+//! and — in event mode — event-queue depth and scheduler skew). It is
+//! enabled per run via [`Network::enable_telemetry`] (or the `SyncRuntime`
+//! wrapper) and harvested with [`Network::take_telemetry`] into a
+//! [`TelemetryReport`].
 //!
 //! **Invariant (determinism boundary):** telemetry lives strictly *outside*
 //! the determinism domain. Wall-clock readings go only into the report's

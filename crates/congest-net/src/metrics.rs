@@ -27,12 +27,12 @@ pub struct Metrics {
     /// installed [`FaultPlan`](crate::fault::FaultPlan); dropped messages are
     /// still counted as sent by the message counters above).
     pub dropped_messages: u64,
-    /// Messages parked on the cross-round delivery heap by a link-latency
+    /// Messages parked on the cross-round event queue by a link-latency
     /// fault (always 0 without a fault plan; delayed messages still count as
     /// sent, and as dropped too if a crash catches them before their due
     /// round).
     pub delayed_messages: u64,
-    /// Messages parked on the event heap by the scheduler adversary of the
+    /// Messages parked on the event queue by the scheduler adversary of the
     /// event-driven execution mode (always 0 without an installed
     /// scheduler — and 0 under the synchronous scheduler, which never
     /// skews; scheduled messages still count as sent and are delivered at
@@ -59,25 +59,6 @@ impl Metrics {
     #[must_use]
     pub fn total_messages(&self) -> u64 {
         self.classical_messages + self.quantum_messages
-    }
-
-    /// Adds another metrics record into this one (used when aggregating the
-    /// independent sub-executions of a protocol).
-    pub fn absorb(&mut self, other: &Metrics) {
-        self.classical_messages += other.classical_messages;
-        self.quantum_messages += other.quantum_messages;
-        self.rounds += other.rounds;
-        self.peak_messages_per_round = self
-            .peak_messages_per_round
-            .max(other.peak_messages_per_round);
-        self.total_bits += other.total_bits;
-        self.dropped_messages += other.dropped_messages;
-        self.delayed_messages += other.delayed_messages;
-        self.scheduled_messages += other.scheduled_messages;
-        self.mutated_messages += other.mutated_messages;
-        // Sub-executions of one protocol share the network's node set, so
-        // the crashed count is a maximum, not a sum.
-        self.crashed_nodes = self.crashed_nodes.max(other.crashed_nodes);
     }
 }
 
@@ -166,13 +147,13 @@ impl MetricsRecorder {
         self.current_round_dropped += 1;
     }
 
-    /// Counts one message parked on the cross-round delivery heap by a
+    /// Counts one message parked on the cross-round event queue by a
     /// link-latency fault.
     pub(crate) fn record_delay(&mut self) {
         self.totals.delayed_messages += 1;
     }
 
-    /// Counts one message parked on the event heap by the scheduler
+    /// Counts one message parked on the event queue by the scheduler
     /// adversary of the event-driven execution mode.
     pub(crate) fn record_scheduled(&mut self) {
         self.totals.scheduled_messages += 1;
@@ -314,46 +295,6 @@ mod tests {
         // Absorption resets the shard for the next round.
         assert!(shard_a.is_empty());
         assert_eq!(shard_a, ShardCounters::default());
-    }
-
-    #[test]
-    fn absorb_merges_counters() {
-        let mut a = Metrics {
-            classical_messages: 3,
-            quantum_messages: 5,
-            rounds: 2,
-            peak_messages_per_round: 4,
-            total_bits: 90,
-            dropped_messages: 2,
-            delayed_messages: 4,
-            scheduled_messages: 2,
-            mutated_messages: 6,
-            crashed_nodes: 3,
-        };
-        let b = Metrics {
-            classical_messages: 1,
-            quantum_messages: 7,
-            rounds: 9,
-            peak_messages_per_round: 6,
-            total_bits: 10,
-            dropped_messages: 5,
-            delayed_messages: 1,
-            scheduled_messages: 3,
-            mutated_messages: 2,
-            crashed_nodes: 1,
-        };
-        a.absorb(&b);
-        assert_eq!(a.classical_messages, 4);
-        assert_eq!(a.quantum_messages, 12);
-        assert_eq!(a.rounds, 11);
-        assert_eq!(a.peak_messages_per_round, 6);
-        assert_eq!(a.total_bits, 100);
-        assert_eq!(a.dropped_messages, 7);
-        assert_eq!(a.delayed_messages, 5);
-        assert_eq!(a.scheduled_messages, 5);
-        assert_eq!(a.mutated_messages, 8);
-        // Crashed nodes are a shared-node-set maximum, not a sum.
-        assert_eq!(a.crashed_nodes, 3);
     }
 
     #[test]

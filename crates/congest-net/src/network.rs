@@ -30,7 +30,7 @@
 //!   lists. The whole send path carries `(node, port)` pairs, so a send on
 //!   an implicit backend costs one closed-form evaluation and no division.
 
-use std::collections::BinaryHeap;
+use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -42,44 +42,6 @@ use crate::graph::{Graph, NodeId, Port};
 use crate::message::{congest_budget_bits, Payload};
 use crate::metrics::{Metrics, MetricsRecorder, RoundReport, ShardCounters};
 use crate::telemetry::{elapsed_nanos, Phase, TelemetryReport, TelemetrySink};
-
-/// One message parked on the cross-round delivery heap by a link-latency
-/// fault. Ordered by `(due, seq)` only — `seq` is assigned in the
-/// deterministic barrier delivery order, so heap drain order is
-/// byte-identical for every shard count and never inspects the payload.
-#[derive(Debug)]
-struct DelayedMsg<M> {
-    /// The fault-clock value of the barrier this message matures at.
-    due: u64,
-    /// Delivery-order sequence number (unique, so the order is total).
-    seq: u64,
-    from: NodeId,
-    port: Port,
-    to: NodeId,
-    msg: M,
-}
-
-impl<M> PartialEq for DelayedMsg<M> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.due, self.seq) == (other.due, other.seq)
-    }
-}
-
-impl<M> Eq for DelayedMsg<M> {}
-
-impl<M> PartialOrd for DelayedMsg<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<M> Ord for DelayedMsg<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: `BinaryHeap` is a max-heap, and the earliest (due, seq)
-        // must pop first.
-        (other.due, other.seq).cmp(&(self.due, self.seq))
-    }
-}
 
 /// Configuration of a [`Network`] run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -215,15 +177,16 @@ pub struct Network<M: Payload> {
     /// [`SchedulerSpec`] is installed; `None` (the default) keeps delivery
     /// on the round-synchronous path.
     scheduler: Option<SchedulerState>,
-    /// The global event heap: messages parked by link-latency faults or
-    /// scheduler skew, keyed by `(due clock, delivery-order seq)` and
-    /// drained at the barrier whose clock reaches their due value. Always
-    /// empty without latency faults or a scheduler.
-    delayed: BinaryHeap<DelayedMsg<M>>,
-    /// Next delivery-order sequence number for the event heap. One counter
-    /// serves both fault delays and scheduler skews, so cross-round drain
-    /// order is a single total order assigned in delivery order.
-    delayed_seq: u64,
+    /// The global event queue: messages parked by link-latency faults or
+    /// scheduler skew, as `(sender, arrival port, recipient, payload)`, in
+    /// FIFO buckets keyed by the clock of the barrier they mature at. Both
+    /// kinds of delay park through [`park`](Network::park) in delivery
+    /// order, so each bucket is in delivery order too; the barrier whose
+    /// clock reaches a bucket's key drains it and drops it. Always empty
+    /// without latency faults or a scheduler.
+    delayed: BTreeMap<u64, Vec<(NodeId, Port, NodeId, M)>>,
+    /// Messages parked in `delayed`, sampled by telemetry at each barrier.
+    delayed_len: usize,
     /// Whether the trace sink records events (off by default; when off the
     /// sink is never touched).
     trace_enabled: bool,
@@ -283,8 +246,8 @@ impl<M: Payload> Network<M> {
             shard_counters: vec![ShardCounters::default(); shards],
             faults: None,
             scheduler: None,
-            delayed: BinaryHeap::new(),
-            delayed_seq: 0,
+            delayed: BTreeMap::new(),
+            delayed_len: 0,
             trace_enabled: false,
             trace: Vec::new(),
             delivered_last_round: 0,
@@ -347,7 +310,7 @@ impl<M: Payload> Network<M> {
     /// Installs the opt-in telemetry sidecar (see the
     /// [`telemetry`](crate::telemetry) module): from now on each round
     /// barrier samples the deterministic histograms (messages per round,
-    /// inbox sizes, event-heap depth, scheduler skew) and accumulates
+    /// inbox sizes, event-queue depth, scheduler skew) and accumulates
     /// wall-clock phase spans. Off by default; when off the barrier pays
     /// one predictable branch and the send paths pay nothing. Telemetry is
     /// strictly outside the determinism domain — enabling it changes no
@@ -726,7 +689,7 @@ impl<M: Payload> Network<M> {
             }
             t.finish_barrier(
                 self.recorder.current_round_messages,
-                self.delayed.len() as u64,
+                self.delayed_len as u64,
                 self.scheduler.as_ref().map(|s| s.total_skew),
                 barrier_start.map_or(0, elapsed_nanos),
                 slow_nanos,
@@ -748,11 +711,11 @@ impl<M: Payload> Network<M> {
     ///
     /// Delayed messages that matured (their due clock reached, possibly
     /// jumped over by [`skip_rounds`](Network::skip_rounds)) are delivered
-    /// **first**, in `(due, seq)` order — they were sent in earlier
-    /// rounds — then this round's pending messages are judged. Matured
-    /// messages are not re-skewed: each message meets the scheduler exactly
-    /// once, and a fault-latency verdict keeps its fault delay (no double
-    /// skew).
+    /// **first**, bucket by bucket in ascending due clock and each bucket in
+    /// the order it was parked — they were sent in earlier rounds — then
+    /// this round's pending messages are judged. Matured messages are not
+    /// re-skewed: each message meets the scheduler exactly once, and a
+    /// fault-latency verdict keeps its fault delay (no double skew).
     #[inline(never)]
     fn deliver_slow(&mut self) {
         let mut faults = self.faults.take();
@@ -768,35 +731,32 @@ impl<M: Payload> Network<M> {
             faults.emit_transitions(&mut self.recorder, &mut self.trace, self.trace_enabled);
         }
         let mut delivered = 0usize;
-        while let Some(entry) = self.delayed.peek() {
-            if entry.due > clock {
+        while let Some(bucket) = self.delayed.first_entry() {
+            if *bucket.key() > clock {
                 break;
             }
-            let DelayedMsg {
-                from,
-                port,
-                to,
-                msg,
-                ..
-            } = self.delayed.pop().expect("peeked entry present");
-            match faults.as_mut().and_then(|f| f.judge_delayed(to)) {
-                Some(cause) => {
-                    self.recorder.record_drop();
-                    if self.trace_enabled {
-                        self.trace.push(TraceEvent::MessageDropped {
-                            round: clock,
-                            from,
-                            to,
-                            cause,
-                        });
+            let bucket = bucket.remove();
+            self.delayed_len -= bucket.len();
+            for (from, port, to, msg) in bucket {
+                match faults.as_ref().and_then(|f| f.judge_delayed(to)) {
+                    Some(cause) => {
+                        self.recorder.record_drop();
+                        if self.trace_enabled {
+                            self.trace.push(TraceEvent::MessageDropped {
+                                round: clock,
+                                from,
+                                to,
+                                cause,
+                            });
+                        }
                     }
-                }
-                None => {
-                    if self.inboxes[to].is_empty() {
-                        self.dirty_inboxes.push(to);
+                    None => {
+                        if self.inboxes[to].is_empty() {
+                            self.dirty_inboxes.push(to);
+                        }
+                        self.inboxes[to].push((from, port, msg));
+                        delivered += 1;
                     }
-                    self.inboxes[to].push((from, port, msg));
-                    delivered += 1;
                 }
             }
         }
@@ -892,7 +852,7 @@ impl<M: Payload> Network<M> {
                     }
                     None => msg,
                 };
-                match verdict {
+                let delay = match verdict {
                     Verdict::Delay(delay) => {
                         self.recorder.record_delay();
                         if self.trace_enabled {
@@ -903,16 +863,7 @@ impl<M: Payload> Network<M> {
                                 delay,
                             });
                         }
-                        let seq = self.delayed_seq;
-                        self.delayed_seq += 1;
-                        self.delayed.push(DelayedMsg {
-                            due: clock + delay,
-                            seq,
-                            from,
-                            port,
-                            to,
-                            msg,
-                        });
+                        delay
                     }
                     _ => {
                         // The fault plane delivers this message; the
@@ -931,24 +882,20 @@ impl<M: Payload> Network<M> {
                                     delay: skew,
                                 });
                             }
-                            let seq = self.delayed_seq;
-                            self.delayed_seq += 1;
-                            self.delayed.push(DelayedMsg {
-                                due: clock + skew,
-                                seq,
-                                from,
-                                port,
-                                to,
-                                msg,
-                            });
-                        } else {
-                            if self.inboxes[to].is_empty() {
-                                self.dirty_inboxes.push(to);
-                            }
-                            self.inboxes[to].push((from, port, msg));
-                            delivered += 1;
                         }
+                        skew
                     }
+                };
+                // Zero-delay latencies are discarded at plan level, so only
+                // a zero scheduler skew delivers at this barrier.
+                if delay > 0 {
+                    self.park(clock, delay, (from, port, to, msg));
+                } else {
+                    if self.inboxes[to].is_empty() {
+                        self.dirty_inboxes.push(to);
+                    }
+                    self.inboxes[to].push((from, port, msg));
+                    delivered += 1;
                 }
             }
             base += queue_len;
@@ -968,6 +915,19 @@ impl<M: Payload> Network<M> {
         self.delivered_last_round = delivered;
         self.faults = faults;
         self.scheduler = scheduler;
+    }
+
+    /// Parks a message that the barrier at `clock` holds back for `delay`
+    /// ticks, behind everything already parked for the same due clock. The
+    /// due clock saturates, so a delay too large for the clock parks the
+    /// message for good: barrier clocks stay below 2^63 (see
+    /// [`skip_rounds`](Network::skip_rounds)).
+    fn park(&mut self, clock: u64, delay: u64, parcel: (NodeId, Port, NodeId, M)) {
+        self.delayed
+            .entry(clock.saturating_add(delay))
+            .or_default()
+            .push(parcel);
+        self.delayed_len += 1;
     }
 
     /// Advances the round clock by `rounds` rounds in which no messages are

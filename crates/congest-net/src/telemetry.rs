@@ -18,7 +18,7 @@
 //!
 //! * [`DeterministicTelemetry`] — counters and [`Log2Histogram`]s derived
 //!   only from barrier-merged quantities (messages per round, inbox sizes,
-//!   event-heap depth, scheduler skew). These are byte-identical across
+//!   event-queue depth, scheduler skew). These are byte-identical across
 //!   shard counts, exactly like the metrics they summarise, and CI diffs
 //!   them across a `CONGEST_SHARDS={1,4}` matrix.
 //! * [`WallTelemetry`] — wall-clock phase spans (node-step, barrier-merge,
@@ -40,8 +40,8 @@ use std::time::Instant;
 ///   excluding the slow delivery path: inbox clearing, queue draining, and
 ///   shard-counter absorption.
 /// * `FaultJudge` — the slow delivery path when a fault plan is installed
-///   (heap drain, adversarial strikes, per-message verdicts; includes any
-///   scheduler consultation interleaved with it).
+///   (event-queue drain, adversarial strikes, per-message verdicts;
+///   includes any scheduler consultation interleaved with it).
 /// * `SchedulerOracle` — the slow delivery path when only a scheduler
 ///   adversary is installed (event mode without faults).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -183,8 +183,9 @@ pub struct DeterministicTelemetry {
     pub messages_per_round: Log2Histogram,
     /// Sizes of the non-empty inboxes populated at each barrier.
     pub inbox_sizes: Log2Histogram,
-    /// Depth of the cross-round event heap at each barrier (always bucket 0
-    /// without latency faults or a scheduler adversary).
+    /// Messages parked on the cross-round event queue at each barrier
+    /// (always bucket 0 without latency faults or a scheduler adversary).
+    /// The field and its JSON key keep the name `heap_depth`.
     pub heap_depth: Log2Histogram,
     /// Scheduler skew (ticks of delay imposed) added per barrier; empty
     /// unless a scheduler adversary is installed.
@@ -457,7 +458,7 @@ impl TelemetrySink {
     pub(crate) fn finish_barrier(
         &mut self,
         messages_this_round: u64,
-        heap_depth: u64,
+        queue_depth: u64,
         skew_total: Option<u64>,
         barrier_nanos: u64,
         slow_nanos: u64,
@@ -465,7 +466,7 @@ impl TelemetrySink {
     ) {
         self.det.rounds += 1;
         self.det.messages_per_round.record(messages_this_round);
-        self.det.heap_depth.record(heap_depth);
+        self.det.heap_depth.record(queue_depth);
         if let Some(total) = skew_total {
             self.det.skew_per_round.record(total - self.last_skew_total);
             self.last_skew_total = total;

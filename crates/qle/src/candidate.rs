@@ -39,16 +39,10 @@ pub fn rank_universe(n: usize) -> u64 {
         .max(2)
 }
 
-/// Samples a rank uniformly from `1..=n⁴`.
-#[must_use]
-pub fn sample_rank(n: usize, rng: &mut StdRng) -> u64 {
-    rng.gen_range(1..=rank_universe(n))
-}
-
 /// Samples the candidate set using each node's private random stream of a
 /// live network: each node becomes a candidate independently with probability
-/// [`candidate_probability`] and draws a rank with [`sample_rank`]. The
-/// returned list is in node order.
+/// [`candidate_probability`] and draws a rank uniformly from
+/// `1..=`[`rank_universe`]. The returned list is in node order.
 #[must_use]
 pub fn sample_candidates<M: Payload>(net: &mut Network<M>) -> Vec<Candidate> {
     let n = net.node_count();
@@ -111,7 +105,6 @@ pub fn satisfies_fact_c2(n: usize, candidates: &[Candidate]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn probability_and_universe() {
@@ -123,11 +116,12 @@ mod tests {
 
     #[test]
     fn sampled_ranks_are_in_range() {
-        let mut rng = StdRng::seed_from_u64(1);
-        for _ in 0..100 {
-            let r = sample_rank(50, &mut rng);
-            assert!((1..=rank_universe(50)).contains(&r));
-        }
+        let ranks: Vec<u64> = (0..100)
+            .flat_map(|seed| sample_candidates_seeded(50, seed))
+            .map(|c| c.rank)
+            .collect();
+        assert!(!ranks.is_empty());
+        assert!(ranks.iter().all(|r| (1..=rank_universe(50)).contains(r)));
     }
 
     #[test]

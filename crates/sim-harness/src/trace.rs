@@ -246,72 +246,92 @@ pub(crate) fn parse_summary(rest: &str, line_no: usize) -> Result<(Metrics, u64,
 }
 
 /// Parses the attribute list of an `event` line (shared with the cell
-/// cache).
+/// cache). The line is split into tokens once, at ASCII whitespace (the
+/// writer separates tokens with single spaces): the bare token names the
+/// event kind, and each `key=value` token fills its attribute (the first
+/// occurrence wins), so attributes may come in any order.
 pub(crate) fn parse_event(rest: &str, line_no: usize) -> Result<TraceEvent, String> {
-    let round: u64 = field(rest, "round", line_no)?
-        .parse()
-        .map_err(|_| format!("trace line {line_no}: bad round"))?;
-    let parse_node = |key: &str| -> Result<usize, String> {
-        field(rest, key, line_no)?
-            .parse()
-            .map_err(|_| format!("trace line {line_no}: bad {key}"))
-    };
-    // `schedule` is checked before `delay`: a schedule line carries a
-    // `delay=` *attribute*, but attribute tokens never match the
-    // space-delimited kind patterns below.
-    if rest.contains(" schedule ") {
-        let delay = field(rest, "delay", line_no)?
-            .parse()
-            .map_err(|_| format!("trace line {line_no}: bad delay"))?;
-        Ok(TraceEvent::MessageScheduled {
-            round,
-            from: parse_node("from")?,
-            to: parse_node("to")?,
-            delay,
-        })
-    } else if rest.contains(" crash ") {
-        Ok(TraceEvent::NodeCrashed {
-            round,
-            node: parse_node("node")?,
-        })
-    } else if rest.contains(" recover ") {
-        Ok(TraceEvent::NodeRecovered {
-            round,
-            node: parse_node("node")?,
-        })
-    } else if rest.contains(" drop ") {
-        let cause = DropCause::parse(field(rest, "cause", line_no)?)
-            .ok_or_else(|| format!("trace line {line_no}: unknown drop cause"))?;
-        Ok(TraceEvent::MessageDropped {
-            round,
-            from: parse_node("from")?,
-            to: parse_node("to")?,
-            cause,
-        })
-    } else if rest.contains(" delay ") {
-        let delay = field(rest, "rounds", line_no)?
-            .parse()
-            .map_err(|_| format!("trace line {line_no}: bad rounds"))?;
-        Ok(TraceEvent::MessageDelayed {
-            round,
-            from: parse_node("from")?,
-            to: parse_node("to")?,
-            delay,
-        })
-    } else if rest.contains(" mutate ") {
-        Ok(TraceEvent::MessageMutated {
-            round,
-            from: parse_node("from")?,
-            to: parse_node("to")?,
-        })
-    } else if rest.contains(" equivocate ") {
-        Ok(TraceEvent::MessageEquivocated {
-            round,
-            node: parse_node("node")?,
-        })
-    } else {
-        Err(format!("trace line {line_no}: unknown event kind"))
+    let mut kind = None;
+    let [mut round, mut from, mut to, mut node, mut cause, mut delay, mut rounds] = [None; 7];
+    for token in rest.split_ascii_whitespace() {
+        let Some((key, value)) = token.split_once('=') else {
+            kind.get_or_insert(token);
+            continue;
+        };
+        let slot = match key {
+            "round" => &mut round,
+            "from" => &mut from,
+            "to" => &mut to,
+            "node" => &mut node,
+            "cause" => &mut cause,
+            "delay" => &mut delay,
+            "rounds" => &mut rounds,
+            _ => continue,
+        };
+        slot.get_or_insert(value);
     }
+    let round = attribute(round, "round", line_no)?;
+    match kind {
+        Some("schedule") => {
+            let delay = attribute(delay, "delay", line_no)?;
+            Ok(TraceEvent::MessageScheduled {
+                round,
+                from: attribute(from, "from", line_no)?,
+                to: attribute(to, "to", line_no)?,
+                delay,
+            })
+        }
+        Some("crash") => Ok(TraceEvent::NodeCrashed {
+            round,
+            node: attribute(node, "node", line_no)?,
+        }),
+        Some("recover") => Ok(TraceEvent::NodeRecovered {
+            round,
+            node: attribute(node, "node", line_no)?,
+        }),
+        Some("drop") => {
+            let cause = cause.ok_or_else(|| format!("trace line {line_no}: missing cause="))?;
+            let cause = DropCause::parse(cause)
+                .ok_or_else(|| format!("trace line {line_no}: unknown drop cause"))?;
+            Ok(TraceEvent::MessageDropped {
+                round,
+                from: attribute(from, "from", line_no)?,
+                to: attribute(to, "to", line_no)?,
+                cause,
+            })
+        }
+        Some("delay") => {
+            let delay = attribute(rounds, "rounds", line_no)?;
+            Ok(TraceEvent::MessageDelayed {
+                round,
+                from: attribute(from, "from", line_no)?,
+                to: attribute(to, "to", line_no)?,
+                delay,
+            })
+        }
+        Some("mutate") => Ok(TraceEvent::MessageMutated {
+            round,
+            from: attribute(from, "from", line_no)?,
+            to: attribute(to, "to", line_no)?,
+        }),
+        Some("equivocate") => Ok(TraceEvent::MessageEquivocated {
+            round,
+            node: attribute(node, "node", line_no)?,
+        }),
+        _ => Err(format!("trace line {line_no}: unknown event kind")),
+    }
+}
+
+/// Parses the numeric value of attribute `key`, found by [`parse_event`].
+fn attribute<T: std::str::FromStr>(
+    value: Option<&str>,
+    key: &str,
+    line_no: usize,
+) -> Result<T, String> {
+    value
+        .ok_or_else(|| format!("trace line {line_no}: missing {key}="))?
+        .parse()
+        .map_err(|_| format!("trace line {line_no}: bad {key}"))
 }
 
 /// Extracts `key=value` from a space-separated attribute line.
@@ -461,6 +481,72 @@ mod tests {
         assert!(parse("cell a\nsummary classical=1\n").is_err());
         assert!(parse("nonsense\n").is_err());
         assert!(parse("cell a\nevent round=1 warp node=2\nend\n").is_err());
+        let event_error = |line: &str| parse(&format!("cell a\nevent {line}\nend\n")).unwrap_err();
+        for (line, error) in [
+            ("round=1 warp node=2", "unknown event kind"),
+            ("round=1 node=2", "unknown event kind"),
+            ("crash node=2", "missing round="),
+            ("round=x crash node=2", "bad round"),
+            ("round=1 crash nodes=2", "missing node="),
+            ("round=1 drop from=1 to=2", "missing cause="),
+            ("round=1 drop from=1 to=2 cause=zap", "unknown drop cause"),
+            ("round=1 delay from=1 to=2 rounds=-3", "bad rounds"),
+            ("round=1 schedule from=1 delay=2", "missing to="),
+        ] {
+            assert_eq!(
+                event_error(line),
+                format!("trace line 2: {error}"),
+                "{line}"
+            );
+        }
+    }
+
+    #[test]
+    fn event_attributes_parse_in_any_order() {
+        let cause = DropCause::RandomDrop;
+        for event in [
+            TraceEvent::NodeCrashed { round: 3, node: 4 },
+            TraceEvent::NodeRecovered { round: 5, node: 4 },
+            TraceEvent::MessageDropped {
+                round: 2,
+                from: 1,
+                to: 7,
+                cause,
+            },
+            TraceEvent::MessageDelayed {
+                round: 2,
+                from: 1,
+                to: 7,
+                delay: 9,
+            },
+            TraceEvent::MessageMutated {
+                round: 6,
+                from: 8,
+                to: 0,
+            },
+            TraceEvent::MessageEquivocated { round: 6, node: 8 },
+            TraceEvent::MessageScheduled {
+                round: 1,
+                from: 2,
+                to: 3,
+                delay: 4,
+            },
+        ] {
+            let mut line = String::new();
+            write_events(&mut line, &[event]);
+            let tokens: Vec<&str> = line
+                .strip_prefix("event ")
+                .unwrap()
+                .split_whitespace()
+                .collect();
+            assert_eq!(parse_event(&tokens.join(" "), 1), Ok(event));
+            let reversed: Vec<&str> = tokens.iter().rev().copied().collect();
+            assert_eq!(
+                parse_event(&reversed.join(" "), 1),
+                Ok(event),
+                "{reversed:?}"
+            );
+        }
     }
 
     #[test]

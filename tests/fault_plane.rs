@@ -18,8 +18,8 @@
 use classical_baselines::GhsLe;
 use congest_net::programs::{Flood, FloodBft, FloodFt};
 use congest_net::{
-    topology, DropCause, FaultPlan, Metrics, Network, NetworkConfig, RoundReport, SyncRuntime,
-    TraceEvent,
+    topology, DropCause, FaultPlan, Metrics, Network, NetworkConfig, RoundReport, SchedulerSpec,
+    SyncRuntime, TraceEvent,
 };
 use proptest::prelude::*;
 use qle::{LeaderElection, RunOptions};
@@ -385,6 +385,83 @@ fn latency_delays_and_reorders_on_direct_network() {
             delay: 2
         }]
     );
+}
+
+/// The exact order in which matured messages reach an inbox: by due clock
+/// first, then in the order they were parked, whichever barrier parked
+/// them and whether a latency fault or the scheduler held them. FloodFt
+/// and GHS handle their inboxes in any order, so no golden pins this.
+#[test]
+fn matured_messages_arrive_by_due_then_parking_order() {
+    // Star centre 0 receives; leaf 1's link has latency 4, leaf 3's has
+    // latency 1, and leaf 2's fast link is skewed by the scheduler's 2.
+    let mut net: Network<u64> =
+        Network::new(topology::star(4).unwrap(), NetworkConfig::with_seed(3));
+    net.set_fault_plan(
+        &FaultPlan::new(0)
+            .link_latency(0, 1, 4)
+            .link_latency(0, 3, 1),
+    );
+    net.set_scheduler(&SchedulerSpec::worst_case(2));
+    // Clock 0: parked first, due at clock 4.
+    net.send(1, 0, 10).unwrap();
+    net.advance_round();
+    net.advance_round();
+    // Clock 2: the scheduler parks 20 behind 10, also due at clock 4; 30
+    // is parked last but due first, at clock 3.
+    net.send(2, 0, 20).unwrap();
+    net.send(3, 0, 30).unwrap();
+    net.advance_round();
+    assert!(net.inbox(0).is_empty());
+    // The barrier of clock 3 never runs: clock 4's barrier drains both
+    // dues at once.
+    net.skip_rounds(1);
+    net.advance_round();
+    let arrivals: Vec<(usize, u64)> = net.inbox(0).iter().map(|&(from, _, m)| (from, m)).collect();
+    assert_eq!(arrivals, [(3, 30), (1, 10), (2, 20)]);
+    let metrics = net.metrics();
+    assert_eq!(
+        (metrics.delayed_messages, metrics.scheduled_messages),
+        (2, 1)
+    );
+}
+
+/// A delay too large for the due clock parks its message for good, whether
+/// a latency fault or the scheduler chose it: sending after the first
+/// barrier neither overflows the clock (a panic in debug builds) nor wraps
+/// it into an early delivery (in release builds), and the message still
+/// counts as delayed or scheduled.
+#[test]
+fn delays_past_the_clock_range_never_mature() {
+    for (plan, spec) in [
+        (Some(FaultPlan::new(0).link_latency(0, 1, u64::MAX)), None),
+        (None, Some(SchedulerSpec::worst_case(u64::MAX))),
+        (None, Some(SchedulerSpec::round_robin(u64::MAX, 5))),
+    ] {
+        let mut net: Network<u64> =
+            Network::new(topology::cycle(4).unwrap(), NetworkConfig::with_seed(3));
+        if let Some(plan) = &plan {
+            net.set_fault_plan(plan);
+        }
+        if let Some(spec) = &spec {
+            net.set_scheduler(spec);
+        }
+        for round in 0..3 {
+            net.send(0, 1, round).unwrap();
+            net.advance_round();
+            assert!(net.inbox(1).is_empty(), "{plan:?} {spec:?}");
+        }
+        net.skip_rounds(1_000);
+        net.advance_round();
+        assert!(net.inbox(1).is_empty(), "{plan:?} {spec:?}");
+        let metrics = net.metrics();
+        let parked = if plan.is_some() {
+            metrics.delayed_messages
+        } else {
+            metrics.scheduled_messages
+        };
+        assert_eq!(parked, 3, "{plan:?} {spec:?}");
+    }
 }
 
 /// A latency-delayed message whose receiver crashes before the due round is

@@ -13,7 +13,7 @@
 //!    sidecar entirely, so profiled runs replay cleanly against unprofiled
 //!    baselines.
 //! 4. **Event-mode coverage:** a run under a scheduler adversary populates
-//!    the heap-depth and scheduler-skew histograms.
+//!    the event-queue depth (`heap_depth`) and scheduler-skew histograms.
 
 use congest_net::topology::{self, Family};
 use congest_net::{
@@ -168,7 +168,7 @@ fn event_mode_populates_heap_and_skew_histograms() {
     );
     assert_eq!(det.skew_per_round.total(), det.rounds);
     // A skewing scheduler genuinely parks messages: some barrier must have
-    // seen a non-empty heap (a bucket beyond the zero bucket).
+    // seen a non-empty event queue (a bucket beyond the zero bucket).
     assert!(
         det.heap_depth.counts().len() > 1,
         "heap depth stuck at zero: {:?}",
