@@ -20,8 +20,8 @@
 //!     # aggregated per protocol × fault class; writes scorecard.txt to --out
 //! cargo run --release -p bench-harness --bin experiments -- --profile examples/scenarios
 //!     # run the matrix with the telemetry sidecar on: per-cell wall times,
-//!     # phase breakdown, shard utilization, round histograms; writes
-//!     # telemetry.jsonl (+ the usual results/traces) to --out
+//!     # phase breakdown, round histograms; writes telemetry.jsonl (+ the
+//!     # usual results/traces) to --out
 //! ```
 
 use bench_harness::{
@@ -209,12 +209,12 @@ fn fmt_nanos(nanos: u64) -> String {
 /// Runs the profiling mode: `--profile <spec|dir> [--out <dir>]`. The whole
 /// matrix runs with the telemetry sidecar enabled (`docs/OBSERVABILITY.md`);
 /// stdout gets the results table with the wall(ms) column plus a per-cell
-/// summary (round wall-time percentiles, phase breakdown, shard imbalance),
-/// and the output directory gets `results.txt` and `traces.txt` (both fully
-/// deterministic, as in `--scenarios`), `telemetry.jsonl` (one full report
-/// per cell, wall fields segregated under `"wall"`), and
-/// `telemetry-deterministic.txt` (the shard-invariant projection of the
-/// same reports — what CI diffs byte-for-byte across `CONGEST_SHARDS`).
+/// summary (round wall-time percentiles, phase breakdown), and the output
+/// directory gets `results.txt` and `traces.txt` (both fully deterministic,
+/// as in `--scenarios`), `telemetry.jsonl` (one full report per cell, wall
+/// fields segregated under `"wall"`), and `telemetry-deterministic.txt`
+/// (the deterministic projection of the same reports — what CI diffs
+/// byte-for-byte against `tests/golden/telemetry-deterministic.txt`).
 fn run_profile(rest: &[String]) -> Result<(), CliError> {
     let mut path: Option<&str> = None;
     let mut out_dir = "profile-out".to_string();
@@ -273,14 +273,6 @@ fn run_profile(rest: &[String]) -> Result<(), CliError> {
                 );
             }
             println!();
-        }
-        if wall.shard_count > 1 {
-            println!(
-                "  shards: {}, imbalance {:.2}x, adaptive-sequential rounds {}",
-                wall.shard_count,
-                report.shard_imbalance(),
-                wall.adaptive_sequential_rounds
-            );
         }
         if matches!(r.cell.mode, congest_net::ExecMode::Event(_)) {
             println!(
@@ -520,23 +512,19 @@ USAGE:
         [--out <dir>]                        output directory for scorecard.txt, results.txt,
                                              and baseline.txt (default: scorecard-out)
     experiments --profile <spec|dir>         run a scenario matrix with the telemetry sidecar
-                                             on: per-cell wall times, phase breakdown, shard
-                                             utilization, and round histograms (see
-                                             docs/OBSERVABILITY.md)
+                                             on: per-cell wall times, phase breakdown, and
+                                             round histograms (see docs/OBSERVABILITY.md)
         [--out <dir>]                        output directory for results.txt, traces.txt,
                                              telemetry.jsonl, and telemetry-deterministic.txt
                                              (default: profile-out)
     experiments --help                       this text
 
 ENVIRONMENT:
-    CONGEST_SHARDS=<k>               worker shards for auto-configured networks
-                                     (default 1 = sequential; metrics and traces
-                                     are byte-identical for every k)
-    RAYON_NUM_THREADS=<t>            thread-pool size for scenario cells and
-                                     sharded rounds (default: available cores)
+    RAYON_NUM_THREADS=<t>            thread-pool size for scenario cells, which run
+                                     side by side (default: available cores); each
+                                     cell runs its rounds on one thread, so results
+                                     and traces are byte-identical for every t
 
-Scenario cells honour CONGEST_SHARDS; traces recorded at one shard count replay
-byte-identically at any other (the deterministic barrier-merge invariant).
 Specs may mix round-mode and event-mode scenarios in one matrix: `mode =
 \"event\"` plus a `scheduler = [name, bound, seed]` stanza runs its cells on
 the same round engine with that scheduler adversary skewing delivery (see

@@ -49,23 +49,21 @@
 //! the uniform drop lottery would run, so the drop stream is not consumed
 //! for them.
 //!
-//! # Determinism and the barrier merge
+//! # Determinism and delivery order
 //!
 //! Fault decisions are made exclusively inside
 //! [`Network::advance_round`](crate::Network::advance_round), in **delivery
-//! order** — the sequential pending buffer first, then each shard's outbox
-//! queue in shard order. That order is byte-identical for every shard count
-//! (the deterministic barrier-merge invariant of the crate docs), so the
-//! drop PRNG stream, every fault decision, the fault counters in
-//! [`Metrics`](crate::Metrics), and the emitted [`TraceEvent`]s are
-//! byte-identical for every shard count too. Messages delayed by link
-//! latency are parked on a cross-round queue, in a FIFO bucket per due
-//! round, in that same deterministic delivery order; a later barrier drains
-//! the buckets in due order and each in parking order, so the drain order
-//! is also byte-identical for every shard count. The
-//! workspace fault-plane test suite pins this, together with the stronger
-//! property that installing an *empty* plan leaves a run byte-identical to
-//! the pristine fault-free path.
+//! order**, which is send order: the network's one pending buffer, front to
+//! back. The sends of a seeded run are deterministic, so the drop PRNG
+//! stream, every fault decision, the fault counters in
+//! [`Metrics`](crate::Metrics), and the emitted [`TraceEvent`]s are too.
+//! Messages delayed by link latency are parked on a cross-round queue, in a
+//! FIFO bucket per due round, in that same delivery order; a later barrier
+//! drains the buckets in due order and each in parking order, so the drain
+//! order is deterministic as well. The workspace fault-plane test suite
+//! pins this with golden runs, together with the stronger property that
+//! installing an *empty* plan leaves a run byte-identical to the pristine
+//! fault-free path.
 //!
 //! # Round numbering
 //!
@@ -703,8 +701,8 @@ impl FaultState {
             .map(|&(_, v)| v)
     }
 
-    /// The per-node down windows, for handing shard views (and round
-    /// contexts) a read-only view.
+    /// The per-node down windows, for handing round contexts a read-only
+    /// view.
     pub(crate) fn down_windows(&self) -> (&[u64], &[u64]) {
         (&self.down_from, &self.down_until)
     }
@@ -728,7 +726,7 @@ impl FaultState {
     /// Returns `None` (payload untouched, no randomness consumed) outside a
     /// window, and whatever [`Payload::mutate`] returns inside one — called
     /// once per surviving message in delivery order, so the mutation stream
-    /// is byte-identical for every shard count.
+    /// is as deterministic as the sends.
     pub(crate) fn mutate_payload<M: Payload>(&mut self, from: NodeId, msg: &M) -> Option<M> {
         if !self.byzantine_at(from, self.clock) {
             return None;
@@ -752,8 +750,7 @@ impl FaultState {
     /// positions, in delivery order) with the dedicated adversary stream,
     /// returned sorted so the judging loop can consume them with a cursor.
     /// The stream advances identically for identical candidate lists —
-    /// even when every candidate is struck — so shard counts cannot
-    /// diverge.
+    /// even when every candidate is struck — so replays cannot diverge.
     pub(crate) fn select_strikes(&mut self, mut candidates: Vec<usize>) -> Vec<usize> {
         let k = self.adversary_k.min(candidates.len());
         if k == 0 {

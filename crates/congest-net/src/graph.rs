@@ -26,8 +26,8 @@
 //!
 //! **Implicit backend** (structured families: complete, star, cycle,
 //! hypercube, torus): no adjacency is stored at all. `neighbor`,
-//! `reverse_port_at`, `port_to` and `shard_boundaries` are computed on the
-//! fly from the family's closed-form port map, chosen to reproduce the CSR
+//! `reverse_port_at` and `port_to` are computed on the fly from the
+//! family's closed-form port map, chosen to reproduce the CSR
 //! sorted-neighbour numbering exactly. Graph memory is O(1), so a
 //! million-node `complete` — ~4 TB as CSR — costs a few machine words.
 //!
@@ -109,24 +109,6 @@ impl ImplicitFamily {
             ImplicitFamily::Cycle { .. } => 2,
             ImplicitFamily::Hypercube { dims } => dims as usize,
             ImplicitFamily::Torus { .. } => 4,
-        }
-    }
-
-    /// `Σ_{u < v} deg(u)` — the CSR offset the family never stores. Defined
-    /// for `v = n` too (yields `2m`), exactly like `offsets[n]`.
-    fn offset(self, v: NodeId) -> usize {
-        match self {
-            ImplicitFamily::Complete { n } => v * (n - 1),
-            ImplicitFamily::Star { n } => {
-                if v == 0 {
-                    0
-                } else {
-                    n - 2 + v
-                }
-            }
-            ImplicitFamily::Cycle { .. } => 2 * v,
-            ImplicitFamily::Hypercube { dims } => v * dims as usize,
-            ImplicitFamily::Torus { .. } => 4 * v,
         }
     }
 
@@ -632,52 +614,6 @@ impl Graph {
         }
     }
 
-    /// Partitions the nodes into `shards` contiguous ranges balanced by
-    /// **directed-edge count** (per-round simulation work is proportional to
-    /// sends plus deliveries, i.e. to degree sums, not node counts).
-    ///
-    /// Returns `k + 1` fenceposts `b_0 = 0 < b_1 < … < b_k = n`; shard `s`
-    /// owns nodes `b_s..b_{s+1}`. The effective shard count `k` is `shards`
-    /// clamped to `1..=n`, so every shard is non-empty. Deterministic:
-    /// depends only on the graph — and identical across backends, because
-    /// both compute the same partition point of the same offset sequence
-    /// (the degree prefix sums).
-    #[must_use]
-    pub fn shard_boundaries(&self, shards: usize) -> Vec<usize> {
-        let n = self.node_count();
-        let k = shards.clamp(1, n);
-        let total = self.directed_edge_count();
-        let mut bounds = Vec::with_capacity(k + 1);
-        bounds.push(0);
-        for s in 1..k {
-            let target = total * s / k;
-            // Smallest cut with at least `target` directed edges below it,
-            // clamped so that every shard keeps at least one node.
-            let cut = match &self.backend {
-                Backend::Csr { offsets, .. } => offsets.partition_point(|&o| o < target),
-                Backend::Implicit(family) => {
-                    // partition_point over the implied offsets 0..=n: the
-                    // count of v with offset(v) < target, found by binary
-                    // search on the monotone closed form.
-                    let (mut lo, mut hi) = (0usize, n + 1);
-                    while lo < hi {
-                        let mid = lo + (hi - lo) / 2;
-                        if family.offset(mid) < target {
-                            lo = mid + 1;
-                        } else {
-                            hi = mid;
-                        }
-                    }
-                    lo
-                }
-            }
-            .clamp(bounds[s - 1] + 1, n - (k - s));
-            bounds.push(cut);
-        }
-        bounds.push(n);
-        bounds
-    }
-
     /// The reverse port of `v`'s port `p`: the arrival port at
     /// `neighbor(v, p)` for a message sent by `v` on `p`, i.e. the port of
     /// the neighbour that leads back to `v`. O(1) on both backends.
@@ -938,15 +874,6 @@ mod tests {
         zoo
     }
 
-    /// `offsets[v]` on CSR, the family's closed form of it on implicit
-    /// graphs: the degree prefix sum `shard_boundaries` bisects.
-    fn offset(g: &Graph, v: NodeId) -> usize {
-        match &g.backend {
-            Backend::Csr { offsets, .. } => offsets[v],
-            Backend::Implicit(family) => family.offset(v),
-        }
-    }
-
     #[test]
     fn from_edges_rejects_zero_nodes() {
         assert!(matches!(
@@ -1046,43 +973,10 @@ mod tests {
     }
 
     #[test]
-    fn shard_boundaries_partition_nodes_and_edges() {
-        let star = Graph::from_edges(9, &(1..9).map(|v| (0, v)).collect::<Vec<_>>()).unwrap();
-        let cycle: Vec<_> = (0..12).map(|i| (i, (i + 1) % 12)).collect();
-        let ring = Graph::from_edges(12, &cycle).unwrap();
-        for g in [star, ring] {
-            let n = g.node_count();
-            for k in [1usize, 2, 3, 4, 7, 64] {
-                let bounds = g.shard_boundaries(k);
-                assert_eq!(bounds.len() - 1, k.clamp(1, n));
-                assert_eq!(*bounds.first().unwrap(), 0);
-                assert_eq!(*bounds.last().unwrap(), n);
-                assert!(bounds.windows(2).all(|w| w[0] < w[1]), "empty shard");
-                // Edge ranges tile the directed-edge domain.
-                let edges: usize = bounds
-                    .windows(2)
-                    .map(|w| offset(&g, w[1]) - offset(&g, w[0]))
-                    .sum();
-                assert_eq!(edges, g.directed_edge_count());
-            }
-        }
-    }
-
-    #[test]
-    fn shard_boundaries_balance_edges_on_regular_graphs() {
-        // On a cycle every node has degree 2, so a balanced split by edges is
-        // a balanced split by nodes.
-        let cycle: Vec<_> = (0..16).map(|i| (i, (i + 1) % 16)).collect();
-        let g = Graph::from_edges(16, &cycle).unwrap();
-        assert_eq!(g.shard_boundaries(4), vec![0, 4, 8, 12, 16]);
-    }
-
-    #[test]
     fn implicit_families_match_their_materialization_exactly() {
         // The whole backend contract in one sweep: adjacency, port
-        // numbering, degree prefix sums, reverse ports, and shard boundaries
-        // of every implicit instance agree with an independently constructed
-        // CSR graph over the same edge set.
+        // numbering and reverse ports of every implicit instance agree with
+        // an independently constructed CSR graph over the same edge set.
         for g in implicit_zoo() {
             assert!(g.is_implicit());
             let csr = g.materialize();
@@ -1092,7 +986,6 @@ mod tests {
             assert_eq!(g, csr, "semantic equality across backends");
             for v in 0..g.node_count() {
                 assert_eq!(g.degree(v), csr.degree(v), "degree({v})");
-                assert_eq!(offset(&g, v), offset(&csr, v), "offset({v})");
                 assert_eq!(
                     g.neighbors(v).to_vec(),
                     csr.neighbors(v).to_vec(),
@@ -1104,14 +997,6 @@ mod tests {
                 for u in 0..g.node_count() {
                     assert_eq!(g.port_to(v, u), csr.port_to(v, u), "port_to({v}, {u})");
                 }
-            }
-            assert_eq!(offset(&g, g.node_count()), g.directed_edge_count());
-            for k in [1usize, 2, 3, 4, 7, 64] {
-                assert_eq!(
-                    g.shard_boundaries(k),
-                    csr.shard_boundaries(k),
-                    "shard_boundaries({k})"
-                );
             }
         }
     }

@@ -96,8 +96,8 @@
 //! [`SyncRuntime`] owns its delivery and outbox
 //! scratch and rotates inbox storage through [`Network::swap_inbox`], so
 //! driving `n` programs allocates nothing once capacities have warmed up.
-//! A sequential round visits only the nodes on an n-bit schedule — those
-//! not [`idle`](NodeProgram::idle) after their last callback, those the
+//! A round visits only the nodes on an n-bit schedule — those not
+//! [`idle`](NodeProgram::idle) after their last callback, those the
 //! barrier delivered to (the dirty list) and those recovering this round —
 //! so it costs O(n/64 + active), and `all_halted` reads a count of running
 //! programs unless the fault plan crashes nodes. `tests/zero_alloc.rs` in
@@ -109,61 +109,26 @@
 //! steady state is a regression (`tests/zero_alloc.rs` counts allocations
 //! over steady-state windows and fails on any).
 //!
-//! ## 4. Sharded round execution with a deterministic barrier merge
+//! **Invariant (delivery order is send order):** every round runs on the
+//! calling thread, and [`Network::advance_round`] drains the one `pending`
+//! buffer front to back, so each inbox lists its messages in the order they
+//! were sent. The runtime visits nodes in ascending order and flushes each
+//! node's outbox before the next node runs, so for a runtime-driven
+//! protocol the delivery order is node order, then port-queue order. Inbox
+//! contents, [`Metrics`], per-round history, and every per-node RNG stream
+//! are therefore a function of the seed alone.
 //!
-//! [`SyncRuntime`] can execute a round with `k`
-//! worker shards on the `rayon` shim's persistent thread pool
-//! ([`NetworkConfig::shards`], or the `CONGEST_SHARDS` environment variable;
-//! `k = 1` — the default — is exactly the sequential path above). Nodes are
-//! partitioned into `k` contiguous ranges balanced by directed-edge count
-//! ([`Graph::shard_boundaries`]), and each shard receives an exclusive
-//! [`ShardView`]: its nodes' inboxes and private RNG streams, its own outbox
-//! queue and send counters, and a contiguous, disjoint slice of the
-//! send-state table covering precisely its nodes' outgoing directed edges.
-//! A shard only ever sends from its own nodes, so **CONGEST edge-busy
-//! enforcement never touches another shard's stamps**, and the `rev_port`
-//! table resolves every arrival port at send time, so delivery needs no
-//! receiver-side coordination either; a round body is entirely
-//! synchronisation-free.
-//!
-//! **Invariant (deterministic barrier merge):** at the round barrier,
-//! [`Network::advance_round`] drains the sequential pending buffer first and
-//! then every shard's outbox queue *in shard order*. Shards fill their
-//! queues in node order over contiguous, ascending node ranges, so the
-//! concatenation equals the global node-order send sequence of the
-//! sequential engine — inbox contents, [`Metrics`], per-round history
-//! (per-shard counters are absorbed in shard order), and every per-node RNG
-//! stream are **byte-identical for every shard count**. The determinism
-//! suite pins this at shard counts {1, 2, 4, 8} and CI re-runs the whole
-//! test suite with `CONGEST_SHARDS=4`. Anything that makes behaviour depend
-//! on shard count — sends merged out of node order, counters folded out of
-//! shard order, an RNG stream shared across nodes — is a regression. (The
-//! invariant is scoped to error-free executions: a send error — always a
-//! protocol bug — aborts the round before the barrier under any shard
-//! count, with the lowest shard's error reported deterministically, but
-//! which *other* nodes ran before the error surfaced differs.)
-//!
-//! Sharded rounds allocate O(k) task envelopes for pool dispatch (the
-//! zero-allocation guarantee of §3 is a property of the sequential path);
-//! the per-message hot paths stay allocation-free, and speedup requires
-//! real cores and enough per-round work to amortise the barrier. Because
-//! both paths are byte-identical, the runtime schedules **adaptively**:
-//! rounds that delivered fewer than
-//! [`runtime::ADAPTIVE_SEQUENTIAL_THRESHOLD`] messages run on the calling
-//! thread even with `k > 1` — the switch can only trade wall-clock time.
-//!
-//! ## 5. Fault injection at the barrier
+//! ## 4. Fault injection at the barrier
 //!
 //! A [`FaultPlan`] (seeded per-message drops, per-link outage windows,
 //! per-link latency, crash-stop nodes, and crash-recovery windows) can be
 //! installed on any network ([`Network::set_fault_plan`]). All fault
 //! decisions are made inside [`Network::advance_round`] in **delivery
-//! order** — exactly the deterministic merge order of §4 — so a faulty run
-//! is byte-identical for every shard count, and for a fixed plan it is
+//! order**, which is send order (§3), so for a fixed plan a faulty run is
 //! exactly as reproducible as a fault-free one. Dropped messages count as
 //! sent (the sender paid for them) and are tallied separately in
-//! [`Metrics::dropped_messages`]; crashed nodes are skipped by both round
-//! engines and counted in [`Metrics::crashed_nodes`]. An optional
+//! [`Metrics::dropped_messages`]; crashed nodes are skipped by the round
+//! loop and counted in [`Metrics::crashed_nodes`]. An optional
 //! round-stamped [trace sink](Network::enable_trace) records every fault
 //! event, which is what the scenario engine's replay mode re-verifies.
 //!
@@ -171,9 +136,8 @@
 //! are parked in a FIFO bucket per due round and drained at their due
 //! barrier, bucket by bucket in due order and each bucket in parking order.
 //! Messages are parked in delivery order, so the cross-round drain order is
-//! byte-identical for every shard count too — the shard-invariance
-//! invariant survives cross-round delivery (pinned by the fault-plane
-//! suite's latency goldens, drain-order test and property tests).
+//! a function of the send order too (pinned by the fault-plane suite's
+//! latency goldens and drain-order test).
 //!
 //! Beyond the benign classes, the plan models an **adversary**: Byzantine
 //! windows ([`FaultPlan::byzantine`]) in which a node's surviving outgoing
@@ -186,10 +150,10 @@
 //! sampling uniformly. Both are judged at the same barrier in the same
 //! delivery order, mutation draws and strike selections consume their own
 //! streams (never the drop lottery's), and mutation is the **only** code
-//! path that rewrites a payload — so adversarial runs keep the
-//! byte-identical-across-shards guarantee, and [`Metrics::mutated_messages`]
-//! plus the `MessageMutated`/`MessageEquivocated` trace events make every
-//! lie observable.
+//! path that rewrites a payload — so adversarial runs replay byte for byte,
+//! and [`Metrics::mutated_messages`] plus the
+//! `MessageMutated`/`MessageEquivocated` trace events make every lie
+//! observable.
 //!
 //! Faults are **protocol-visible**, not just metric-visible:
 //! [`runtime::RoundContext::failed_neighbors`] is a perfect failure
@@ -205,13 +169,13 @@
 //! fast path of §3 — and installing an *empty* plan is byte-identical to
 //! installing none (pinned by the workspace fault-plane suite).
 //!
-//! ## 6. Event mode: the round loop under a scheduler adversary
+//! ## 5. Event mode: the round loop under a scheduler adversary
 //!
 //! Partial synchrony needs no second engine. A scheduler adversary
 //! ([`SchedulerSpec`], installed via [`Network::set_scheduler`]; see the
 //! [`event`] module) chooses a delivery delay in `0..=bound` for every
 //! message — at the barrier, in delivery order, from a dedicated salted
-//! PRNG stream. Skewed messages park in the due-round buckets of §5, which
+//! PRNG stream. Skewed messages park in the due-round buckets of §4, which
 //! thereby serve as one global event queue. [`SyncRuntime`], and every
 //! protocol that drives [`Network`] directly, runs unchanged over such a
 //! network; that is all event mode ([`ExecMode::Event`]) is. Under the
@@ -222,35 +186,34 @@
 //! theorem, and the replay guarantee — lives in `docs/EXECUTION_MODELS.md`
 //! in the repository root.
 //!
-//! **Invariant:** scheduler decisions are made only at the barrier, in the
-//! delivery order the §4 merge fixes, and consume only the scheduler's own
-//! stream, so an event-mode run is byte-identical for every shard count —
-//! sharded rounds included — and replays exactly, like every other
-//! execution (pinned by the workspace `event_mode` suite and the [`event`]
-//! module's sharded replay test).
+//! **Invariant:** scheduler decisions are made only at the barrier, in
+//! delivery order, which is send order (§3), and consume only the
+//! scheduler's own stream, so an event-mode run replays exactly, like every
+//! other execution (pinned by the workspace `event_mode` suite and the
+//! [`event`] module's replay test).
 //!
-//! ## 7. The telemetry sidecar
+//! ## 6. The telemetry sidecar
 //!
 //! The [`telemetry`] module provides an **opt-in** observability layer:
 //! per-round phase spans (node-step, barrier-merge, fault-judge,
-//! scheduler-oracle), per-shard busy-time and message counters, and
-//! deterministic log2-bucket histograms (messages per round, inbox sizes,
-//! and — in event mode — event-queue depth and scheduler skew). It is
-//! enabled per run via [`Network::enable_telemetry`] (or the `SyncRuntime`
-//! wrapper) and harvested with [`Network::take_telemetry`] into a
-//! [`TelemetryReport`].
+//! scheduler-oracle) and deterministic log2-bucket histograms (messages per
+//! round, inbox sizes, and — in event mode — event-queue depth and
+//! scheduler skew). It is enabled per run via [`Network::enable_telemetry`]
+//! (or the `SyncRuntime` wrapper) and harvested with
+//! [`Network::take_telemetry`] into a [`TelemetryReport`].
 //!
 //! **Invariant (determinism boundary):** telemetry lives strictly *outside*
 //! the determinism domain. Wall-clock readings go only into the report's
 //! segregated [`telemetry::WallTelemetry`] half; the
 //! [`telemetry::DeterministicTelemetry`] half is derived exclusively from
-//! barrier-merged quantities and is byte-identical for every shard count.
-//! Telemetry never touches [`Metrics`], round history, the fault trace, or
-//! any PRNG stream, and when it is off (the default) the steady-state round
-//! path performs no allocations and no timing calls — one predictable
-//! branch per barrier, pinned by the workspace zero-allocation suite. The
-//! full schema and the `experiments --profile` walkthrough live in
-//! `docs/OBSERVABILITY.md` in the repository root.
+//! what the barriers delivered, in delivery order (§3), and is
+//! byte-identical run to run. Telemetry never touches [`Metrics`], round
+//! history, the fault trace, or any PRNG stream, and when it is off (the
+//! default) the steady-state round path performs no allocations and no
+//! timing calls — one predictable branch per barrier, pinned by the
+//! workspace zero-allocation suite. The full schema and the
+//! `experiments --profile` walkthrough live in `docs/OBSERVABILITY.md` in
+//! the repository root.
 //!
 //! `docs/ARCHITECTURE.md` in the repository root consolidates this section
 //! with the scenario-engine and state-vector architecture notes into one
@@ -299,6 +262,6 @@ pub use fault::{
 pub use graph::{Graph, Neighbors, NodeId, Port};
 pub use message::Payload;
 pub use metrics::{Metrics, RoundReport};
-pub use network::{Delivery, Network, NetworkConfig, ShardView};
+pub use network::{Delivery, Network, NetworkConfig};
 pub use runtime::{NodeProgram, Outbox, RoundContext, SyncRuntime};
 pub use telemetry::{DeterministicTelemetry, Log2Histogram, Phase, TelemetryReport, WallTelemetry};

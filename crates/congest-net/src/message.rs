@@ -34,10 +34,7 @@ use rand::Rng;
 ///
 /// assert_eq!(Msg::Reply(true).size_bits(), 1);
 /// ```
-/// (`Send` is required so the sharded round engine can hand per-shard
-/// message buffers to worker threads; payloads are wire messages, i.e.
-/// plain data, so this costs implementors nothing.)
-pub trait Payload: Clone + std::fmt::Debug + Send {
+pub trait Payload: Clone + std::fmt::Debug {
     /// The number of bits needed to encode this payload on the wire.
     fn size_bits(&self) -> usize;
 

@@ -77,43 +77,6 @@ pub struct RoundReport {
     pub dropped: u64,
 }
 
-/// Per-shard send counters for the sharded round engine.
-///
-/// Worker shards cannot touch the network's `MetricsRecorder` concurrently,
-/// so each shard counts its own sends here and the recorder absorbs the
-/// shards **in shard order** at the round barrier
-/// (`MetricsRecorder::absorb_shard`). All fields are plain sums, so the
-/// merged totals are byte-identical to what the sequential engine records —
-/// this is the "mergeable counters" half of the deterministic-merge
-/// invariant documented in `congest_net`'s crate docs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardCounters {
-    /// Messages this shard sent outside a quantum scope this round.
-    pub classical_messages: u64,
-    /// Messages this shard sent inside a quantum scope this round.
-    pub quantum_messages: u64,
-    /// Bits this shard sent this round (classical + quantum).
-    pub bits: u64,
-}
-
-impl ShardCounters {
-    /// Counts one sent message of `bits` bits against this shard.
-    pub fn record_send(&mut self, bits: usize, quantum: bool) {
-        if quantum {
-            self.quantum_messages += 1;
-        } else {
-            self.classical_messages += 1;
-        }
-        self.bits += bits as u64;
-    }
-
-    /// Whether this shard sent anything this round.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.classical_messages == 0 && self.quantum_messages == 0
-    }
-}
-
 /// Internal accumulator used by the network; exposed read-only through
 /// [`crate::Network::metrics`] and [`crate::Network::round_history`].
 #[derive(Debug, Clone, Default)]
@@ -162,23 +125,6 @@ impl MetricsRecorder {
     /// Counts one payload corrupted by a Byzantine window at the barrier.
     pub(crate) fn record_mutation(&mut self) {
         self.totals.mutated_messages += 1;
-    }
-
-    /// Absorbs (and resets) one shard's per-round counters into the current
-    /// round. Called at the round barrier for every shard in shard order;
-    /// because every absorbed quantity is a sum (and the round's peak/history
-    /// are derived only from the merged totals in `finish_round`), the result
-    /// is independent of how nodes were partitioned into shards.
-    pub(crate) fn absorb_shard(&mut self, shard: &mut ShardCounters) {
-        self.totals.classical_messages += shard.classical_messages;
-        self.totals.quantum_messages += shard.quantum_messages;
-        self.totals.total_bits += shard.bits;
-        self.current_round_messages += shard.classical_messages + shard.quantum_messages;
-        self.current_round_bits += shard.bits;
-        if shard.quantum_messages > 0 {
-            self.current_round_quantum = true;
-        }
-        *shard = ShardCounters::default();
     }
 
     /// Closes the current round. A [`RoundReport`] is recorded only when
@@ -265,36 +211,6 @@ mod tests {
         rec.record_idle_rounds(100);
         assert_eq!(rec.totals.rounds, 100);
         assert!(rec.history.is_empty());
-    }
-
-    #[test]
-    fn absorb_shard_matches_sequential_record_send() {
-        // One recorder fed directly, one fed through two shards merged at the
-        // barrier: totals, peak, and history must be byte-identical.
-        let mut direct = MetricsRecorder::default();
-        direct.record_send(10);
-        direct.quantum_depth = 1;
-        direct.record_send(20);
-        direct.quantum_depth = 0;
-        direct.record_send(30);
-        direct.finish_round(true);
-
-        let mut merged = MetricsRecorder::default();
-        let mut shard_a = ShardCounters::default();
-        let mut shard_b = ShardCounters::default();
-        shard_a.record_send(10, false);
-        shard_a.record_send(20, true);
-        shard_b.record_send(30, false);
-        assert!(!shard_a.is_empty());
-        merged.absorb_shard(&mut shard_a);
-        merged.absorb_shard(&mut shard_b);
-        merged.finish_round(true);
-
-        assert_eq!(merged.totals, direct.totals);
-        assert_eq!(merged.history, direct.history);
-        // Absorption resets the shard for the next round.
-        assert!(shard_a.is_empty());
-        assert_eq!(shard_a, ShardCounters::default());
     }
 
     #[test]

@@ -40,7 +40,7 @@ use crate::event::{SchedulerSpec, SchedulerState};
 use crate::fault::{DropCause, FaultPlan, FaultState, NeighborFaultView, TraceEvent, Verdict};
 use crate::graph::{Graph, NodeId, Port};
 use crate::message::{congest_budget_bits, Payload};
-use crate::metrics::{Metrics, MetricsRecorder, RoundReport, ShardCounters};
+use crate::metrics::{Metrics, MetricsRecorder, RoundReport};
 use crate::telemetry::{elapsed_nanos, Phase, TelemetryReport, TelemetrySink};
 
 /// Configuration of a [`Network`] run.
@@ -56,37 +56,25 @@ pub struct NetworkConfig {
     /// Whether to retain a per-round [`RoundReport`] history (costs memory on
     /// very long runs; metrics totals are always kept).
     pub track_round_history: bool,
-    /// Number of worker shards the [`SyncRuntime`](crate::runtime::SyncRuntime)
-    /// uses to execute a round. `0` (the default) means *auto*: the
-    /// `CONGEST_SHARDS` environment variable if set, otherwise `1`
-    /// (sequential). Any value is clamped to `1..=n` at network creation.
-    ///
-    /// Metrics, round history, and RNG streams are **byte-identical for
-    /// every shard count** — the deterministic-merge invariant pinned by the
-    /// workspace determinism suite — so this knob only trades wall-clock
-    /// time. Protocols that drive the [`Network`] directly are always
-    /// executed by their calling thread regardless of this setting.
-    pub shard_count: usize,
 }
 
 impl NetworkConfig {
     /// A default configuration with the given seed: no shared coin, history
-    /// tracking off, auto shard count.
+    /// tracking off.
     #[must_use]
     pub fn with_seed(seed: u64) -> Self {
         NetworkConfig {
             seed,
             shared_coin: false,
             track_round_history: false,
-            shard_count: 0,
         }
     }
 
-    /// Sets the number of worker shards for runtime-driven round execution
-    /// (see [`NetworkConfig::shard_count`]). `0` restores auto resolution.
+    /// Ignored: every round runs on the calling thread, in node order.
+    /// Returns the configuration unchanged, so that callers which still
+    /// name a shard count keep building.
     #[must_use]
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shard_count = shards;
+    pub fn shards(self, _shards: usize) -> Self {
         self
     }
 
@@ -158,17 +146,6 @@ pub struct Network<M: Payload> {
     round_stamp: u64,
     node_rngs: Vec<StdRng>,
     shared_rng: Option<StdRng>,
-    /// Shard fenceposts (`k + 1` entries, from [`Graph::shard_boundaries`])
-    /// for the resolved shard count; `k == 1` for sequential execution.
-    boundaries: Vec<usize>,
-    /// Per-shard outbox queues filled by [`ShardView::send_through_port`]
-    /// during sharded rounds; merged into inboxes **in shard order** at
-    /// [`advance_round`](Network::advance_round), after the sequential
-    /// `pending` buffer. Buffers are drained, never dropped.
-    shard_pending: Vec<Vec<(NodeId, Port, NodeId, M)>>,
-    /// Per-shard send counters, absorbed into the recorder in shard order at
-    /// the round barrier.
-    shard_counters: Vec<ShardCounters>,
     /// The fault-injection plane, instantiated when a
     /// [`FaultPlan`](crate::fault::FaultPlan) is installed; `None` (the
     /// default) keeps delivery on the pristine fault-free path.
@@ -193,10 +170,6 @@ pub struct Network<M: Payload> {
     /// Round-stamped fault events, recorded at the barrier in delivery
     /// order when tracing is enabled.
     trace: Vec<TraceEvent>,
-    /// Messages actually delivered (sent minus dropped) at the last
-    /// `advance_round`; the live-traffic signal the runtime's adaptive
-    /// scheduler reads.
-    delivered_last_round: usize,
     /// The opt-in observability sidecar (see the [`telemetry`](crate::telemetry)
     /// module): `None` — the default — keeps every probe in the round
     /// barrier to a single predictable branch and the send paths untouched.
@@ -218,17 +191,6 @@ impl<M: Payload> Network<M> {
         let shared_rng = config
             .shared_coin
             .then(|| StdRng::seed_from_u64(seeder.next_u64()));
-        let requested = if config.shard_count == 0 {
-            std::env::var("CONGEST_SHARDS")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&k| k > 0)
-                .unwrap_or(1)
-        } else {
-            config.shard_count
-        };
-        let boundaries = graph.shard_boundaries(requested);
-        let shards = boundaries.len() - 1;
         Network {
             inboxes: vec![Vec::new(); n],
             dirty_inboxes: Vec::new(),
@@ -241,16 +203,12 @@ impl<M: Payload> Network<M> {
             pending: Vec::new(),
             node_rngs,
             shared_rng,
-            boundaries,
-            shard_pending: (0..shards).map(|_| Vec::new()).collect(),
-            shard_counters: vec![ShardCounters::default(); shards],
             faults: None,
             scheduler: None,
             delayed: BTreeMap::new(),
             delayed_len: 0,
             trace_enabled: false,
             trace: Vec::new(),
-            delivered_last_round: 0,
             telemetry: None,
         }
     }
@@ -259,19 +217,18 @@ impl<M: Payload> Network<M> {
     ///
     /// Must be installed before the first round: the fault clock starts at
     /// round 0 regardless of when the plan is installed. Fault decisions are
-    /// made at the delivery barrier in delivery order, which is
-    /// byte-identical for every shard count, so a faulty run is exactly as
-    /// deterministic as a fault-free one (see the crate docs and the
-    /// [`fault`](crate::fault) module). Installing an *empty* plan is
-    /// byte-identical to installing none.
+    /// made at the delivery barrier in delivery order, which is send order,
+    /// so a faulty run is exactly as deterministic as a fault-free one (see
+    /// the crate docs and the [`fault`](crate::fault) module). Installing an
+    /// *empty* plan is byte-identical to installing none.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
         self.faults = Some(FaultState::new(plan, self.graph.node_count()));
     }
 
     /// Installs a scheduler adversary, which is all event mode is: whatever
-    /// drives this network — a [`SyncRuntime`](crate::SyncRuntime), sharded
-    /// or not, or a protocol calling the network directly — runs unchanged
-    /// while the barrier skews its deliveries (see the
+    /// drives this network — a [`SyncRuntime`](crate::SyncRuntime) or a
+    /// protocol calling the network directly — runs unchanged while the
+    /// barrier skews its deliveries (see the
     /// [`event`](crate::event) module and `docs/EXECUTION_MODELS.md`).
     ///
     /// Must be installed before the first round: the scheduler clock starts
@@ -279,8 +236,8 @@ impl<M: Payload> Network<M> {
     /// the delivery barrier, in delivery order, for every message the fault
     /// plane delivers (fault-delayed messages keep their fault latency),
     /// and draws only from its own dedicated salted stream — so an
-    /// event-mode run is exactly as deterministic and shard-invariant as a
-    /// round-mode one. Installing the
+    /// event-mode run is exactly as deterministic as a round-mode one.
+    /// Installing the
     /// [`synchronous`](crate::SchedulerSpec::synchronous) scheduler is
     /// byte-identical to installing none.
     pub fn set_scheduler(&mut self, spec: &SchedulerSpec) {
@@ -317,7 +274,7 @@ impl<M: Payload> Network<M> {
     /// metric, trace, or random draw. Idempotent.
     pub fn enable_telemetry(&mut self) {
         if self.telemetry.is_none() {
-            self.telemetry = Some(Box::new(TelemetrySink::new(self.shard_count())));
+            self.telemetry = Some(Box::new(TelemetrySink::new()));
         }
     }
 
@@ -336,19 +293,11 @@ impl<M: Payload> Network<M> {
     }
 
     /// Records `nanos` of node-program execution time on the telemetry
-    /// sidecar (no-op when telemetry is off). Called by the runtimes once
+    /// sidecar (no-op when telemetry is off). Called by the runtime once
     /// per round.
     pub(crate) fn record_node_step(&mut self, nanos: u64) {
         if let Some(t) = self.telemetry.as_deref_mut() {
             t.record_phase(Phase::NodeStep, nanos);
-        }
-    }
-
-    /// Records `nanos` of worker busy time for shard `shard` on the
-    /// telemetry sidecar (no-op when telemetry is off).
-    pub(crate) fn record_shard_busy(&mut self, shard: usize, nanos: u64) {
-        if let Some(t) = self.telemetry.as_deref_mut() {
-            t.record_shard_busy(shard, nanos);
         }
     }
 
@@ -438,13 +387,6 @@ impl<M: Payload> Network<M> {
     /// Whether the installed fault plan crashes at least one node.
     pub(crate) fn plan_crashes_nodes(&self) -> bool {
         self.faults.as_ref().is_some_and(FaultState::crashes_any)
-    }
-
-    /// Messages delivered (sent minus dropped) at the last
-    /// [`advance_round`](Network::advance_round).
-    #[must_use]
-    pub fn delivered_last_round(&self) -> usize {
-        self.delivered_last_round
     }
 
     /// The underlying communication graph.
@@ -599,18 +541,13 @@ impl<M: Payload> Network<M> {
 
     /// Delivers all pending messages and advances the round clock by one.
     ///
-    /// Delivery order is: the sequential `pending` buffer first (sends made
-    /// through the `Network` handle itself), then each shard's outbox queue
-    /// **in shard order**. Worker shards fill their queues in node order
-    /// over contiguous node ranges, so the concatenation reproduces the
-    /// exact global node-order delivery of the sequential engine — this is
-    /// the deterministic barrier merge that makes metrics and protocol
-    /// behaviour byte-identical for every shard count.
+    /// Delivery order is send order: the `pending` buffer is drained front
+    /// to back, so every inbox lists its messages in the order they were
+    /// sent, and the fault plane and the scheduler judge them in that order.
     ///
     /// Steady-state this performs **no heap allocation**: inboxes are
-    /// cleared in place, the pending buffers (sequential and per-shard) are
-    /// drained in place, and edge usage is invalidated by bumping the round
-    /// stamp.
+    /// cleared in place, the pending buffer is drained in place, and edge
+    /// usage is invalidated by bumping the round stamp.
     pub fn advance_round(&mut self) {
         // The telemetry sidecar is taken out for the duration of the
         // barrier so the instrumentation below can borrow the rest of the
@@ -641,37 +578,11 @@ impl<M: Payload> Network<M> {
                 self.deliver_slow();
             }
         } else {
-            let mut delivered = 0usize;
             for (from, port, to, msg) in self.pending.drain(..) {
                 if self.inboxes[to].is_empty() {
                     self.dirty_inboxes.push(to);
                 }
                 self.inboxes[to].push((from, port, msg));
-                delivered += 1;
-            }
-            for s in 0..self.shard_pending.len() {
-                for (from, port, to, msg) in self.shard_pending[s].drain(..) {
-                    if self.inboxes[to].is_empty() {
-                        self.dirty_inboxes.push(to);
-                    }
-                    self.inboxes[to].push((from, port, msg));
-                    delivered += 1;
-                }
-            }
-            self.delivered_last_round = delivered;
-        }
-        if let Some(t) = telemetry.as_deref_mut() {
-            // Per-shard send counts, read before absorption resets them.
-            for (s, shard) in self.shard_counters.iter().enumerate() {
-                let sent = shard.classical_messages + shard.quantum_messages;
-                if sent > 0 {
-                    t.record_shard_messages(s, sent);
-                }
-            }
-        }
-        for shard in &mut self.shard_counters {
-            if !shard.is_empty() || shard.bits > 0 {
-                self.recorder.absorb_shard(shard);
             }
         }
         self.round_stamp += 1;
@@ -682,8 +593,8 @@ impl<M: Payload> Network<M> {
             scheduler.clock += 1;
         }
         if let Some(t) = telemetry.as_deref_mut() {
-            // Deterministic samples: every input here is a barrier-merged
-            // quantity, byte-identical for every shard count.
+            // Deterministic samples: every input here is fixed by the seed,
+            // the plan and the send order.
             for &v in &self.dirty_inboxes {
                 t.record_inbox_size(self.inboxes[v].len() as u64);
             }
@@ -701,13 +612,13 @@ impl<M: Payload> Network<M> {
     }
 
     /// The slow delivery path, taken when a fault plane and/or a scheduler
-    /// adversary is installed: identical to the fast loops in
+    /// adversary is installed: identical to the fast loop in
     /// [`advance_round`](Network::advance_round) except that every message is
     /// judged by the installed [`FaultState`] and then skewed by the
-    /// installed [`SchedulerState`] — both in delivery order, which is
-    /// byte-identical for every shard count, so fault decisions, scheduler
-    /// decisions, and their dedicated PRNG streams are too. Kept out of
-    /// line so the plain hot path pays one branch for the whole feature.
+    /// installed [`SchedulerState`] — both in send order, so fault
+    /// decisions, scheduler decisions, and their dedicated PRNG streams are
+    /// as deterministic as the sends. Kept out of line so the plain hot path
+    /// pays one branch for the whole feature.
     ///
     /// Delayed messages that matured (their due clock reached, possibly
     /// jumped over by [`skip_rounds`](Network::skip_rounds)) are delivered
@@ -730,7 +641,6 @@ impl<M: Payload> Network<M> {
         if let Some(faults) = faults.as_mut() {
             faults.emit_transitions(&mut self.recorder, &mut self.trace, self.trace_enabled);
         }
-        let mut delivered = 0usize;
         while let Some(bucket) = self.delayed.first_entry() {
             if *bucket.key() > clock {
                 break;
@@ -755,164 +665,138 @@ impl<M: Payload> Network<M> {
                             self.dirty_inboxes.push(to);
                         }
                         self.inboxes[to].push((from, port, msg));
-                        delivered += 1;
                     }
                 }
             }
         }
         // Adversarial drop scheduling, phase one: scan this barrier's sends
-        // in delivery order, mark every directed link used, and collect the
+        // in send order, mark every directed link used, and collect the
         // positions of frontier messages (first use of their link in the
         // run); the dedicated adversary stream then picks up to k of them
-        // to strike. The scan order equals the judging order below, so the
-        // strike set is byte-identical for every shard count.
+        // to strike. The scan order equals the judging order below.
         let strikes = match faults.as_mut() {
             Some(faults) if faults.adversary_active() => {
                 let mut candidates = Vec::new();
-                let mut base = 0usize;
-                for queue in std::iter::once(&self.pending).chain(self.shard_pending.iter()) {
-                    for (i, (from, _, to, _)) in queue.iter().enumerate() {
-                        if faults.mark_link_used(*from, *to) {
-                            candidates.push(base + i);
-                        }
+                for (i, (from, _, to, _)) in self.pending.iter().enumerate() {
+                    if faults.mark_link_used(*from, *to) {
+                        candidates.push(i);
                     }
-                    base += queue.len();
                 }
                 faults.select_strikes(candidates)
             }
             _ => Vec::new(),
         };
         let mut next_strike = 0usize;
-        let mut base = 0usize;
-        // Equivocation detection: each node's sends sit contiguously in
-        // exactly one queue (outboxes fill in node order), so a second
-        // mutated payload from the sender whose message was mutated last
-        // means at least two ports got independent mutation draws this
+        // Equivocation detection: the runtime flushes one node's outbox at
+        // a time, so a node's sends sit contiguously in `pending`, and a
+        // second mutated payload from the sender whose message was mutated
+        // last means at least two ports got independent mutation draws this
         // round.
         let mut last_mutated: Option<NodeId> = None;
         let mut equivocation_flagged = false;
         let mut pending = std::mem::take(&mut self.pending);
-        let mut queue = 0usize;
-        loop {
-            let queue_len = pending.len();
-            for (i, (from, port, to, msg)) in pending.drain(..).enumerate() {
-                // Phase two: a struck message is dropped before `judge`
-                // runs, so the uniform drop stream is not consumed for it.
-                let struck = next_strike < strikes.len() && strikes[next_strike] == base + i;
-                let verdict = if struck {
-                    next_strike += 1;
-                    Verdict::Drop(DropCause::Adversarial)
-                } else {
-                    match faults.as_mut() {
-                        Some(faults) => faults.judge(from, to),
-                        None => Verdict::Deliver,
-                    }
-                };
-                if let Verdict::Drop(cause) = verdict {
-                    self.recorder.record_drop();
+        for (i, (from, port, to, msg)) in pending.drain(..).enumerate() {
+            // Phase two: a struck message is dropped before `judge` runs,
+            // so the uniform drop stream is not consumed for it.
+            let struck = next_strike < strikes.len() && strikes[next_strike] == i;
+            let verdict = if struck {
+                next_strike += 1;
+                Verdict::Drop(DropCause::Adversarial)
+            } else {
+                match faults.as_mut() {
+                    Some(faults) => faults.judge(from, to),
+                    None => Verdict::Deliver,
+                }
+            };
+            if let Verdict::Drop(cause) = verdict {
+                self.recorder.record_drop();
+                if self.trace_enabled {
+                    self.trace.push(TraceEvent::MessageDropped {
+                        round: clock,
+                        from,
+                        to,
+                        cause,
+                    });
+                }
+                continue;
+            }
+            // The message survives the barrier: a Byzantine sender lies
+            // *now*, at send time — a latency-delayed copy parks the
+            // corrupted payload, and every outgoing message draws its own
+            // mutation (different ports can carry different lies).
+            let msg = match faults.as_mut().and_then(|f| f.mutate_payload(from, &msg)) {
+                Some(mutated) => {
+                    self.recorder.record_mutation();
                     if self.trace_enabled {
-                        self.trace.push(TraceEvent::MessageDropped {
+                        self.trace.push(TraceEvent::MessageMutated {
                             round: clock,
                             from,
                             to,
-                            cause,
                         });
                     }
-                    continue;
-                }
-                // The message survives the barrier: a Byzantine sender lies
-                // *now*, at send time — a latency-delayed copy parks the
-                // corrupted payload, and every outgoing message draws its
-                // own mutation (different ports can carry different lies).
-                let msg = match faults.as_mut().and_then(|f| f.mutate_payload(from, &msg)) {
-                    Some(mutated) => {
-                        self.recorder.record_mutation();
-                        if self.trace_enabled {
-                            self.trace.push(TraceEvent::MessageMutated {
-                                round: clock,
-                                from,
-                                to,
-                            });
-                        }
-                        if last_mutated == Some(from) {
-                            if !equivocation_flagged {
-                                equivocation_flagged = true;
-                                if self.trace_enabled {
-                                    self.trace.push(TraceEvent::MessageEquivocated {
-                                        round: clock,
-                                        node: from,
-                                    });
-                                }
-                            }
-                        } else {
-                            last_mutated = Some(from);
-                            equivocation_flagged = false;
-                        }
-                        mutated
-                    }
-                    None => msg,
-                };
-                let delay = match verdict {
-                    Verdict::Delay(delay) => {
-                        self.recorder.record_delay();
-                        if self.trace_enabled {
-                            self.trace.push(TraceEvent::MessageDelayed {
-                                round: clock,
-                                from,
-                                to,
-                                delay,
-                            });
-                        }
-                        delay
-                    }
-                    _ => {
-                        // The fault plane delivers this message; the
-                        // scheduler adversary now chooses how long the
-                        // network holds it. `0` — the synchronous policy's
-                        // only answer — delivers at this barrier, exactly
-                        // like the round engine.
-                        let skew = scheduler.as_mut().map_or(0, SchedulerState::delay);
-                        if skew > 0 {
-                            self.recorder.record_scheduled();
+                    if last_mutated == Some(from) {
+                        if !equivocation_flagged {
+                            equivocation_flagged = true;
                             if self.trace_enabled {
-                                self.trace.push(TraceEvent::MessageScheduled {
+                                self.trace.push(TraceEvent::MessageEquivocated {
                                     round: clock,
-                                    from,
-                                    to,
-                                    delay: skew,
+                                    node: from,
                                 });
                             }
                         }
-                        skew
+                    } else {
+                        last_mutated = Some(from);
+                        equivocation_flagged = false;
                     }
-                };
-                // Zero-delay latencies are discarded at plan level, so only
-                // a zero scheduler skew delivers at this barrier.
-                if delay > 0 {
-                    self.park(clock, delay, (from, port, to, msg));
-                } else {
-                    if self.inboxes[to].is_empty() {
-                        self.dirty_inboxes.push(to);
-                    }
-                    self.inboxes[to].push((from, port, msg));
-                    delivered += 1;
+                    mutated
                 }
-            }
-            base += queue_len;
-            // Rotate the drained buffer back, then judge the shard queues in
-            // shard order — the same merge order as the fault-free path.
-            if queue == 0 {
-                self.pending = pending;
+                None => msg,
+            };
+            let delay = match verdict {
+                Verdict::Delay(delay) => {
+                    self.recorder.record_delay();
+                    if self.trace_enabled {
+                        self.trace.push(TraceEvent::MessageDelayed {
+                            round: clock,
+                            from,
+                            to,
+                            delay,
+                        });
+                    }
+                    delay
+                }
+                _ => {
+                    // The fault plane delivers this message; the scheduler
+                    // adversary now chooses how long the network holds it.
+                    // `0` — the synchronous policy's only answer — delivers
+                    // at this barrier, exactly like the round engine.
+                    let skew = scheduler.as_mut().map_or(0, SchedulerState::delay);
+                    if skew > 0 {
+                        self.recorder.record_scheduled();
+                        if self.trace_enabled {
+                            self.trace.push(TraceEvent::MessageScheduled {
+                                round: clock,
+                                from,
+                                to,
+                                delay: skew,
+                            });
+                        }
+                    }
+                    skew
+                }
+            };
+            // Zero-delay latencies are discarded at plan level, so only a
+            // zero scheduler skew delivers at this barrier.
+            if delay > 0 {
+                self.park(clock, delay, (from, port, to, msg));
             } else {
-                self.shard_pending[queue - 1] = pending;
+                if self.inboxes[to].is_empty() {
+                    self.dirty_inboxes.push(to);
+                }
+                self.inboxes[to].push((from, port, msg));
             }
-            if queue == self.shard_pending.len() {
-                break;
-            }
-            pending = std::mem::take(&mut self.shard_pending[queue]);
-            queue += 1;
         }
-        self.delivered_last_round = delivered;
+        self.pending = pending;
         self.faults = faults;
         self.scheduler = scheduler;
     }
@@ -941,7 +825,7 @@ impl<M: Payload> Network<M> {
     /// stamps from port-set words by the top bit.
     pub fn skip_rounds(&mut self, rounds: u64) {
         debug_assert!(
-            self.pending.is_empty() && self.shard_pending.iter().all(Vec::is_empty),
+            self.pending.is_empty(),
             "skip_rounds with undelivered messages"
         );
         self.round_stamp = self
@@ -1006,257 +890,6 @@ impl<M: Payload> Network<M> {
         self.recorder.quantum_depth -= 1;
         out
     }
-
-    /// The resolved shard count `k` (`1` = sequential execution).
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.boundaries.len() - 1
-    }
-
-    /// The shard fenceposts (`k + 1` entries; shard `s` owns nodes
-    /// `boundaries[s]..boundaries[s + 1]`).
-    #[must_use]
-    pub fn shard_boundaries(&self) -> &[usize] {
-        &self.boundaries
-    }
-
-    /// Splits the network's per-node and per-edge state into `k` disjoint
-    /// [`ShardView`]s, one per shard, for one round of parallel execution.
-    ///
-    /// Each view covers a contiguous node range and therefore a contiguous,
-    /// disjoint slice of the per-node send state, so CONGEST
-    /// edge-busy enforcement needs no cross-shard synchronisation: a shard
-    /// only ever sends from its own nodes, whose outgoing directed edges it
-    /// exclusively owns. Views queue sends into per-shard outboxes that the
-    /// next [`advance_round`](Network::advance_round) merges
-    /// deterministically.
-    ///
-    /// The caller must not touch the network until every view is dropped
-    /// (the borrow checker enforces this), and must call `advance_round` to
-    /// publish the queued sends and counters.
-    pub fn shard_views(&mut self) -> Vec<ShardView<'_, M>> {
-        let quantum = self.recorder.quantum_depth > 0;
-        let graph = &self.graph;
-        let boundaries = &self.boundaries;
-        let shards = boundaries.len() - 1;
-        let (down_windows, fault_clock) = match self.faults.as_ref() {
-            Some(f) => (Some(f.down_windows()), f.clock),
-            None => (None, 0),
-        };
-        let mut inboxes = self.inboxes.as_mut_slice();
-        let mut send_states = self.send_state.as_mut_slice();
-        let mut rngs = self.node_rngs.as_mut_slice();
-        let mut pending = self.shard_pending.iter_mut();
-        let mut counters = self.shard_counters.iter_mut();
-        let mut views = Vec::with_capacity(shards);
-        for s in 0..shards {
-            let (node_lo, node_hi) = (boundaries[s], boundaries[s + 1]);
-            let (shard_inboxes, rest) = inboxes.split_at_mut(node_hi - node_lo);
-            inboxes = rest;
-            let (shard_send_states, rest) = send_states.split_at_mut(node_hi - node_lo);
-            send_states = rest;
-            let (shard_rngs, rest) = rngs.split_at_mut(node_hi - node_lo);
-            rngs = rest;
-            views.push(ShardView {
-                graph,
-                node_lo,
-                down_windows,
-                fault_clock,
-                round_stamp: self.round_stamp,
-                budget_bits: self.budget_bits,
-                quantum,
-                inboxes: shard_inboxes,
-                send_state: shard_send_states,
-                rngs: shard_rngs,
-                pending: pending.next().expect("shard pending missing"),
-                counters: counters.next().expect("shard counters missing"),
-            });
-        }
-        views
-    }
-}
-
-/// One shard's exclusive, thread-safe window onto the network for a single
-/// round of sharded execution: the shard's inboxes, private RNG streams, the
-/// send state (stamp pages and port sets) of its nodes' outgoing directed
-/// edges, and its own outbox queue and send counters. Produced by
-/// [`Network::shard_views`].
-#[derive(Debug)]
-pub struct ShardView<'a, M: Payload> {
-    graph: &'a Graph,
-    /// First node owned by this shard.
-    node_lo: NodeId,
-    /// The fault plan's full per-node down windows `(down_from, down_until)`
-    /// (`None` when no plan is installed). The **whole** arrays, not a shard
-    /// slice: [`RoundContext::failed_neighbors`](crate::runtime::RoundContext::failed_neighbors)
-    /// must see neighbours that live in other shards, and the arrays are
-    /// immutable for the duration of a round, so sharing them is free.
-    down_windows: Option<(&'a [u64], &'a [u64])>,
-    /// The fault clock at view creation (the round being executed).
-    fault_clock: u64,
-    round_stamp: u64,
-    budget_bits: usize,
-    /// Whether sends this round are charged to the quantum meter (captured
-    /// from the recorder at view creation).
-    quantum: bool,
-    inboxes: &'a mut [Vec<Delivery<M>>],
-    /// This shard's nodes' send state, indexed by `v - node_lo`.
-    send_state: &'a mut [SendState],
-    rngs: &'a mut [StdRng],
-    pending: &'a mut Vec<(NodeId, Port, NodeId, M)>,
-    counters: &'a mut ShardCounters,
-}
-
-impl<M: Payload> ShardView<'_, M> {
-    /// The first node of this shard's contiguous range.
-    #[must_use]
-    pub fn first_node(&self) -> NodeId {
-        self.node_lo
-    }
-
-    /// Number of nodes in this shard.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.inboxes.len()
-    }
-
-    /// The communication graph (shared, read-only).
-    #[must_use]
-    pub fn graph(&self) -> &Graph {
-        self.graph
-    }
-
-    /// Whether node `v`'s inbox is empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is outside this shard's node range.
-    #[must_use]
-    pub fn inbox_is_empty(&self, v: NodeId) -> bool {
-        self.inboxes[v - self.node_lo].is_empty()
-    }
-
-    /// Whether node `v` is down (crashed and not yet recovered, per the
-    /// installed fault plan) as of the round being executed — the sharded
-    /// mirror of [`Network::node_crashed`]. Always `false` without a fault
-    /// plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v >= n`.
-    #[must_use]
-    pub fn node_crashed(&self, v: NodeId) -> bool {
-        self.down_windows
-            .is_some_and(|(from, until)| from[v] <= self.fault_clock && self.fault_clock < until[v])
-    }
-
-    /// Whether the round being executed is exactly node `v`'s recovery
-    /// round — the sharded mirror of [`Network::node_recovered_this_round`].
-    /// Always `false` without a fault plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v >= n`.
-    #[must_use]
-    pub fn node_recovered_this_round(&self, v: NodeId) -> bool {
-        self.down_windows
-            .is_some_and(|(from, until)| until[v] == self.fault_clock && from[v] < until[v])
-    }
-
-    /// Splits the borrows a [`RoundContext`](crate::runtime::RoundContext)
-    /// needs for node `v`: the node's private RNG stream (mutable) plus a
-    /// read-only neighbour-fault view — the sharded mirror of
-    /// `Network::ctx_parts`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is outside this shard's node range.
-    pub(crate) fn ctx_parts(&mut self, v: NodeId) -> (&mut StdRng, Option<NeighborFaultView<'_>>) {
-        let faults = self
-            .down_windows
-            .map(|(down_from, down_until)| NeighborFaultView {
-                graph: self.graph,
-                node: v,
-                down_from,
-                down_until,
-                clock: self.fault_clock,
-            });
-        (&mut self.rngs[v - self.node_lo], faults)
-    }
-
-    /// Exchanges node `v`'s inbox with `scratch`, exactly like
-    /// [`Network::swap_inbox`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is outside this shard's node range.
-    pub fn swap_inbox(&mut self, v: NodeId, scratch: &mut Vec<Delivery<M>>) {
-        scratch.clear();
-        std::mem::swap(&mut self.inboxes[v - self.node_lo], scratch);
-    }
-
-    /// Mutable access to node `v`'s private random stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is outside this shard's node range.
-    pub fn rng(&mut self, v: NodeId) -> &mut StdRng {
-        &mut self.rngs[v - self.node_lo]
-    }
-
-    /// Sends `msg` from `from` through its local port `port`, with the same
-    /// semantics (and errors) as [`Network::send_through_port`]: O(1)
-    /// CONGEST enforcement against this shard's private send-state slice, O(1)
-    /// arrival-port resolution, and queuing into this shard's outbox for the
-    /// deterministic merge at the round barrier.
-    ///
-    /// # Errors
-    ///
-    /// * [`Error::PortOutOfRange`] if `port >= deg(from)`,
-    /// * [`Error::MessageTooLarge`] if the payload exceeds the CONGEST budget,
-    /// * [`Error::EdgeBusy`] if the directed edge was already used this round.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from` is outside this shard's node range — sending from a
-    /// foreign node would bypass that node's send state and land in the
-    /// wrong shard's outbox queue, silently breaking both CONGEST
-    /// enforcement and the deterministic merge, so the check is
-    /// unconditional (like the other `ShardView` accessors).
-    pub fn send_through_port(&mut self, from: NodeId, port: Port, msg: M) -> Result<(), Error> {
-        assert!(
-            from >= self.node_lo && from - self.node_lo < self.inboxes.len(),
-            "node {from} outside shard starting at {}",
-            self.node_lo
-        );
-        let (to, arrival) = match self.graph.checked_delivery(from, port) {
-            Ok(slot) => slot,
-            Err(degree) => {
-                return Err(Error::PortOutOfRange {
-                    node: from,
-                    port,
-                    degree,
-                })
-            }
-        };
-        let bits = msg.size_bits();
-        if bits > self.budget_bits {
-            return Err(Error::MessageTooLarge {
-                bits,
-                budget: self.budget_bits,
-            });
-        }
-        if !self.send_state[from - self.node_lo].try_stamp(
-            || self.graph.degree(from),
-            port,
-            self.round_stamp,
-        ) {
-            return Err(Error::EdgeBusy { from, to });
-        }
-        self.counters.record_send(bits, self.quantum);
-        self.pending.push((from, arrival, to, msg));
-        Ok(())
-    }
 }
 
 /// Highest degree whose node gets a full stamp page on its first send: the
@@ -1302,10 +935,9 @@ const _: () = assert!(std::mem::size_of::<SendState>() == 16);
 
 impl SendState {
     /// Marks `port` used in round `round_stamp`. Returns `false` iff the
-    /// directed edge already carried a message this round. Shared by the
-    /// sequential and sharded send paths so both enforce CONGEST
-    /// identically. The degree is a closure so the steady-state path never
-    /// pays the backend dispatch for it.
+    /// directed edge already carried a message this round. The degree is a
+    /// closure so the steady-state path never pays the backend dispatch for
+    /// it.
     #[inline]
     fn try_stamp(&mut self, degree: impl FnOnce() -> usize, port: Port, round_stamp: u64) -> bool {
         if let Some(stamp) = self.0.get_mut(port) {

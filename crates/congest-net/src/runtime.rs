@@ -30,8 +30,7 @@
 //! O(n/64 + active) per round, and [`all_halted`](SyncRuntime::all_halted)
 //! reads a count of running programs instead of scanning them, so the
 //! round cost is proportional to the *active* part of the network.
-//! Sharded rounds and the start-up round visit every node and rebuild the
-//! schedule afterwards.
+//! The start-up round visits every node and builds the schedule afterwards.
 
 use rand::rngs::StdRng;
 
@@ -40,17 +39,8 @@ use crate::fault::{FaultPlan, NeighborFaultView, TraceEvent};
 use crate::graph::{Graph, NodeId, Port};
 use crate::message::Payload;
 use crate::metrics::Metrics;
-use crate::network::{Delivery, Network, NetworkConfig, ShardView};
+use crate::network::{Delivery, Network, NetworkConfig};
 use crate::telemetry::{elapsed_nanos, TelemetryReport};
-
-/// Rounds that delivered fewer messages than this run sequentially even when
-/// the network is configured with `shards > 1` (adaptive hybrid scheduling):
-/// below this traffic level the per-round pool dispatch costs more than the
-/// round body, and since the sequential and sharded paths are byte-identical
-/// by the deterministic-merge invariant, the switch is free — it can only
-/// trade wall-clock time. The start-up round uses the node count as its
-/// traffic proxy (nothing has been delivered yet).
-pub const ADAPTIVE_SEQUENTIAL_THRESHOLD: usize = 96;
 
 /// The per-round view a node program gets of its environment.
 #[derive(Debug)]
@@ -144,10 +134,6 @@ impl<M> Outbox<M> {
 
 /// A per-node state machine driven by the [`SyncRuntime`].
 ///
-/// `Send` is required so the sharded round engine can execute contiguous
-/// chunks of programs on worker threads; programs are per-node protocol
-/// state (plain data), so this costs implementors nothing.
-///
 /// Programs never see *who* mutated a payload: under a Byzantine window
 /// ([`FaultPlan::byzantine`](crate::fault::FaultPlan::byzantine)) the fault
 /// barrier rewrites a lying node's outgoing messages through
@@ -158,7 +144,7 @@ impl<M> Outbox<M> {
 /// encoding) and detects or mis-adopts the corruption in
 /// [`on_round`](NodeProgram::on_round), as
 /// [`FloodBft`](crate::programs::FloodBft) does with its checksum tag.
-pub trait NodeProgram: Send {
+pub trait NodeProgram {
     /// The message type exchanged by this protocol.
     type Msg: Payload;
 
@@ -236,23 +222,10 @@ pub struct SyncRuntime<P: NodeProgram> {
     /// Reusable drain buffer for flushing the outbox while the network is
     /// borrowed mutably.
     flush_scratch: Vec<(Port, P::Msg)>,
-    /// Per-shard scratch for the sharded execution path (empty when the
-    /// network resolved to a single shard).
-    shard_scratch: Vec<ShardScratch<P::Msg>>,
-    /// Per-shard error slots for the sharded path; the lowest-shard error is
-    /// the one reported, which keeps error selection deterministic.
-    shard_errors: Vec<Option<Error>>,
-    /// Per-shard wall-clock busy-time slots written by the workers when
-    /// telemetry is enabled (mirrors `shard_errors`; always zero and never
-    /// read when telemetry is off).
-    shard_busy: Vec<u64>,
-    /// Rounds the adaptive scheduler ran sequentially despite `shards > 1`
-    /// (always 0 when the network resolved to a single shard).
-    adaptive_sequential_rounds: u64,
     /// One bit per node: the nodes that were not idle after their last
-    /// callback. The next sequential round adds the nodes the barrier
-    /// delivered to and the nodes recovering this round, then visits the
-    /// set bits in ascending order (see the module docs).
+    /// callback. The next round adds the nodes the barrier delivered to
+    /// and the nodes recovering this round, then visits the set bits in
+    /// ascending order (see the module docs).
     schedule: Vec<u64>,
     /// One bit per node: its program's `halted()` after its last callback.
     /// Comparing against this bit, instead of calling `halted()` before
@@ -261,130 +234,6 @@ pub struct SyncRuntime<P: NodeProgram> {
     halted: Vec<u64>,
     /// Number of clear bits in `halted`: the programs still running.
     running: usize,
-}
-
-/// One worker shard's reusable buffers: the sharded analogue of the
-/// runtime's sequential `inbox_scratch` / `incoming` / `outbox` trio.
-#[derive(Debug)]
-struct ShardScratch<M> {
-    inbox_scratch: Vec<Delivery<M>>,
-    incoming: Vec<(Port, M)>,
-    outbox: Outbox<M>,
-}
-
-impl<M> Default for ShardScratch<M> {
-    fn default() -> Self {
-        ShardScratch {
-            inbox_scratch: Vec::new(),
-            incoming: Vec::new(),
-            outbox: Outbox::new(),
-        }
-    }
-}
-
-/// Executes one shard's slice of a round (or of the start-up round): the
-/// per-node inbox translation, program callback, and outbox flush of the
-/// sequential engine, against the shard's exclusive [`ShardView`].
-///
-/// Nodes are processed in node order within the shard and sends are queued
-/// into the shard's outbox in that order, which is what makes the barrier
-/// merge (shard queues concatenated in shard order) reproduce the sequential
-/// engine's global node-order delivery exactly. A shard visits every node
-/// of its range, not a schedule: the sequential engine's schedule is
-/// rebuilt after the round.
-///
-/// This is deliberately a *copy* of the per-node body in the sequential
-/// `visit_schedule` / [`SyncRuntime::start`] loops rather than a shared
-/// abstraction: the sequential loop is the engine's hottest code and its
-/// codegen is fragile (routing it through a view indirection measurably
-/// regressed sparse rounds), so the two copies are kept textually parallel
-/// instead. If you change the skip rule, delivery translation, or flush
-/// order here, mirror it there — the determinism suite compares `k = 1`
-/// against `k > 1` behaviour precisely to catch a missed mirror.
-fn run_shard_round<P: NodeProgram>(
-    programs: &mut [P],
-    view: &mut ShardView<'_, P::Msg>,
-    scratch: &mut ShardScratch<P::Msg>,
-    round: u64,
-    shared_coin: Option<f64>,
-    start: bool,
-) -> Result<(), Error> {
-    let node_lo = view.first_node();
-    for (offset, program) in programs.iter_mut().enumerate() {
-        let v = node_lo + offset;
-        // Same recovery rule as the sequential engine: at its recovery
-        // round a rebooted node runs `on_recover` instead of the ordinary
-        // callback (its inbox is empty — the barrier dropped everything
-        // addressed to the pre-crash incarnation).
-        if view.node_recovered_this_round(v) {
-            let degree = view.graph().degree(v);
-            let (rng, faults) = view.ctx_parts(v);
-            let mut ctx = RoundContext {
-                node: v,
-                degree,
-                round,
-                rng,
-                shared_coin,
-                faults,
-            };
-            program.on_recover(&mut ctx, &mut scratch.outbox);
-            for (port, msg) in scratch.outbox.msgs.drain(..) {
-                view.send_through_port(v, port, msg)?;
-            }
-            continue;
-        }
-        // Same crash rule as the sequential engine: a crashed node computes
-        // nothing and its inbox is kept empty by the barrier.
-        if view.node_crashed(v) {
-            continue;
-        }
-        let degree = view.graph().degree(v);
-        if start {
-            let (rng, faults) = view.ctx_parts(v);
-            let mut ctx = RoundContext {
-                node: v,
-                degree,
-                round,
-                rng,
-                shared_coin,
-                faults,
-            };
-            program.on_start(&mut ctx, &mut scratch.outbox);
-        } else {
-            let inbox_empty = view.inbox_is_empty(v);
-            // Same skip rule as the sequential engine: an idle node with an
-            // empty inbox does nothing.
-            if inbox_empty && program.idle() {
-                continue;
-            }
-            if inbox_empty {
-                scratch.incoming.clear();
-            } else {
-                view.swap_inbox(v, &mut scratch.inbox_scratch);
-                scratch.incoming.clear();
-                scratch.incoming.extend(
-                    scratch
-                        .inbox_scratch
-                        .drain(..)
-                        .map(|(_, port, msg)| (port, msg)),
-                );
-            }
-            let (rng, faults) = view.ctx_parts(v);
-            let mut ctx = RoundContext {
-                node: v,
-                degree,
-                round,
-                rng,
-                shared_coin,
-                faults,
-            };
-            program.on_round(&mut ctx, &scratch.incoming, &mut scratch.outbox);
-        }
-        for (port, msg) in scratch.outbox.msgs.drain(..) {
-            view.send_through_port(v, port, msg)?;
-        }
-    }
-    Ok(())
 }
 
 /// Puts node `v` on a [`SyncRuntime`] schedule bitmap.
@@ -409,16 +258,6 @@ impl<P: NodeProgram> SyncRuntime<P> {
         let graph = net.graph();
         let n = graph.node_count();
         let programs = (0..n).map(|v| init(v, graph.degree(v))).collect();
-        let shards = net.shard_count();
-        let (shard_scratch, shard_errors, shard_busy) = if shards > 1 {
-            (
-                (0..shards).map(|_| ShardScratch::default()).collect(),
-                (0..shards).map(|_| None).collect(),
-                vec![0u64; shards],
-            )
-        } else {
-            (Vec::new(), Vec::new(), Vec::new())
-        };
         let mut runtime = SyncRuntime {
             net,
             programs,
@@ -427,10 +266,6 @@ impl<P: NodeProgram> SyncRuntime<P> {
             incoming: Vec::new(),
             outbox: Outbox::new(),
             flush_scratch: Vec::new(),
-            shard_scratch,
-            shard_errors,
-            shard_busy,
-            adaptive_sequential_rounds: 0,
             schedule: vec![0; n.div_ceil(64)],
             halted: vec![0; n.div_ceil(64)],
             running: 0,
@@ -441,8 +276,8 @@ impl<P: NodeProgram> SyncRuntime<P> {
 
     /// Installs a [`FaultPlan`] on the underlying network (see
     /// [`Network::set_fault_plan`]); call before [`start`](SyncRuntime::start).
-    /// Crashed nodes are skipped by both the sequential and the sharded
-    /// round engine, and their traffic is dropped at the barrier.
+    /// Crashed nodes are skipped by the round loop, and their traffic is
+    /// dropped at the barrier.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
         self.net.set_fault_plan(plan);
     }
@@ -455,43 +290,22 @@ impl<P: NodeProgram> SyncRuntime<P> {
     /// Installs the opt-in telemetry sidecar (see
     /// [`Network::enable_telemetry`]); call before
     /// [`start`](SyncRuntime::start). With telemetry on, each round
-    /// additionally records a node-step wall-clock span and — on sharded
-    /// rounds — per-shard worker busy time. Strictly outside the
-    /// determinism domain: metrics, history, traces, and RNG streams are
-    /// byte-identical with telemetry on or off.
+    /// additionally records a node-step wall-clock span. Strictly outside
+    /// the determinism domain: metrics, history, traces, and RNG streams
+    /// are byte-identical with telemetry on or off.
     pub fn enable_telemetry(&mut self) {
         self.net.enable_telemetry();
     }
 
-    /// Harvests the telemetry sidecar into a
-    /// [`TelemetryReport`] (see [`Network::take_telemetry`]), stamping in
-    /// this runtime's adaptive-sequential switch count. `None` if telemetry
-    /// was never enabled.
+    /// Harvests the telemetry sidecar into a [`TelemetryReport`] (see
+    /// [`Network::take_telemetry`]). `None` if telemetry was never enabled.
     pub fn take_telemetry(&mut self) -> Option<TelemetryReport> {
-        let adaptive = self.adaptive_sequential_rounds;
-        self.net.take_telemetry().map(|mut report| {
-            report.wall.adaptive_sequential_rounds = adaptive;
-            report
-        })
+        self.net.take_telemetry()
     }
 
     /// Takes the events recorded so far (see [`Network::take_trace`]).
     pub fn take_trace(&mut self) -> Vec<TraceEvent> {
         self.net.take_trace()
-    }
-
-    /// Rounds executed sequentially by the adaptive scheduler despite a
-    /// `shards > 1` configuration (sparse rounds below
-    /// [`ADAPTIVE_SEQUENTIAL_THRESHOLD`]).
-    #[must_use]
-    pub fn adaptive_sequential_rounds(&self) -> u64 {
-        self.adaptive_sequential_rounds
-    }
-
-    /// The number of worker shards executing each round (1 = sequential).
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.net.shard_count()
     }
 
     /// The underlying network (for metric inspection).
@@ -540,16 +354,6 @@ impl<P: NodeProgram> SyncRuntime<P> {
     /// Propagates network errors from the queued sends.
     pub fn start(&mut self) -> Result<(), Error> {
         debug_assert_eq!(self.round, 0, "start() called twice");
-        // Adaptive hybrid scheduling: nothing has been delivered before the
-        // start-up round, so the node count stands in for the traffic level.
-        if self.net.shard_count() > 1 {
-            if self.programs.len() >= ADAPTIVE_SEQUENTIAL_THRESHOLD {
-                self.run_round_sharded(true)?;
-                self.round = 1;
-                return Ok(());
-            }
-            self.adaptive_sequential_rounds += 1;
-        }
         let shared = self.shared_value();
         let node_step_start = self.net.telemetry_enabled().then(std::time::Instant::now);
         // (No recovery check here: a crash-recovery window `[from, until)`
@@ -584,27 +388,14 @@ impl<P: NodeProgram> SyncRuntime<P> {
 
     /// Executes one full round: delivery, per-node handlers, and sends.
     ///
-    /// Steady-state this performs no heap allocation, and a sequential round
-    /// visits only the scheduled nodes (see the module docs), so idle nodes
-    /// with empty inboxes cost nothing.
+    /// Steady-state this performs no heap allocation, and a round visits
+    /// only the scheduled nodes (see the module docs), so idle nodes with
+    /// empty inboxes cost nothing.
     ///
     /// # Errors
     ///
     /// Propagates network errors from the queued sends.
     pub fn step(&mut self) -> Result<(), Error> {
-        // Adaptive hybrid scheduling: a sparse round (few messages delivered
-        // at the last barrier) costs more in pool dispatch than it saves, so
-        // it runs on the calling thread even with `shards > 1`. Both paths
-        // are byte-identical (the deterministic-merge invariant), so the
-        // switch affects wall-clock time only.
-        if self.net.shard_count() > 1 {
-            if self.net.delivered_last_round() >= ADAPTIVE_SEQUENTIAL_THRESHOLD {
-                self.run_round_sharded(false)?;
-                self.round += 1;
-                return Ok(());
-            }
-            self.adaptive_sequential_rounds += 1;
-        }
         let shared = self.shared_value();
         let node_step_start = self.net.telemetry_enabled().then(std::time::Instant::now);
         // The schedule holds the nodes that stayed busy after their last
@@ -631,12 +422,9 @@ impl<P: NodeProgram> SyncRuntime<P> {
         Ok(())
     }
 
-    /// The node loop of a sequential round: visits the scheduled nodes in
-    /// ascending order, taking each bitmap word (which clears it) and
-    /// re-filing every node that ran a callback.
-    ///
-    /// The per-node body is mirrored in `run_shard_round` (kept as two
-    /// textually parallel copies for hot-loop codegen; see the note there).
+    /// The node loop of a round: visits the scheduled nodes in ascending
+    /// order, taking each bitmap word (which clears it) and re-filing every
+    /// node that ran a callback.
     fn visit_schedule(&mut self, shared: Option<f64>) -> Result<(), Error> {
         for w in 0..self.schedule.len() {
             let mut bits = std::mem::take(&mut self.schedule[w]);
@@ -740,8 +528,8 @@ impl<P: NodeProgram> SyncRuntime<P> {
     }
 
     /// Rebuilds the schedule and the running count from every program: at
-    /// construction, and after the start-up round and sharded rounds, which
-    /// visit every node anyway.
+    /// construction, and after the start-up round, which visits every node
+    /// anyway.
     fn rebuild_schedule(&mut self) {
         self.schedule.fill(0);
         self.halted.fill(0);
@@ -797,89 +585,6 @@ impl<P: NodeProgram> SyncRuntime<P> {
 
     fn shared_value(&mut self) -> Option<f64> {
         self.net.shared_coin_uniform().ok()
-    }
-
-    /// Executes one round (or the start-up round) across `k > 1` worker
-    /// shards on the persistent `rayon` pool, then merges at the barrier.
-    ///
-    /// The network is split into disjoint [`ShardView`]s and the program
-    /// vector into matching contiguous chunks; each worker runs its shard's
-    /// nodes in node order against purely shard-local state (inboxes, RNG
-    /// streams, edge stamps, outbox queue, counters), so there is no
-    /// cross-shard synchronisation inside a round. `advance_round` then
-    /// performs the deterministic shard-order merge.
-    ///
-    /// On error the round is **not** advanced — matching the sequential
-    /// path, which aborts at the erroring node before its `advance_round` —
-    /// and if several shards error, the lowest shard's error is reported
-    /// (deterministic). Exact post-error state still differs from
-    /// sequential in which *other* nodes ran before the error surfaced;
-    /// errors indicate protocol bugs, and the byte-identical-across-shard-
-    /// counts invariant is scoped to error-free executions.
-    ///
-    /// Unlike the sequential path this allocates O(k) task envelopes per
-    /// round — the price of dispatch; the per-message hot paths stay
-    /// allocation-free.
-    ///
-    /// `inline(never)` keeps the sharded machinery out of `step`'s inlined
-    /// body: with one codegen unit, letting it bleed into the sequential
-    /// loop measurably regresses the `k = 1` hot path (one call per round
-    /// is irrelevant at shard granularity).
-    #[inline(never)]
-    fn run_round_sharded(&mut self, start: bool) -> Result<(), Error> {
-        let shared = self.shared_value();
-        let round = self.round;
-        let telemetry_on = self.net.telemetry_enabled();
-        let node_step_start = telemetry_on.then(std::time::Instant::now);
-        let mut views = self.net.shard_views();
-        debug_assert_eq!(views.len(), self.shard_scratch.len());
-        {
-            let mut rest: &mut [P] = &mut self.programs;
-            let mut tasks: Vec<_> = views
-                .drain(..)
-                .zip(self.shard_scratch.iter_mut())
-                .zip(self.shard_errors.iter_mut().zip(self.shard_busy.iter_mut()))
-                .map(|((view, scratch), (error, busy))| {
-                    let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(view.node_count());
-                    rest = tail;
-                    let mut view = view;
-                    move || {
-                        // Wall-clock only, written into a pre-allocated slot:
-                        // the workers never touch the telemetry sink (or any
-                        // shared state) directly.
-                        let busy_start = telemetry_on.then(std::time::Instant::now);
-                        *error =
-                            run_shard_round(chunk, &mut view, scratch, round, shared, start).err();
-                        if let Some(at) = busy_start {
-                            *busy = elapsed_nanos(at);
-                        }
-                    }
-                })
-                .collect();
-            rayon::pool::global().scope_execute_batch(&mut tasks);
-        }
-        // Drain every slot (not just the first) so nothing stale can ever
-        // be re-reported; the lowest shard's error wins deterministically.
-        let mut first_err = None;
-        for slot in &mut self.shard_errors {
-            let taken = slot.take();
-            if first_err.is_none() {
-                first_err = taken;
-            }
-        }
-        if let Some(err) = first_err {
-            return Err(err);
-        }
-        if let Some(at) = node_step_start {
-            self.net.record_node_step(elapsed_nanos(at));
-            for s in 0..self.shard_busy.len() {
-                self.net.record_shard_busy(s, self.shard_busy[s]);
-                self.shard_busy[s] = 0;
-            }
-        }
-        self.net.advance_round();
-        self.rebuild_schedule();
-        Ok(())
     }
 
     /// Sends everything queued in the shared outbox on behalf of `v`.
@@ -976,78 +681,9 @@ mod tests {
     }
 
     #[test]
-    fn sharded_flood_is_byte_identical_to_sequential() {
-        let graph = topology::hypercube(6).unwrap();
-        let run = |shards: usize| {
-            let mut runtime = SyncRuntime::new(
-                graph.clone(),
-                NetworkConfig::with_seed(3)
-                    .shards(shards)
-                    .track_history(true),
-                |v, _| Flood::new(v == 0),
-            );
-            let rounds = runtime.run_until_halt(1000).unwrap();
-            let history = runtime.network().round_history().to_vec();
-            (rounds, runtime.metrics(), history)
-        };
-        let sequential = run(1);
-        for shards in [2usize, 3, 4, 8] {
-            assert_eq!(run(shards), sequential, "shards = {shards}");
-        }
-    }
-
-    #[test]
-    fn sharded_execution_routes_private_rng_streams_correctly() {
-        use rand::Rng;
-
-        // Every node draws from its private stream each round and remembers
-        // the draws; per-node streams must be identical for any shard count,
-        // which fails loudly if a shard hands node v a misaligned RNG slice.
-        #[derive(Debug)]
-        struct Roller {
-            draws: Vec<u64>,
-        }
-        impl NodeProgram for Roller {
-            type Msg = bool;
-            fn on_start(&mut self, ctx: &mut RoundContext<'_>, outbox: &mut Outbox<bool>) {
-                self.draws.push(ctx.rng.gen());
-                outbox.send_all(ctx.degree, true);
-            }
-            fn on_round(
-                &mut self,
-                ctx: &mut RoundContext<'_>,
-                _incoming: &[(Port, bool)],
-                outbox: &mut Outbox<bool>,
-            ) {
-                self.draws.push(ctx.rng.gen());
-                outbox.send_all(ctx.degree, true);
-            }
-            fn halted(&self) -> bool {
-                false
-            }
-        }
-        let graph = topology::cycle(17).unwrap();
-        let run = |shards: usize| {
-            let mut runtime = SyncRuntime::new(
-                graph.clone(),
-                NetworkConfig::with_seed(11).shards(shards),
-                |_, _| Roller { draws: Vec::new() },
-            );
-            runtime.run_until_halt(6).unwrap();
-            let (programs, metrics) = runtime.into_parts();
-            let draws: Vec<Vec<u64>> = programs.into_iter().map(|p| p.draws).collect();
-            (draws, metrics)
-        };
-        let sequential = run(1);
-        for shards in [2usize, 4, 5] {
-            assert_eq!(run(shards), sequential, "shards = {shards}");
-        }
-    }
-
-    #[test]
-    fn sharded_runtime_reports_edge_busy() {
-        // A protocol bug (double send on one port) must surface the same
-        // error family under sharded execution as under sequential.
+    fn runtime_reports_edge_busy() {
+        // A protocol bug (double send on one port) surfaces as an error,
+        // and the round does not advance.
         #[derive(Debug)]
         struct DoubleSender;
         impl NodeProgram for DoubleSender {
@@ -1067,27 +703,10 @@ mod tests {
                 true
             }
         }
-        for shards in [1usize, 4] {
-            let graph = topology::cycle(8).unwrap();
-            let mut runtime =
-                SyncRuntime::new(graph, NetworkConfig::with_seed(1).shards(shards), |_, _| {
-                    DoubleSender
-                });
-            assert!(matches!(runtime.start(), Err(Error::EdgeBusy { .. })));
-            // Error parity with the sequential engine: the round must not
-            // have advanced.
-            assert_eq!(runtime.metrics().rounds, 0, "shards = {shards}");
-        }
-    }
-
-    #[test]
-    fn shard_count_resolves_and_clamps() {
-        let graph = topology::complete(4).unwrap();
-        let runtime = SyncRuntime::new(graph, NetworkConfig::with_seed(1).shards(64), |_, _| {
-            Flood::new(false)
-        });
-        // Clamped to n = 4 nodes.
-        assert_eq!(runtime.shard_count(), 4);
+        let graph = topology::cycle(8).unwrap();
+        let mut runtime = SyncRuntime::new(graph, NetworkConfig::with_seed(1), |_, _| DoubleSender);
+        assert!(matches!(runtime.start(), Err(Error::EdgeBusy { .. })));
+        assert_eq!(runtime.metrics().rounds, 0);
     }
 
     #[test]

@@ -1,10 +1,9 @@
-//! Opt-in observability sidecar: wall-clock spans, per-shard utilization,
-//! and deterministic round histograms.
+//! Opt-in observability sidecar: wall-clock spans and deterministic round
+//! histograms.
 //!
 //! The simulator's correctness story rests on a **determinism domain** —
 //! [`Metrics`](crate::Metrics), round history, trace baselines, and every
-//! PRNG stream are byte-identical for a given seed at every shard count.
-//! Telemetry deliberately lives *outside* that domain: it is an
+//! PRNG stream are byte-identical for a given seed. Telemetry deliberately lives *outside* that domain: it is an
 //! [`Option`]al sidecar installed with
 //! [`Network::enable_telemetry`](crate::Network::enable_telemetry) (or
 //! `RunOptions::telemetry` at the harness level), it is never consulted by
@@ -17,15 +16,13 @@
 //! segregated halves:
 //!
 //! * [`DeterministicTelemetry`] — counters and [`Log2Histogram`]s derived
-//!   only from barrier-merged quantities (messages per round, inbox sizes,
-//!   event-queue depth, scheduler skew). These are byte-identical across
-//!   shard counts, exactly like the metrics they summarise, and CI diffs
-//!   them across a `CONGEST_SHARDS={1,4}` matrix.
+//!   only from what the barriers delivered (messages per round, inbox sizes,
+//!   event-queue depth, scheduler skew). These are byte-identical run to
+//!   run, exactly like the metrics they summarise, and CI diffs them
+//!   against a committed golden.
 //! * [`WallTelemetry`] — wall-clock phase spans (node-step, barrier-merge,
-//!   fault-judge, scheduler-oracle), per-round wall times, per-shard busy
-//!   time and message counts, and the adaptive-sequential switch count.
-//!   These vary run to run and shard count to shard count by design and
-//!   must never be compared across runs.
+//!   fault-judge, scheduler-oracle) and per-round wall times. These vary
+//!   run to run by design and must never be compared across runs.
 //!
 //! See `docs/OBSERVABILITY.md` for the JSONL schema and the
 //! `experiments --profile` walkthrough.
@@ -34,11 +31,9 @@ use std::time::Instant;
 
 /// The wall-clock phases instrumented per round.
 ///
-/// * `NodeStep` — executing node programs (sequential loop or sharded
-///   dispatch including barrier wait), recorded by the runtimes.
+/// * `NodeStep` — executing node programs, recorded by the runtime.
 /// * `BarrierMerge` — [`advance_round`](crate::Network::advance_round)
-///   excluding the slow delivery path: inbox clearing, queue draining, and
-///   shard-counter absorption.
+///   excluding the slow delivery path: inbox clearing and queue draining.
 /// * `FaultJudge` — the slow delivery path when a fault plan is installed
 ///   (event-queue drain, adversarial strikes, per-message verdicts;
 ///   includes any scheduler consultation interleaved with it).
@@ -46,9 +41,9 @@ use std::time::Instant;
 ///   adversary is installed (event mode without faults).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Node program execution (runtime loop or sharded dispatch).
+    /// Node program execution (the runtime's round loop).
     NodeStep,
-    /// The deterministic barrier merge in `advance_round`.
+    /// The round barrier in `advance_round`.
     BarrierMerge,
     /// The slow delivery path under an installed fault plan.
     FaultJudge,
@@ -96,8 +91,8 @@ impl Phase {
 /// Bucket 0 counts samples equal to 0; bucket `i ≥ 1` counts samples in
 /// `[2^(i-1), 2^i)`. Recording is a leading-zeros computation and one
 /// array increment — no allocation, no floating point — and the bucket
-/// counts are plain sums of barrier-merged quantities, so histograms
-/// recorded at different shard counts are byte-identical.
+/// counts are plain sums of deterministic quantities, so histograms are as
+/// reproducible as the run they sample.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Log2Histogram {
     buckets: [u64; 65],
@@ -164,11 +159,11 @@ impl Log2Histogram {
     }
 }
 
-/// The shard-invariant half of a [`TelemetryReport`]: counters and
-/// histograms derived only from barrier-merged quantities. For a fixed
+/// The deterministic half of a [`TelemetryReport`]: counters and
+/// histograms derived only from what the barriers delivered. For a fixed
 /// `(graph, seed, protocol)` these fields — and their
 /// [`deterministic_jsonl`](TelemetryReport::deterministic_jsonl)
-/// rendering — are byte-identical at every shard count.
+/// rendering — are byte-identical run to run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeterministicTelemetry {
     /// Barriers observed (rounds actually executed; excludes
@@ -178,8 +173,7 @@ pub struct DeterministicTelemetry {
     /// Total messages sent over the run (classical + quantum), mirroring
     /// [`Metrics::total_messages`](crate::Metrics::total_messages).
     pub messages: u64,
-    /// Messages sent per round (sampled once per barrier, after the
-    /// deterministic shard-counter merge).
+    /// Messages sent per round (sampled once per barrier).
     pub messages_per_round: Log2Histogram,
     /// Sizes of the non-empty inboxes populated at each barrier.
     pub inbox_sizes: Log2Histogram,
@@ -192,10 +186,9 @@ pub struct DeterministicTelemetry {
     pub skew_per_round: Log2Histogram,
 }
 
-/// The wall-clock / shard-topology half of a [`TelemetryReport`]. Nothing
-/// here is comparable across runs or shard counts: wall times depend on
-/// the machine and per-shard fields depend on the shard count. Replay and
-/// shard-invariance checks must ignore this struct entirely.
+/// The wall-clock half of a [`TelemetryReport`]. Nothing here is
+/// comparable across runs: wall times depend on the machine and its load.
+/// Replay checks must ignore this struct entirely.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WallTelemetry {
     /// Wall-clock nanoseconds from telemetry installation to harvest.
@@ -207,35 +200,21 @@ pub struct WallTelemetry {
     pub phase_nanos: [u64; Phase::COUNT],
     /// Rounds contributing to each phase, indexed by [`Phase::index`].
     pub phase_rounds: [u64; Phase::COUNT],
-    /// Resolved shard count `k` of the run.
-    pub shard_count: usize,
-    /// Messages sent through each shard's outbox queue (sharded rounds
-    /// only; length `k`).
-    pub shard_messages: Vec<u64>,
-    /// Wall-clock nanoseconds each worker shard spent executing its slice
-    /// of sharded rounds (length `k`; zero when rounds ran sequentially).
-    pub shard_busy_nanos: Vec<u64>,
-    /// Messages sent through the sequential network handle: driver-based
-    /// protocols, `k = 1` rounds, and adaptive-sequential rounds.
-    pub sequential_messages: u64,
-    /// Rounds the adaptive scheduler ran sequentially despite `shards > 1`
-    /// (see [`ADAPTIVE_SEQUENTIAL_THRESHOLD`](crate::runtime::ADAPTIVE_SEQUENTIAL_THRESHOLD)).
-    pub adaptive_sequential_rounds: u64,
     /// Peak heap bytes observed by an external allocator tracker, when one
     /// was attached (the workspace test-support tracker reports this);
     /// `None` when untracked.
     pub peak_bytes: Option<u64>,
 }
 
-/// The harvest of one instrumented run, split into the shard-invariant
-/// deterministic half and the wall-clock sidecar half. Produced by
+/// The harvest of one instrumented run, split into the deterministic half
+/// and the wall-clock half. Produced by
 /// [`Network::take_telemetry`](crate::Network::take_telemetry) and the
-/// runtimes' `take_telemetry` wrappers.
+/// runtime's `take_telemetry` wrapper.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TelemetryReport {
-    /// Shard-invariant counters and histograms.
+    /// Deterministic counters and histograms.
     pub deterministic: DeterministicTelemetry,
-    /// Wall-clock spans and shard-count-dependent counters.
+    /// Wall-clock spans.
     pub wall: WallTelemetry,
 }
 
@@ -253,37 +232,17 @@ impl TelemetryReport {
         (pick(50), pick(95), sorted[sorted.len() - 1])
     }
 
-    /// Shard imbalance factor: the busiest shard's load divided by the
-    /// mean shard load, preferring busy-time when any was recorded and
-    /// falling back to per-shard message counts. `1.0` for sequential runs
-    /// or when nothing was recorded (perfectly balanced by definition).
-    #[must_use]
-    pub fn shard_imbalance(&self) -> f64 {
-        let pick = |values: &[u64]| -> Option<f64> {
-            let total: u64 = values.iter().sum();
-            if values.len() < 2 || total == 0 {
-                return None;
-            }
-            let max = *values.iter().max().expect("non-empty") as f64;
-            let mean = total as f64 / values.len() as f64;
-            Some(max / mean)
-        };
-        pick(&self.wall.shard_busy_nanos)
-            .or_else(|| pick(&self.wall.shard_messages))
-            .unwrap_or(1.0)
-    }
-
     /// Renders the full report as one JSONL record labelled `label`
     /// (conventionally the scenario cell id). The `"deterministic"` object
-    /// is byte-identical across shard counts; everything under `"wall"` is
-    /// the machine- and shard-count-dependent sidecar.
+    /// is byte-identical run to run; everything under `"wall"` is the
+    /// machine-dependent sidecar.
     #[must_use]
     pub fn to_jsonl(&self, label: &str) -> String {
         use std::fmt::Write;
         let mut out = String::new();
         write!(
             out,
-            "{{\"cell\":\"{}\",\"version\":1,{},\"wall\":{{\"total_nanos\":{}",
+            "{{\"cell\":\"{}\",\"version\":2,{},\"wall\":{{\"total_nanos\":{}",
             json_escape(label),
             self.deterministic_object(),
             self.wall.total_nanos
@@ -310,18 +269,7 @@ impl TelemetryReport {
             )
             .unwrap();
         }
-        write!(
-            out,
-            "}},\"shards\":{{\"count\":{},\"messages\":{},\"busy_nanos\":{},\
-             \"sequential_messages\":{},\"adaptive_sequential_rounds\":{},\"imbalance\":{:.3}}}",
-            self.wall.shard_count,
-            json_u64_array(&self.wall.shard_messages),
-            json_u64_array(&self.wall.shard_busy_nanos),
-            self.wall.sequential_messages,
-            self.wall.adaptive_sequential_rounds,
-            self.shard_imbalance()
-        )
-        .unwrap();
+        out.push('}');
         match self.wall.peak_bytes {
             Some(bytes) => write!(out, ",\"peak_bytes\":{bytes}}}}}").unwrap(),
             None => out.push_str(",\"peak_bytes\":null}}"),
@@ -330,8 +278,7 @@ impl TelemetryReport {
     }
 
     /// Renders only the label and the deterministic half as one JSONL
-    /// record — the shard-invariant projection CI diffs across a
-    /// `CONGEST_SHARDS={1,4}` matrix.
+    /// record — the projection CI diffs against a committed golden.
     #[must_use]
     pub fn deterministic_jsonl(&self, label: &str) -> String {
         format!(
@@ -373,19 +320,6 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Renders a `u64` slice as a JSON array.
-fn json_u64_array(values: &[u64]) -> String {
-    let mut out = String::from("[");
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&v.to_string());
-    }
-    out.push(']');
-    out
-}
-
 /// Saturating nanoseconds since `start` (a run would need to exceed ~584
 /// years to saturate).
 pub(crate) fn elapsed_nanos(start: Instant) -> u64 {
@@ -393,8 +327,8 @@ pub(crate) fn elapsed_nanos(start: Instant) -> u64 {
 }
 
 /// The live accumulator installed on a [`Network`](crate::Network) by
-/// `enable_telemetry`. Crate-internal: the runtimes feed it phase spans and
-/// shard busy-times, the network feeds it barrier observations, and
+/// `enable_telemetry`. Crate-internal: the runtime feeds it node-step
+/// spans, the network feeds it barrier observations, and
 /// [`finish`](TelemetrySink::finish) converts it into the public
 /// [`TelemetryReport`].
 #[derive(Debug)]
@@ -406,13 +340,11 @@ pub(crate) struct TelemetrySink {
     phase_nanos: [u64; Phase::COUNT],
     phase_rounds: [u64; Phase::COUNT],
     round_nanos: Vec<u64>,
-    shard_messages: Vec<u64>,
-    shard_busy_nanos: Vec<u64>,
 }
 
 impl TelemetrySink {
-    /// A fresh sink for a network resolved to `shards` worker shards.
-    pub(crate) fn new(shards: usize) -> Self {
+    /// A fresh sink, its clocks started now.
+    pub(crate) fn new() -> Self {
         let now = Instant::now();
         TelemetrySink {
             started: now,
@@ -422,8 +354,6 @@ impl TelemetrySink {
             phase_nanos: [0; Phase::COUNT],
             phase_rounds: [0; Phase::COUNT],
             round_nanos: Vec::new(),
-            shard_messages: vec![0; shards],
-            shard_busy_nanos: vec![0; shards],
         }
     }
 
@@ -431,18 +361,6 @@ impl TelemetrySink {
     pub(crate) fn record_phase(&mut self, phase: Phase, nanos: u64) {
         self.phase_nanos[phase.index()] += nanos;
         self.phase_rounds[phase.index()] += 1;
-    }
-
-    /// Accumulates `messages` sent through shard `shard`'s outbox queue
-    /// this round (read from the shard counters before the barrier absorbs
-    /// them).
-    pub(crate) fn record_shard_messages(&mut self, shard: usize, messages: u64) {
-        self.shard_messages[shard] += messages;
-    }
-
-    /// Accumulates `nanos` of worker busy time for shard `shard`.
-    pub(crate) fn record_shard_busy(&mut self, shard: usize, nanos: u64) {
-        self.shard_busy_nanos[shard] += nanos;
     }
 
     /// Records one non-empty inbox of `len` messages populated at the
@@ -488,18 +406,12 @@ impl TelemetrySink {
     /// final total-message count from the metrics recorder.
     pub(crate) fn finish(mut self, messages: u64) -> TelemetryReport {
         self.det.messages = messages;
-        let shard_total: u64 = self.shard_messages.iter().sum();
         TelemetryReport {
             wall: WallTelemetry {
                 total_nanos: elapsed_nanos(self.started),
                 round_nanos: self.round_nanos,
                 phase_nanos: self.phase_nanos,
                 phase_rounds: self.phase_rounds,
-                shard_count: self.shard_messages.len(),
-                sequential_messages: messages.saturating_sub(shard_total),
-                shard_messages: self.shard_messages,
-                shard_busy_nanos: self.shard_busy_nanos,
-                adaptive_sequential_rounds: 0,
                 peak_bytes: None,
             },
             deterministic: self.det,
@@ -545,37 +457,24 @@ mod tests {
     }
 
     #[test]
-    fn percentiles_and_imbalance_handle_empty_reports() {
+    fn percentiles_handle_empty_reports() {
         let report = TelemetryReport::default();
         assert_eq!(report.round_wall_percentiles(), (0, 0, 0));
-        assert!((report.shard_imbalance() - 1.0).abs() < f64::EPSILON);
-    }
-
-    #[test]
-    fn imbalance_prefers_busy_time() {
-        let mut report = TelemetryReport::default();
-        report.wall.shard_busy_nanos = vec![300, 100];
-        report.wall.shard_messages = vec![1, 1];
-        // max 300 / mean 200 = 1.5 from busy time, not 1.0 from messages.
-        assert!((report.shard_imbalance() - 1.5).abs() < 1e-9);
     }
 
     #[test]
     fn jsonl_segregates_deterministic_and_wall_fields() {
-        let mut sink = TelemetrySink::new(2);
-        sink.record_shard_messages(0, 3);
-        sink.record_shard_busy(1, 42);
+        let mut sink = TelemetrySink::new();
         sink.record_inbox_size(2);
         sink.record_phase(Phase::NodeStep, 10);
         sink.finish_barrier(5, 0, Some(4), 100, 60, Some(Phase::SchedulerOracle));
         let report = sink.finish(8);
         let line = report.to_jsonl("cell a");
-        assert!(line.starts_with("{\"cell\":\"cell a\",\"version\":1,\"deterministic\":{"));
+        assert!(line.starts_with("{\"cell\":\"cell a\",\"version\":2,\"deterministic\":{"));
         assert!(line.contains("\"wall\":{"));
         assert!(line.contains("\"node_step\":{\"nanos\":10,\"rounds\":1}"));
         assert!(line.contains("\"scheduler_oracle\":{\"nanos\":60,\"rounds\":1}"));
-        assert!(line.contains("\"sequential_messages\":5"));
-        assert!(line.contains("\"peak_bytes\":null"));
+        assert!(line.ends_with("}},\"peak_bytes\":null}}"));
         // The deterministic projection is a strict substring-by-schema of
         // the full record and mentions no wall field.
         let det = report.deterministic_jsonl("cell a");
@@ -583,7 +482,6 @@ mod tests {
         assert!(det.contains("\"skew_per_round\":[0,0,0,1]"));
         assert!(!det.contains("nanos"));
         assert_eq!(report.deterministic.messages, 8);
-        assert_eq!(report.wall.sequential_messages, 5);
     }
 
     #[test]

@@ -3,14 +3,13 @@
 //!
 //! Every leader-election protocol is runnable two ways:
 //!
-//! * [`LeaderElection::run`] — the plain entry point: fault-free, default
-//!   shard resolution, no tracing. This is what the experiment harness and
-//!   most tests use.
+//! * [`LeaderElection::run`] — the plain entry point: fault-free, no
+//!   tracing. This is what the experiment harness and most tests use.
 //! * [`LeaderElection::run_with`] — the configurable entry point the
-//!   scenario engine drives: a [`RunOptions`] injects a
-//!   [`FaultPlan`], pins the shard count, and turns
-//!   on the network's round-stamped event trace, which comes back in the
-//!   [`TracedRun`] alongside the ordinary report.
+//!   scenario engine drives: a [`RunOptions`] injects a [`FaultPlan`] or a
+//!   scheduler adversary and turns on the network's round-stamped event
+//!   trace, which comes back in the [`TracedRun`] alongside the ordinary
+//!   report.
 //!
 //! `run` is a provided method delegating to `run_with` with default options,
 //! so the two can never diverge.
@@ -28,8 +27,8 @@ use crate::report::{AgreementRun, CostSummary, LeaderElectionRun};
 /// protocol knowing where they came from.
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
-    /// Worker shard count for runtime-driven execution (`0` = auto, the
-    /// default — see [`NetworkConfig::shard_count`]).
+    /// Ignored: every round runs on the calling thread, in node order. The
+    /// field stays so that callers which still set it keep building.
     pub shards: usize,
     /// Fault plan to install on the protocol's network, if any.
     ///
@@ -66,8 +65,8 @@ pub struct RunOptions {
     /// assert_ne!(opts.mode, ExecMode::Round);
     /// ```
     pub mode: ExecMode,
-    /// Whether to install the opt-in telemetry sidecar (phase spans, shard
-    /// utilization, round histograms — see `congest_net::telemetry`). Off by
+    /// Whether to install the opt-in telemetry sidecar (phase spans and
+    /// round histograms — see `congest_net::telemetry`). Off by
     /// default; strictly outside the determinism domain, so turning it on
     /// never changes metrics, history, the trace, or any PRNG stream. The
     /// harvested report comes back in [`TracedRun::telemetry`].
@@ -86,7 +85,7 @@ impl RunOptions {
     /// protocol-specific `config` (e.g. a shared coin).
     #[must_use]
     pub fn network_with<M: Payload>(&self, graph: Graph, config: NetworkConfig) -> Network<M> {
-        let mut net = Network::new(graph, config.shards(self.shards));
+        let mut net = Network::new(graph, config);
         if self.trace {
             net.enable_trace();
         }
@@ -152,7 +151,7 @@ impl TracedRun {
 ///
 /// `run_with` executes one simulation of the protocol over `graph`, with all
 /// protocol randomness derived from `seed` and the execution environment
-/// (faults, sharding, tracing) taken from `opts`, and returns the outcome
+/// (faults, scheduler, tracing) taken from `opts`, and returns the outcome
 /// together with the measured message and round complexity.
 pub trait LeaderElection {
     /// A short human-readable protocol name used in reports and experiment
@@ -168,8 +167,7 @@ pub trait LeaderElection {
     /// encounters a network error (which indicates a protocol bug).
     fn run_with(&self, graph: &Graph, seed: u64, opts: &RunOptions) -> Result<TracedRun, Error>;
 
-    /// Runs the protocol once with default options (fault-free, auto
-    /// sharding, no trace).
+    /// Runs the protocol once with default options (fault-free, no trace).
     ///
     /// # Errors
     ///

@@ -4,13 +4,9 @@
 //! ([`ThreadPool::scope_execute_batch`]).
 //!
 //! The build environment has no access to crates.io, so the workspace
-//! vendors this shim instead. Two callers dispatch through the pool: the
-//! sharded round engine in `congest-net` (one batch per simulated round, so
-//! a dispatch costs a queue push instead of an OS thread spawn) and the
-//! scenario farm in `sim-harness` (one batch of cell workers per matrix,
-//! nested when a cell itself runs sharded). Both keep their output
-//! independent of thread scheduling on their own side: shard tasks write
-//! disjoint slots that merge in shard order, and the farm emits cells in
+//! vendors this shim instead. One caller dispatches through the pool: the
+//! scenario farm in `sim-harness`, one batch of cell workers per matrix. It
+//! keeps its output independent of thread scheduling by emitting cells in
 //! matrix order. The only `unsafe` in the shim is the scoped lifetime
 //! erasure inside [`pool`], with the soundness argument documented there.
 

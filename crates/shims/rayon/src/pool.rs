@@ -17,15 +17,13 @@
 //!
 //! Waiting callers *help*: while their batch is outstanding they pop and run
 //! queued tasks instead of blocking, so nested scopes (a task that itself
-//! calls [`ThreadPool::scope_execute_batch`], as a farm cell running sharded
-//! does) cannot deadlock even when every worker is busy — the 200 µs
-//! re-check below bounds the window in which a queued task can sit
-//! unnoticed.
+//! calls [`ThreadPool::scope_execute_batch`]) cannot deadlock even when
+//! every worker is busy — the 200 µs re-check below bounds the window in
+//! which a queued task can sit unnoticed.
 //!
 //! Workers are spawned once, on first use, and live for the process
 //! lifetime; per-batch dispatch is a queue push + condvar notify, so a
-//! caller that dispatches every few hundred microseconds (the sharded round
-//! engine in `congest-net`) pays no thread-spawn cost.
+//! caller pays no thread-spawn cost per batch.
 
 #![allow(unsafe_code)]
 

@@ -8,8 +8,7 @@
 //! core, the protocols, the harness itself) rolls the fingerprint and with
 //! it every cache key. The hash is FNV-1a over the sorted relative paths
 //! and contents of those crates' `src` trees — a pure function of the
-//! sources, so two builds of identical code (any host, any shard count)
-//! agree on the id and share cache entries, while `Instant`-style build
+//! sources, so two builds of identical code (on any host) agree on the id and share cache entries, while `Instant`-style build
 //! timestamps (which would defeat warm CI caches) never enter it.
 
 use std::fs;

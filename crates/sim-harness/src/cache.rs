@@ -1,12 +1,11 @@
 //! The content-addressed cell cache.
 //!
-//! The byte-identical determinism invariant the simulator has defended
-//! since the sharded engine landed is what makes cell results cacheable at
-//! all: a cell is a pure function of its canonical spec stanza (protocol,
-//! topology, size, seed, round budget, execution mode/scheduler, fault
-//! plan) and of the code that runs it — and it is *shard-invariant by
-//! construction*, so the shard count, the telemetry sidecar, and wall
-//! clocks deliberately never enter the key. Hashing that stanza together
+//! The simulator's byte-identical determinism invariant is what makes cell
+//! results cacheable at all: a cell is a pure function of its canonical
+//! spec stanza (protocol, topology, size, seed, round budget, execution
+//! mode/scheduler, fault plan) and of the code that runs it, so the
+//! scenario name, the telemetry sidecar, and wall clocks deliberately never
+//! enter the key. Hashing that stanza together
 //! with a code fingerprint (crate version plus a build id derived from the
 //! simulator sources at compile time, see `build.rs`) yields a sound cache
 //! key: two cells with equal keys replay byte-for-byte, so serving the
@@ -67,7 +66,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 ///
 /// * the **scenario name** (two differently-named sweeps containing the
 ///   same cell share one entry);
-/// * the **shard count** (results are byte-identical for every count);
 /// * **telemetry and wall clocks** (observation never changes execution).
 #[must_use]
 pub fn cache_key_material(cell: &Cell) -> String {
@@ -303,11 +301,10 @@ mod tests {
     }
 
     #[test]
-    fn key_ignores_name_and_shards_but_not_the_stanza() {
+    fn key_ignores_name_but_not_the_stanza() {
         let cell = sample_cell();
         let mut renamed = cell.clone();
         renamed.scenario = "other-name".into();
-        renamed.shards = 4;
         assert_eq!(cache_key(&cell), cache_key(&renamed));
         let mut other_seed = cell.clone();
         other_seed.seed += 1;

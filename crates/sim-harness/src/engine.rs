@@ -30,8 +30,6 @@ pub struct Cell {
     pub n: usize,
     /// The seed for both the topology generator and the protocol run.
     pub seed: u64,
-    /// Worker shard count (`0` = auto).
-    pub shards: usize,
     /// Round budget for runtime-driven protocols.
     pub max_rounds: u64,
     /// The scenario's fault plan.
@@ -103,7 +101,6 @@ pub fn expand(specs: &[ScenarioSpec]) -> Vec<Cell> {
                     protocol: spec.protocol,
                     n,
                     seed,
-                    shards: spec.shards,
                     max_rounds: spec.max_rounds,
                     faults: spec.faults.clone(),
                     mode: spec.mode,
@@ -133,11 +130,11 @@ pub fn run_cell_with(cell: &Cell, telemetry: bool) -> Result<CellResult, String>
         .generate(cell.n, cell.seed)
         .map_err(|e| format!("{}: topology: {e}", cell.id()))?;
     let opts = RunOptions {
-        shards: cell.shards,
         fault_plan: (!cell.faults.is_empty()).then(|| cell.faults.clone()),
         trace: true,
         mode: cell.mode,
         telemetry,
+        ..RunOptions::default()
     };
     let outcome = cell
         .protocol
@@ -193,9 +190,9 @@ pub fn run_matrix(specs: &[ScenarioSpec]) -> Result<Vec<CellResult>, String> {
 /// Renders the results table: one row per cell, in cell order, with message,
 /// round, congestion, and fault columns.
 ///
-/// This table is fully **deterministic** (CI diffs it byte-for-byte across
-/// shard counts and replay runs), so it deliberately carries no wall-clock
-/// column — see [`results_table_with_wall`] for the profiling view.
+/// This table is fully **deterministic** (CI diffs it byte-for-byte against
+/// a committed golden and across replay runs), so it deliberately carries no
+/// wall-clock column — see [`results_table_with_wall`] for the profiling view.
 #[must_use]
 pub fn results_table(results: &[CellResult]) -> String {
     render_results_table(results, false)

@@ -21,7 +21,7 @@
 //! Cache bookkeeping (hits, misses, stores, rejected entries) is decided
 //! against the cache's **pre-run state** in a sequential scan before any
 //! cell executes, so the [`FarmReport`] is as deterministic as the results
-//! themselves: a warm rerun reports the same numbers at every shard count.
+//! themselves: a warm rerun reports the same numbers at every worker count.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};

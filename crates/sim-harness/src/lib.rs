@@ -25,12 +25,11 @@
 //! * **Registries** ([`registry`]) — every topology name resolves to a
 //!   [`congest_net::topology::Family`] (cycle, torus, complete,
 //!   expander/random-regular, star, hypercube) and every protocol name to a
-//!   [`ProtocolKind`] adapter: the flood programs run through the sharded
+//!   [`ProtocolKind`] adapter: the flood programs run through
 //!   [`congest_net::SyncRuntime`], the leader-election protocols (quantum
 //!   and classical) through [`qle::LeaderElection::run_with`], both over a
 //!   network built by [`qle::RunOptions::network_with`] — so every cell
-//!   honours the scenario's fault plan, shard count, trace flag, and
-//!   execution mode.
+//!   honours the scenario's fault plan, trace flag, and execution mode.
 //! * **Engine** ([`engine`]) — [`run_matrix`] fans cells out across the
 //!   workspace `rayon` pool and merges results **in cell order** (spec ×
 //!   size × seed), so tables and traces are byte-identical regardless of
@@ -64,12 +63,14 @@
 //! 1. **Seed determinism:** a cell is a pure function of
 //!    `(spec, n, seed)`. Topology generation, protocol randomness, and the
 //!    fault plan's drop stream are all seeded; nothing reads the clock, the
-//!    environment (beyond shard-count resolution), or scheduler order.
-//! 2. **Shard invariance:** fault decisions happen at the round barrier in
-//!    delivery order, which the deterministic barrier merge makes
-//!    byte-identical for every shard count — so a trace recorded at
-//!    `CONGEST_SHARDS=1` replays byte-for-byte at `CONGEST_SHARDS=4` and
-//!    vice versa (CI runs exactly that cross-shard replay).
+//!    environment, or scheduler order.
+//! 2. **Order invariance:** every cell runs its rounds on one thread, and
+//!    fault decisions happen at the round barrier in delivery order, which
+//!    is send order; the farm merges cells in matrix order whatever the
+//!    pool's scheduling. So a trace recorded by one run replays
+//!    byte-for-byte in another, at any worker count (CI replays the
+//!    committed matrix against its own recorded trace, and diffs both
+//!    against `tests/golden/`).
 //!
 //! Consequently `replay` needs no stored network state: re-running the spec
 //! and comparing metrics + events *is* the replay, and any divergence means

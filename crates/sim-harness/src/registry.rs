@@ -4,12 +4,12 @@
 //! Topologies resolve to [`Family`] values (cycle, torus, complete,
 //! expander/random-regular, star, hypercube — with the expander degree as a
 //! parameter). Protocols are the [`ProtocolKind`] enum: the flood programs
-//! driven through the sharded [`SyncRuntime`], and the leader-election
+//! driven through [`SyncRuntime`], and the leader-election
 //! protocols (quantum and classical) driven through
 //! [`LeaderElection::run_with`]. Both build their network with
 //! [`RunOptions::network_with`], so every cell honours the scenario's fault
-//! plan, shard count, trace and telemetry flags, and execution mode (event
-//! mode is a scheduler adversary on that network).
+//! plan, trace and telemetry flags, and execution mode (event mode is a
+//! scheduler adversary on that network).
 
 use congest_net::programs::{Flood, FloodBft, FloodFt};
 use congest_net::topology::Family;

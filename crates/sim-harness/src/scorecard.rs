@@ -3,8 +3,8 @@
 //!
 //! [`run_scorecard`] takes a spec list, keeps the scenarios that install a
 //! fault plan, and runs each one **twice**: once as written and once as its
-//! [`fault_free_twin`] (same name, topology, protocol, sizes, seeds, shard
-//! count, and round budget — only the fault plan replaced by the empty
+//! [`fault_free_twin`] (same name, topology, protocol, sizes, seeds, round
+//! budget and execution mode — only the fault plan replaced by the empty
 //! plan). Cell results are then aggregated per `(protocol, fault class)`
 //! into [`ScorecardRow`]s: success rate under faults, success rate of the
 //! twin, and message/round overhead ratios versus the twin — the
@@ -16,8 +16,8 @@
 //! baseline cell `i` describe the same `(topology instance, protocol,
 //! seed)` triple, matrices merge in cell order, rows aggregate in cell
 //! order and sort by `(protocol, fault class)`, and the rendered table is
-//! byte-identical for every shard count (CI diffs it across
-//! `CONGEST_SHARDS={1,4}`).
+//! byte-identical run to run (CI diffs the scorecard of
+//! `examples/scenarios/byzantine.scn` against `tests/golden/scorecard/`).
 
 use congest_net::FaultPlan;
 

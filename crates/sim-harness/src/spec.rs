@@ -2,8 +2,9 @@
 //! text format.
 //!
 //! A [`ScenarioSpec`] names one `(topology family, protocol)` pair plus the
-//! parameter ranges to sweep (sizes and seeds), the shard count, a round
-//! budget, and a [`FaultPlan`]. A spec file holds any number of scenarios:
+//! parameter ranges to sweep (sizes and seeds), a round budget, an
+//! execution mode, and a [`FaultPlan`]. A spec file holds any number of
+//! scenarios:
 //!
 //! ```text
 //! [scenario]
@@ -12,7 +13,6 @@
 //! protocol = "flood"
 //! sizes = [32, 64]
 //! seeds = [1, 2]
-//! shards = 0            # 0 = auto (CONGEST_SHARDS)
 //! max_rounds = 10000
 //! mode = "event"        # optional; "round" (default) or "event"
 //! scheduler = ["latency-skew", 3, 7]   # [name, bound, seed]; event mode only
@@ -29,7 +29,9 @@
 //! ```
 //!
 //! `docs/SCENARIO_FORMAT.md` in the repository root documents the full
-//! grammar with one annotated example per fault kind.
+//! grammar with one annotated example per fault kind. It also documents
+//! the inert `shards` key: `0` or `1` parse and change nothing, any other
+//! value is an error.
 //!
 //! The format is a deliberate subset of TOML (sections, `key = value`,
 //! quoted strings, numbers, flat integer lists, `#` comments) parsed with a
@@ -77,8 +79,6 @@ pub struct ScenarioSpec {
     /// Seeds to sweep (each seeds both the topology generator and the
     /// protocol run).
     pub seeds: Vec<u64>,
-    /// Worker shard count (`0` = auto via `CONGEST_SHARDS`).
-    pub shards: usize,
     /// Round budget for runtime-driven protocols.
     pub max_rounds: u64,
     /// The fault plan every cell of this scenario runs under (empty =
@@ -90,9 +90,8 @@ pub struct ScenarioSpec {
 }
 
 impl ScenarioSpec {
-    /// A scenario with one size (32), one seed (1), auto sharding, a
-    /// generous round budget, and no faults; refine with the builder
-    /// methods.
+    /// A scenario with one size (32), one seed (1), a generous round
+    /// budget, and no faults; refine with the builder methods.
     #[must_use]
     pub fn new(name: impl Into<String>, topology: Family, protocol: ProtocolKind) -> Self {
         ScenarioSpec {
@@ -101,7 +100,6 @@ impl ScenarioSpec {
             protocol,
             sizes: vec![32],
             seeds: vec![1],
-            shards: 0,
             max_rounds: 100_000,
             faults: FaultPlan::default(),
             mode: ExecMode::Round,
@@ -119,13 +117,6 @@ impl ScenarioSpec {
     #[must_use]
     pub fn seeds(mut self, seeds: impl IntoIterator<Item = u64>) -> Self {
         self.seeds = seeds.into_iter().collect();
-        self
-    }
-
-    /// Sets the shard count (`0` = auto).
-    #[must_use]
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
         self
     }
 
@@ -173,7 +164,6 @@ impl ScenarioSpec {
         writeln!(out, "protocol = \"{}\"", self.protocol.name()).unwrap();
         writeln!(out, "sizes = {}", fmt_list(self.sizes.iter())).unwrap();
         writeln!(out, "seeds = {}", fmt_list(self.seeds.iter())).unwrap();
-        writeln!(out, "shards = {}", self.shards).unwrap();
         writeln!(out, "max_rounds = {}", self.max_rounds).unwrap();
         if let ExecMode::Event(sched) = self.mode {
             writeln!(out, "mode = \"event\"").unwrap();
@@ -287,7 +277,8 @@ struct Draft {
     protocol: Option<String>,
     sizes: Option<Vec<usize>>,
     seeds: Option<Vec<u64>>,
-    shards: Option<usize>,
+    /// The inert `shards` key (0 or 1), kept only so a repeat is caught.
+    shards: Option<u64>,
     max_rounds: Option<u64>,
     fault_seed: Option<u64>,
     drop: Option<f64>,
@@ -384,9 +375,6 @@ impl Draft {
                 return Err(err(format!("scenario \"{}\": `seeds` is empty", spec.name)));
             }
             spec.seeds = seeds;
-        }
-        if let Some(shards) = self.shards {
-            spec.shards = shards;
         }
         match self.mode.as_deref() {
             // `mode = "event"` without a `scheduler` stanza runs under the
@@ -509,8 +497,15 @@ impl<'a> Parser<'a> {
                     set_once(&mut draft.seeds, seeds, key, line_no)?;
                 }
                 (Section::Scenario, "shards") => {
-                    let shards = parse_int(value, line_no)? as usize;
+                    // Rounds always run on one thread; the key is still
+                    // read so that specs naming 0 or 1 keep parsing.
+                    let shards = parse_int(value, line_no)?;
                     set_once(&mut draft.shards, shards, key, line_no)?;
+                    if shards > 1 {
+                        return Err(err(format!(
+                            "`shards` must be 0 or 1 (rounds run on one thread), got {shards}"
+                        )));
+                    }
                 }
                 (Section::Scenario, "max_rounds") => {
                     let max_rounds = parse_int(value, line_no)?;
@@ -554,6 +549,12 @@ impl<'a> Parser<'a> {
                         line: line_no,
                         message: "outage needs [a, b, from_round, until_round]".into(),
                     })?;
+                    if until <= from {
+                        return Err(SpecError {
+                            line: line_no,
+                            message: "outage needs until_round > from_round".into(),
+                        });
+                    }
                     draft.outages.push([a, b, from, until]);
                 }
                 (Section::Faults, "latency") => {
@@ -808,6 +809,15 @@ mod tests {
     fn malformed_latency_and_recover_stanzas_are_rejected() {
         let base = "[scenario]\nname = \"x\"\ntopology = \"cycle\"\nprotocol = \"flood\"\n[faults]\nseed = 1\n";
         for (stanza, needle) in [
+            ("outage = [0, 1, 2]", "outage needs [a, b"),
+            (
+                "outage = [0, 1, 10, 5]",
+                "outage needs until_round > from_round",
+            ),
+            (
+                "outage = [0, 1, 5, 5]",
+                "outage needs until_round > from_round",
+            ),
             ("latency = [0, 1]", "latency needs"),
             ("latency = [0, 1, 0]", "delay must be positive"),
             ("recover = [3, 4]", "recover needs"),
@@ -912,6 +922,8 @@ crash = [0, 1]
             ("max_rounds = 0", "`max_rounds` must be positive"),
             ("degree = 0", "`degree` must be positive"),
             ("degree = 6", "`degree` needs topology \"expander\""),
+            // Rounds run on one thread, so no other shard count is honoured.
+            ("shards = 4", "`shards` must be 0 or 1"),
             // A second line for a single-valued key is an error on that
             // line, not a silent override (`base` sets the first three).
             ("name = \"y\"", "duplicate key `name`"),
@@ -935,10 +947,15 @@ crash = [0, 1]
             }
         }
         // Absent keys still fall back to the builder defaults.
-        let spec = &ScenarioSpec::parse_many(base).unwrap()[0];
-        assert_eq!(spec.sizes, vec![32]);
-        assert_eq!(spec.seeds, vec![1]);
-        assert_eq!(spec.max_rounds, 100_000);
+        let specs = ScenarioSpec::parse_many(base).unwrap();
+        assert_eq!(specs[0].sizes, vec![32]);
+        assert_eq!(specs[0].seeds, vec![1]);
+        assert_eq!(specs[0].max_rounds, 100_000);
+        // The inert `shards` key parses at 0 or 1 and changes nothing.
+        for key in ["shards = 0", "shards = 1"] {
+            let parsed = ScenarioSpec::parse_many(&format!("{base}{key}\n")).unwrap();
+            assert_eq!(parsed, specs, "{key}");
+        }
     }
 
     #[test]

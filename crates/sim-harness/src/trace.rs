@@ -7,9 +7,9 @@
 //! back, and [`compare`] re-verifies a fresh run against a baseline —
 //! **byte-identical metrics and events**, which is what `experiments
 //! --scenarios … --replay` asserts. Because fault decisions are made in the
-//! network's deterministic delivery order, a baseline recorded at one shard
-//! count must replay cleanly at any other; CI exercises exactly that
-//! cross-shard replay.
+//! network's delivery order, which is send order, a baseline recorded by
+//! one run must replay cleanly in any other; CI replays the committed
+//! matrix against its recorded trace.
 //!
 //! **What a trace deliberately omits:** wall-clock data. Neither
 //! [`CellResult::wall_nanos`](crate::CellResult) nor the telemetry

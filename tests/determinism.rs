@@ -1,7 +1,6 @@
-//! Determinism regression tests for the CSR / zero-allocation round engine
-//! and its sharded multi-threaded variant.
+//! Determinism regression tests for the CSR / zero-allocation round engine.
 //!
-//! Three layers of protection:
+//! Two layers of protection:
 //!
 //! 1. **Run-to-run determinism:** a fixed seed must produce byte-identical
 //!    [`Metrics`] across repeated runs of the same protocol — the engine has
@@ -11,10 +10,6 @@
 //!    future change to the round engine, the PRNG, or the protocols that
 //!    shifts them is a behavioural change and must be made deliberately
 //!    (update the constants in the same commit and say why).
-//! 3. **Shard invariance:** the sharded round engine must reproduce the
-//!    sequential golden values byte-for-byte at every shard count — the
-//!    deterministic barrier merge (shard outboxes concatenated in node
-//!    order, counters absorbed in shard order) is what this pins.
 
 use classical_baselines::GhsLe;
 use congest_net::programs::Flood;
@@ -26,24 +21,13 @@ use quantum_sim::{Complex, StateVector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Shard counts every golden configuration is checked at; 1 is the
-/// sequential engine, the rest exercise the barrier merge (8 > the golden
-/// graphs' natural balance points, so uneven shards are covered too).
-const SHARD_MATRIX: [usize; 4] = [1, 2, 4, 8];
-
-fn flood_metrics_sharded(seed: u64, shards: usize) -> (u64, Metrics) {
+fn flood_metrics(seed: u64) -> (u64, Metrics) {
     let graph = topology::hypercube(6).unwrap();
-    let mut runtime = SyncRuntime::new(
-        graph,
-        NetworkConfig::with_seed(seed).shards(shards),
-        |v, _| Flood::new(v == 0),
-    );
+    let mut runtime = SyncRuntime::new(graph, NetworkConfig::with_seed(seed), |v, _| {
+        Flood::new(v == 0)
+    });
     let rounds = runtime.run_until_halt(10_000).unwrap();
     (rounds, runtime.metrics())
-}
-
-fn flood_metrics(seed: u64) -> (u64, Metrics) {
-    flood_metrics_sharded(seed, 1)
 }
 
 #[test]
@@ -269,85 +253,38 @@ fn quantum_general_le_is_deterministic_and_matches_golden() {
 }
 
 #[test]
-fn adaptive_hybrid_scheduling_is_free_and_pinned() {
-    // With shards > 1, sparse rounds (fewer deliveries than the adaptive
-    // threshold) run sequentially on the calling thread. Flood on Q6 mixes
-    // both regimes: the early/late wavefront rounds are sparse, the peak
-    // round (120 messages) is above the 96-message threshold. The switch
-    // must be invisible in every observable (the golden values) while
-    // genuinely exercising both paths.
-    let graph = topology::hypercube(6).unwrap();
-    let mut runtime = SyncRuntime::new(graph, NetworkConfig::with_seed(9).shards(4), |v, _| {
-        Flood::new(v == 0)
-    });
-    let rounds = runtime.run_until_halt(10_000).unwrap();
-    assert_eq!(rounds, 7);
-    assert_eq!(runtime.metrics().classical_messages, 384);
-    assert_eq!(runtime.metrics().peak_messages_per_round, 120);
-    let adaptive = runtime.adaptive_sequential_rounds();
-    assert!(
-        adaptive >= 1 && adaptive < rounds,
-        "expected a mix of sequential and sharded rounds, got {adaptive}/{rounds} sequential"
-    );
-}
-
-#[test]
-fn flood_golden_is_invariant_across_shard_counts() {
-    // The same golden values as `flood_is_deterministic_and_matches_golden`,
-    // reproduced byte-for-byte by every shard count in the matrix.
-    for shards in SHARD_MATRIX {
-        let (rounds, metrics) = flood_metrics_sharded(9, shards);
-        assert_eq!(rounds, 7, "rounds diverged at {shards} shards");
-        assert_eq!(
-            metrics.classical_messages, 384,
-            "messages diverged at {shards} shards"
-        );
-        assert_eq!(metrics.rounds, 7);
-        assert_eq!(metrics.total_bits, 384);
-        assert_eq!(
-            metrics.peak_messages_per_round, 120,
-            "peak diverged at {shards} shards"
-        );
-    }
-}
-
-#[test]
 fn flood_and_ghs_are_byte_identical_across_graph_backends() {
     // The structured topology constructors now return *implicit* graphs
     // (closed-form adjacency, O(1) memory); `materialize()` produces the CSR
     // twin with the identical neighbour order, port numbering, and reverse
     // ports. A fault-free run must be byte-identical between the two
-    // backends — same metrics, same per-round history, same RNG streams —
-    // at every shard count. (The golden tests above already pin the
-    // implicit backend against values captured on the CSR engine; this test
-    // makes the cross-backend claim explicit and covers the history too.)
+    // backends — same metrics, same per-round history, same RNG streams.
+    // (The golden tests above already pin the implicit backend against
+    // values captured on the CSR engine; this test makes the cross-backend
+    // claim explicit and covers the history too.)
     let implicit = topology::hypercube(6).unwrap();
     assert!(implicit.is_implicit());
     let csr = implicit.materialize();
     assert!(!csr.is_implicit());
-    for shards in [1usize, 4] {
-        let run = |graph: &congest_net::Graph| {
-            let mut runtime = SyncRuntime::new(
-                graph.clone(),
-                NetworkConfig::with_seed(9)
-                    .shards(shards)
-                    .track_history(true),
-                |v, _| Flood::new(v == 0),
-            );
-            let rounds = runtime.run_until_halt(10_000).unwrap();
-            let history = runtime.network().round_history().to_vec();
-            (rounds, runtime.metrics(), history)
-        };
-        let (rounds, metrics, history) = run(&implicit);
-        assert_eq!(
-            (rounds, metrics, history.clone()),
-            run(&csr),
-            "flood diverged between backends at {shards} shards"
+    let run = |graph: &congest_net::Graph| {
+        let mut runtime = SyncRuntime::new(
+            graph.clone(),
+            NetworkConfig::with_seed(9).track_history(true),
+            |v, _| Flood::new(v == 0),
         );
-        // And both reproduce the sequential golden.
-        assert_eq!((rounds, metrics.classical_messages), (7, 384));
-        assert_eq!(history.len(), 7);
-    }
+        let rounds = runtime.run_until_halt(10_000).unwrap();
+        let history = runtime.network().round_history().to_vec();
+        (rounds, runtime.metrics(), history)
+    };
+    let (rounds, metrics, history) = run(&implicit);
+    assert_eq!(
+        (rounds, metrics, history.clone()),
+        run(&csr),
+        "flood diverged between backends"
+    );
+    // And both reproduce the golden.
+    assert_eq!((rounds, metrics.classical_messages), (7, 384));
+    assert_eq!(history.len(), 7);
     // GHS (driver-based, message-heavy) on the smallest torus: the implicit
     // and materialized runs must agree in full.
     let torus = topology::torus(4, 4).unwrap();
@@ -362,51 +299,6 @@ fn flood_and_ghs_are_byte_identical_across_graph_backends() {
     );
     assert_eq!(a.outcome, b.outcome);
     assert!(a.succeeded());
-}
-
-#[test]
-fn golden_runs_survive_forced_sharding_env() {
-    // CI runs the whole suite with CONGEST_SHARDS=4; this test makes the
-    // invariant explicit in-process: with the environment override forcing
-    // sharded execution for every auto-configured network, the QuantumLE and
-    // GHS golden runs (which drive the Network directly) and the Flood golden
-    // run (which goes through the sharded SyncRuntime) must be unchanged.
-    //
-    // Note on safety of the override: every test in this binary asserts
-    // metrics that are shard-count-invariant by construction, so a
-    // concurrently running test observing the variable still passes.
-    // Environment hygiene: the prior value is saved and *restored* (not
-    // removed — in the CI shards matrix this binary runs with
-    // CONGEST_SHARDS=4 already set, and dropping it would silently void the
-    // forced-sharding coverage for every test that starts after this one),
-    // the fallible runs execute under catch_unwind so a regression panic
-    // cannot leak the override, and concurrent tests are safe on both
-    // counts: Rust's std synchronises env access between threads, and any
-    // test observing the temporary value still passes because every
-    // assertion in this binary is shard-count-invariant by construction.
-    let saved = std::env::var("CONGEST_SHARDS").ok();
-    std::env::set_var("CONGEST_SHARDS", "8");
-    let results = std::panic::catch_unwind(|| {
-        let flood = flood_metrics_sharded(9, 0); // 0 = auto: resolves to the env override
-        let quantum = QuantumLe::with_parameters(KChoice::Optimal, AlphaChoice::Fixed(0.25))
-            .run(&topology::complete(64).unwrap(), 42)
-            .unwrap();
-        let ghs = GhsLe::new()
-            .run(&topology::erdos_renyi_connected(48, 0.15, 7).unwrap(), 5)
-            .unwrap();
-        (flood, quantum, ghs)
-    });
-    match saved {
-        Some(value) => std::env::set_var("CONGEST_SHARDS", value),
-        None => std::env::remove_var("CONGEST_SHARDS"),
-    }
-    let (flood, quantum, ghs) = results.unwrap_or_else(|p| std::panic::resume_unwind(p));
-    assert_eq!(flood.0, 7);
-    assert_eq!(flood.1.classical_messages, 384);
-    assert_eq!(quantum.cost.total_messages(), 3948);
-    assert_eq!(quantum.cost.metrics.rounds, 3761);
-    assert_eq!(ghs.cost.total_messages(), 2583);
-    assert_eq!(ghs.cost.metrics.rounds, 78);
 }
 
 /// A fixed non-uniform 32-state vector for the measurement-stream pins: the

@@ -1,21 +1,21 @@
 //! End-to-end tests for event mode: the round loop under a scheduler
 //! adversary installed on its network.
 //!
-//! Three layers, mirroring `determinism.rs`:
+//! Three layers:
 //!
 //! 1. **The equivalence theorem (property-based):** event mode under the
 //!    synchronous scheduler reproduces round mode byte-for-byte — metrics,
-//!    effective rounds, coverage verdict, and trace — on random graphs, at
-//!    shard requests 1 and 4, with and without a fault plan (see
-//!    `docs/EXECUTION_MODELS.md` for the theorem and its proof sketch).
+//!    effective rounds, coverage verdict, and trace — on random graphs,
+//!    with and without a fault plan (see `docs/EXECUTION_MODELS.md` for the
+//!    theorem and its proof sketch).
 //! 2. **Golden values:** the exact counters for `flood-ft` under the
 //!    `latency-skew` scheduler are pinned. Any change to the scheduler
 //!    stream, the delivery order, or the round loop that shifts them is a
 //!    behavioural change and must be made deliberately (update the
 //!    constants in the same commit and say why).
 //! 3. **Replay determinism:** identical `(spec, seed, scheduler)` inputs
-//!    produce byte-identical serialized v4 traces across repeated runs and
-//!    across shard requests, for every scheduler kind.
+//!    produce byte-identical serialized v4 traces across repeated runs, for
+//!    every scheduler kind.
 
 use congest_net::topology::Family;
 use congest_net::{ExecMode, FaultPlan, SchedulerSpec};
@@ -28,13 +28,11 @@ fn run_cell(
     protocol: ProtocolKind,
     n: usize,
     seed: u64,
-    shards: usize,
     mode: ExecMode,
     faults: Option<FaultPlan>,
 ) -> sim_harness::CellOutcome {
     let graph = Family::Cycle.generate(n, seed).unwrap();
     let opts = RunOptions {
-        shards,
         fault_plan: faults,
         trace: true,
         mode,
@@ -47,8 +45,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The synchronous scheduler reproduces round mode exactly:
-    /// metrics, history (trace), rounds, and verdict, at shard requests
-    /// 1 and 4, fault-free and under a seeded drop plan.
+    /// metrics, history (trace), rounds, and verdict, fault-free and under
+    /// a seeded drop plan.
     #[test]
     fn sync_scheduler_equals_round_engine(
         n in 8usize..40,
@@ -58,29 +56,23 @@ proptest! {
         let faults =
             (drop_faults == 1).then(|| FaultPlan::new(seed ^ 0xFA17).drop_probability(0.05));
         for protocol in [ProtocolKind::Flood, ProtocolKind::FloodFt] {
-            for shards in [1usize, 4] {
-                let round = run_cell(
-                    protocol, n, seed, shards, ExecMode::Round, faults.clone(),
-                );
-                let event = run_cell(
-                    protocol,
-                    n,
-                    seed,
-                    shards,
-                    ExecMode::Event(SchedulerSpec::synchronous()),
-                    faults.clone(),
-                );
-                prop_assert_eq!(&event, &round, "{:?} shards={}", protocol, shards);
-                prop_assert_eq!(event.metrics.scheduled_messages, 0);
-            }
+            let round = run_cell(protocol, n, seed, ExecMode::Round, faults.clone());
+            let event = run_cell(
+                protocol,
+                n,
+                seed,
+                ExecMode::Event(SchedulerSpec::synchronous()),
+                faults.clone(),
+            );
+            prop_assert_eq!(&event, &round, "{:?}", protocol);
+            prop_assert_eq!(event.metrics.scheduled_messages, 0);
         }
     }
 
-    /// Every scheduler kind replays byte-identically, and the shard count
-    /// never changes an event-mode outcome (the deterministic barrier merge
-    /// fixes the delivery order the scheduler sees).
+    /// Every scheduler kind replays byte-identically: the scheduler sees
+    /// messages in send order, which the seed fixes.
     #[test]
-    fn event_mode_replays_identically_across_shard_counts(
+    fn event_mode_replays_identically(
         n in 8usize..32,
         seed in 0u64..100,
     ) {
@@ -90,11 +82,9 @@ proptest! {
             SchedulerSpec::worst_case(2),
         ] {
             let mode = ExecMode::Event(sched);
-            let a = run_cell(ProtocolKind::Flood, n, seed, 1, mode, None);
-            let b = run_cell(ProtocolKind::Flood, n, seed, 1, mode, None);
+            let a = run_cell(ProtocolKind::Flood, n, seed, mode, None);
+            let b = run_cell(ProtocolKind::Flood, n, seed, mode, None);
             prop_assert_eq!(&a, &b, "{:?}", sched);
-            let sharded = run_cell(ProtocolKind::Flood, n, seed, 4, mode, None);
-            prop_assert_eq!(&a, &sharded, "{:?}", sched);
         }
     }
 }
@@ -115,32 +105,27 @@ fn skew_spec() -> ScenarioSpec {
 /// policy).
 #[test]
 fn latency_skew_flood_ft_golden() {
-    for shards in [1usize, 4] {
-        let mut spec = skew_spec();
-        spec.shards = shards;
-        let results = run_cells(&expand(&[spec])).unwrap();
-        assert_eq!(results.len(), 1);
-        let m = &results[0].outcome.metrics;
-        assert_eq!(
-            (
-                m.classical_messages,
-                m.rounds,
-                m.peak_messages_per_round,
-                m.total_bits,
-                m.dropped_messages,
-                m.scheduled_messages,
-            ),
-            (645, 59, 16, 1935, 33, 467),
-            "shards = {shards}"
-        );
-        assert_eq!(results[0].outcome.effective_rounds, 59);
-        assert!(results[0].outcome.ok);
-        assert_eq!(
-            results[0].cell.id(),
-            "flood-ft-event-skew protocol=flood-ft topology=cycle n=48 seed=1 \
-             mode=event scheduler=latency-skew,3,7"
-        );
-    }
+    let results = run_cells(&expand(&[skew_spec()])).unwrap();
+    assert_eq!(results.len(), 1);
+    let m = &results[0].outcome.metrics;
+    assert_eq!(
+        (
+            m.classical_messages,
+            m.rounds,
+            m.peak_messages_per_round,
+            m.total_bits,
+            m.dropped_messages,
+            m.scheduled_messages,
+        ),
+        (645, 59, 16, 1935, 33, 467)
+    );
+    assert_eq!(results[0].outcome.effective_rounds, 59);
+    assert!(results[0].outcome.ok);
+    assert_eq!(
+        results[0].cell.id(),
+        "flood-ft-event-skew protocol=flood-ft topology=cycle n=48 seed=1 \
+         mode=event scheduler=latency-skew,3,7"
+    );
 }
 
 /// A mixed round/event matrix serializes to a v4 trace that parses back and

@@ -1,19 +1,15 @@
 //! Fault-injection plane regression tests.
 //!
-//! Three layers of protection, mirroring the determinism suite:
+//! Two layers of protection, mirroring the determinism suite:
 //!
 //! 1. **Transparency:** installing an *empty* [`FaultPlan`] must be
 //!    byte-identical (metrics + per-round history) to the pristine
-//!    fault-free path, at every shard count — the fault plane may not
-//!    perturb healthy runs (property-based).
-//! 2. **Golden values:** one faulty Flood and one faulty GHS-LE
-//!    configuration are pinned exactly, including the fault counters and
+//!    fault-free path — the fault plane may not perturb healthy runs
+//!    (property-based).
+//! 2. **Golden values:** faulty Flood, FloodFt, FloodBft and GHS-LE
+//!    configurations are pinned exactly, including the fault counters and
 //!    the event trace length. Any engine/PRNG change that shifts them is a
 //!    behavioural change and must be made deliberately.
-//! 3. **Shard invariance:** the faulty goldens are reproduced byte-for-byte
-//!    at shard counts {1, 2, 4} — fault decisions happen at the barrier in
-//!    delivery order, which the deterministic merge fixes across shard
-//!    counts.
 
 use classical_baselines::GhsLe;
 use congest_net::programs::{Flood, FloodBft, FloodFt};
@@ -27,14 +23,11 @@ use qle::{LeaderElection, RunOptions};
 fn flood_run(
     graph: &congest_net::Graph,
     seed: u64,
-    shards: usize,
     plan: Option<&FaultPlan>,
 ) -> (u64, Metrics, Vec<RoundReport>, Vec<bool>) {
     let mut runtime = SyncRuntime::new(
         graph.clone(),
-        NetworkConfig::with_seed(seed)
-            .shards(shards)
-            .track_history(true),
+        NetworkConfig::with_seed(seed).track_history(true),
         |v, _| Flood::new(v == 0),
     );
     if let Some(plan) = plan {
@@ -53,7 +46,7 @@ proptest! {
 
     /// An empty fault plan exercises the fault-checked delivery path but
     /// must be byte-identical — metrics, history, and protocol outcomes —
-    /// to running without a plan, for every shard count. The plan is built
+    /// to running without a plan. The plan is built
     /// with the *extended* constructors too (a zero-delay latency and an
     /// empty recovery window, both discarded at plan level), so the
     /// extended fault model keeps the transparency guarantee.
@@ -63,25 +56,23 @@ proptest! {
         seed in 0u64..200,
     ) {
         let graph = topology::erdos_renyi_connected(n, 0.2, seed).unwrap();
-        let pristine = flood_run(&graph, seed, 1, None);
-        for shards in [1usize, 4] {
-            // An empty Byzantine window and an identity adversary (k = 0)
-            // are discarded at plan level like the zero-delay latency and
-            // the empty recovery window — the adversarial classes keep the
-            // transparency guarantee.
-            let empty = FaultPlan::new(seed ^ 0xDEAD)
-                .link_latency(0, 1, 0)
-                .crash_recover(2, 5, 5)
-                .byzantine(2, 5, 5)
-                .adversarial_drops(0);
-            prop_assert!(empty.is_empty());
-            let run = flood_run(&graph, seed, shards, Some(&empty));
-            prop_assert_eq!(&run, &pristine, "shards = {}", shards);
-            prop_assert_eq!(run.1.dropped_messages, 0);
-            prop_assert_eq!(run.1.delayed_messages, 0);
-            prop_assert_eq!(run.1.mutated_messages, 0);
-            prop_assert_eq!(run.1.crashed_nodes, 0);
-        }
+        let pristine = flood_run(&graph, seed, None);
+        // An empty Byzantine window and an identity adversary (k = 0) are
+        // discarded at plan level like the zero-delay latency and the empty
+        // recovery window — the adversarial classes keep the transparency
+        // guarantee.
+        let empty = FaultPlan::new(seed ^ 0xDEAD)
+            .link_latency(0, 1, 0)
+            .crash_recover(2, 5, 5)
+            .byzantine(2, 5, 5)
+            .adversarial_drops(0);
+        prop_assert!(empty.is_empty());
+        let run = flood_run(&graph, seed, Some(&empty));
+        prop_assert_eq!(&run, &pristine);
+        prop_assert_eq!(run.1.dropped_messages, 0);
+        prop_assert_eq!(run.1.delayed_messages, 0);
+        prop_assert_eq!(run.1.mutated_messages, 0);
+        prop_assert_eq!(run.1.crashed_nodes, 0);
     }
 
     /// `DropCause::parse(label(x)) == x` for every registered cause, and a
@@ -109,140 +100,35 @@ proptest! {
         let known = DropCause::ALL.iter().any(|c| c.label() == label);
         prop_assert_eq!(DropCause::parse(&label).is_some(), known, "label = {:?}", label);
     }
-
-    /// Byzantine mutation, equivocation, and adversarial frontier drops are
-    /// deterministic per (seed, plan) and byte-identical across shard counts
-    /// on random graphs — the adversarial classes inherit the barrier-merge
-    /// invariant.
-    #[test]
-    fn byzantine_adversarial_flood_bft_is_shard_invariant(
-        n in 8usize..40,
-        seed in 0u64..200,
-        shards in 2usize..6,
-    ) {
-        let graph = topology::erdos_renyi_connected(n, 0.25, seed).unwrap();
-        let plan = FaultPlan::new(seed)
-            .byzantine(0, 0, 2 + seed % 6)
-            .byzantine(n / 2, 1, 4 + seed % 4)
-            .adversarial_drops(1 + seed % 3)
-            .drop_probability(0.03);
-        let run = |shards: usize| {
-            let mut runtime = SyncRuntime::new(
-                graph.clone(),
-                NetworkConfig::with_seed(seed)
-                    .shards(shards)
-                    .track_history(true),
-                |v, d| FloodBft::new(v == 0, d),
-            );
-            runtime.enable_trace();
-            runtime.set_fault_plan(&plan);
-            let rounds = runtime.run_until_halt(300).unwrap();
-            let history = runtime.network().round_history().to_vec();
-            let metrics = runtime.metrics();
-            let trace = runtime.take_trace();
-            let tokens: Vec<bool> = runtime
-                .programs()
-                .iter()
-                .map(FloodBft::has_token)
-                .collect();
-            (rounds, metrics, history, trace, tokens)
-        };
-        let sequential = run(1);
-        let sharded = run(shards);
-        prop_assert_eq!(sharded, sequential, "shards = {}", shards);
-    }
-
-    /// Latency + crash-recovery plans are deterministic per (seed, plan) and
-    /// byte-identical across shard counts on random graphs — the
-    /// shard-invariance property must survive cross-round delivery.
-    #[test]
-    fn latency_and_recovery_flood_ft_is_shard_invariant(
-        n in 8usize..40,
-        seed in 0u64..200,
-        shards in 2usize..6,
-    ) {
-        let graph = topology::erdos_renyi_connected(n, 0.25, seed).unwrap();
-        let plan = FaultPlan::new(seed)
-            .drop_probability(0.05)
-            .link_latency(0, graph.neighbor(0, 0), 1 + (seed % 4))
-            .link_latency(1, graph.neighbor(1, 0), 2)
-            .crash_recover(n / 2, 2, 6 + (seed % 5))
-            .link_outage(0, graph.neighbor(0, 0), 1, 3);
-        let run = |shards: usize| {
-            let mut runtime = SyncRuntime::new(
-                graph.clone(),
-                NetworkConfig::with_seed(seed)
-                    .shards(shards)
-                    .track_history(true),
-                |v, d| FloodFt::new(v == 0, d),
-            );
-            runtime.enable_trace();
-            runtime.set_fault_plan(&plan);
-            let rounds = runtime.run_until_halt(300).unwrap();
-            let history = runtime.network().round_history().to_vec();
-            let metrics = runtime.metrics();
-            let trace = runtime.take_trace();
-            let tokens: Vec<bool> = runtime
-                .programs()
-                .iter()
-                .map(FloodFt::has_token)
-                .collect();
-            (rounds, metrics, history, trace, tokens)
-        };
-        let sequential = run(1);
-        let sharded = run(shards);
-        prop_assert_eq!(sharded, sequential, "shards = {}", shards);
-    }
-
-    /// Faulty runs are deterministic per (seed, plan) and byte-identical
-    /// across shard counts on random graphs.
-    #[test]
-    fn faulty_flood_is_shard_invariant_on_random_graphs(
-        n in 8usize..48,
-        seed in 0u64..200,
-        shards in 2usize..6,
-    ) {
-        let graph = topology::erdos_renyi_connected(n, 0.25, seed).unwrap();
-        let plan = FaultPlan::new(seed)
-            .drop_probability(0.1)
-            .crash(n / 2, 2)
-            .link_outage(0, graph.neighbor(0, 0), 1, 3);
-        let sequential = flood_run(&graph, seed, 1, Some(&plan));
-        let sharded = flood_run(&graph, seed, shards, Some(&plan));
-        prop_assert_eq!(sharded, sequential, "shards = {}", shards);
-    }
 }
 
 /// The golden faulty-Flood configuration: Q6 hypercube, drops + an outage +
-/// two crashes. Values captured on the fault plane as introduced in this
-/// PR; byte-identical at every shard count.
+/// two crashes. Values captured on the fault plane as introduced.
 #[test]
-fn faulty_flood_golden_is_shard_invariant() {
+fn faulty_flood_golden() {
     let plan = FaultPlan::new(13)
         .drop_probability(0.05)
         .link_outage(0, 1, 0, 3)
         .crash(9, 1)
         .crash(40, 4);
-    for shards in [1usize, 2, 4] {
-        let graph = topology::hypercube(6).unwrap();
-        let (rounds, metrics, history, tokens) = flood_run(&graph, 9, shards, Some(&plan));
-        // Crashed nodes count as halted, so the run terminates when every
-        // live node holds the token — one round shorter than fault-free Q6
-        // is not guaranteed, but for this plan the wave finishes in 7.
-        assert_eq!(rounds, 7, "shards = {shards}");
-        assert_eq!(metrics.classical_messages, 378, "shards = {shards}");
-        assert_eq!(metrics.dropped_messages, 27, "shards = {shards}");
-        assert_eq!(metrics.crashed_nodes, 2, "shards = {shards}");
-        assert_eq!(metrics.peak_messages_per_round, 132, "shards = {shards}");
-        assert_eq!(metrics.total_bits, 378, "shards = {shards}");
-        assert_eq!(history.len(), 7);
-        let dropped_per_round: u64 = history.iter().map(|r| r.dropped).sum();
-        assert_eq!(dropped_per_round, metrics.dropped_messages);
-        // Node 9 crashed at round 1, before the wave arrived; node 40
-        // crashed at round 4, after it already held the token.
-        assert_eq!(tokens.iter().filter(|&&t| !t).count(), 1);
-        assert!(!tokens[9]);
-    }
+    let graph = topology::hypercube(6).unwrap();
+    let (rounds, metrics, history, tokens) = flood_run(&graph, 9, Some(&plan));
+    // Crashed nodes count as halted, so the run terminates when every live
+    // node holds the token — one round shorter than fault-free Q6 is not
+    // guaranteed, but for this plan the wave finishes in 7.
+    assert_eq!(rounds, 7);
+    assert_eq!(metrics.classical_messages, 378);
+    assert_eq!(metrics.dropped_messages, 27);
+    assert_eq!(metrics.crashed_nodes, 2);
+    assert_eq!(metrics.peak_messages_per_round, 132);
+    assert_eq!(metrics.total_bits, 378);
+    assert_eq!(history.len(), 7);
+    let dropped_per_round: u64 = history.iter().map(|r| r.dropped).sum();
+    assert_eq!(dropped_per_round, metrics.dropped_messages);
+    // Node 9 crashed at round 1, before the wave arrived; node 40 crashed
+    // at round 4, after it already held the token.
+    assert_eq!(tokens.iter().filter(|&&t| !t).count(), 1);
+    assert!(!tokens[9]);
 }
 
 /// The golden faulty GHS-LE configuration, driven through
@@ -257,7 +143,6 @@ fn faulty_flood_golden_is_shard_invariant() {
 fn faulty_ghs_golden_with_trace() {
     let graph = topology::erdos_renyi_connected(48, 0.15, 7).unwrap();
     let opts = RunOptions {
-        shards: 0,
         fault_plan: Some(
             FaultPlan::new(21)
                 .drop_probability(0.02)
@@ -295,7 +180,7 @@ fn crashed_nodes_stop_participating() {
     // enters the network.
     let plan = FaultPlan::new(0).crash(0, 0);
     let graph = topology::cycle(8).unwrap();
-    let (_, metrics, _, tokens) = flood_run(&graph, 1, 1, Some(&plan));
+    let (_, metrics, _, tokens) = flood_run(&graph, 1, Some(&plan));
     assert_eq!(metrics.classical_messages, 0);
     assert_eq!(metrics.crashed_nodes, 1);
     assert_eq!(tokens.iter().filter(|&&t| t).count(), 1, "only the source");
@@ -303,7 +188,7 @@ fn crashed_nodes_stop_participating() {
     // Crash mid-flood on a path-like cycle: the wave passes around the
     // crashed node's side but the crashed node itself never observes it.
     let plan = FaultPlan::new(0).crash(4, 1);
-    let (_, metrics, _, tokens) = flood_run(&graph, 1, 1, Some(&plan));
+    let (_, metrics, _, tokens) = flood_run(&graph, 1, Some(&plan));
     assert_eq!(metrics.crashed_nodes, 1);
     assert!(!tokens[4], "crashed node must not observe the token");
     assert_eq!(tokens.iter().filter(|&&t| !t).count(), 1);
@@ -362,7 +247,8 @@ fn latency_delays_and_reorders_on_direct_network() {
     // Only the fast message arrived; the slow one is parked.
     assert_eq!(net.inbox(1), &[(2, 1, 20)]);
     assert_eq!(net.metrics().delayed_messages, 1);
-    assert_eq!(net.delivered_last_round(), 1);
+    let delivered: usize = (0..4).map(|v| net.inbox(v).len()).sum();
+    assert_eq!(delivered, 1);
     // Round 1: a later fast message overtakes the parked one — reordering.
     net.send(2, 1, 21).unwrap();
     net.advance_round();
@@ -492,11 +378,10 @@ fn delayed_message_to_crashing_receiver_is_dropped_at_due_round() {
 }
 
 /// The golden latency + crash-recovery FloodFt configuration: pinned
-/// end-to-end values, byte-identical (metrics, per-round history, trace,
-/// coverage) at shard counts {1, 2, 4} — the acceptance property that the
-/// deterministic barrier merge survives cross-round delivery.
+/// end-to-end values (metrics, trace length, coverage) for a plan whose
+/// delivery queue spans rounds.
 #[test]
-fn latency_recovery_golden_is_shard_invariant() {
+fn latency_recovery_flood_ft_golden() {
     let plan = FaultPlan::new(17)
         .drop_probability(0.03)
         .link_latency(0, 1, 3)
@@ -504,132 +389,89 @@ fn latency_recovery_golden_is_shard_invariant() {
         .link_outage(2, 3, 1, 4)
         .crash_recover(6, 2, 9)
         .crash(20, 3);
-    type GoldenRun = (u64, Metrics, Vec<RoundReport>, Vec<TraceEvent>, usize);
-    let mut baseline: Option<GoldenRun> = None;
-    for shards in [1usize, 2, 4] {
-        let graph = topology::hypercube(5).unwrap();
-        let mut runtime = SyncRuntime::new(
-            graph,
-            NetworkConfig::with_seed(11)
-                .shards(shards)
-                .track_history(true),
-            |v, d| FloodFt::new(v == 0, d),
-        );
-        runtime.enable_trace();
-        runtime.set_fault_plan(&plan);
-        let rounds = runtime.run_until_halt(300).unwrap();
-        assert!(runtime.all_halted(), "shards = {shards}");
-        let history = runtime.network().round_history().to_vec();
-        let metrics = runtime.metrics();
-        let trace = runtime.take_trace();
-        let covered = runtime.programs().iter().filter(|p| p.has_token()).count();
-        // Every node is covered — including node 6, which was down for
-        // rounds [2, 9) and re-requested the token after its reboot, and
-        // node 20, which received the token (round 2, two hops from the
-        // source) just before crash-stopping at round 3.
-        assert_eq!(covered, 32, "shards = {shards}");
-        assert_eq!(metrics.crashed_nodes, 2, "shards = {shards}");
-        assert!(
-            trace
-                .iter()
-                .any(|e| matches!(e, TraceEvent::NodeRecovered { node: 6, round: 9 })),
-            "shards = {shards}"
-        );
-        assert!(
-            metrics.delayed_messages > 0 && metrics.dropped_messages > 0,
-            "shards = {shards}"
-        );
-        assert!(rounds > 9, "must outlive the recovery window");
-        let run = (rounds, metrics, history, trace, covered);
-        match &baseline {
-            None => {
-                // Pinned golden (captured at shards = 1): any engine/PRNG
-                // change that shifts these is a deliberate behavioural
-                // change.
-                assert_eq!(run.0, 14);
-                assert_eq!(run.1.classical_messages, 508);
-                assert_eq!(run.1.dropped_messages, 30);
-                assert_eq!(run.1.delayed_messages, 38);
-                assert_eq!(run.3.len(), 71);
-                baseline = Some(run);
-            }
-            Some(b) => assert_eq!(&run, b, "shards = {shards}"),
-        }
-    }
+    let graph = topology::hypercube(5).unwrap();
+    let mut runtime = SyncRuntime::new(graph, NetworkConfig::with_seed(11), |v, d| {
+        FloodFt::new(v == 0, d)
+    });
+    runtime.enable_trace();
+    runtime.set_fault_plan(&plan);
+    let rounds = runtime.run_until_halt(300).unwrap();
+    assert!(runtime.all_halted());
+    let metrics = runtime.metrics();
+    let trace = runtime.take_trace();
+    let covered = runtime.programs().iter().filter(|p| p.has_token()).count();
+    // Every node is covered — including node 6, which was down for rounds
+    // [2, 9) and re-requested the token after its reboot, and node 20,
+    // which received the token (round 2, two hops from the source) just
+    // before crash-stopping at round 3.
+    assert_eq!(covered, 32);
+    assert_eq!(metrics.crashed_nodes, 2);
+    assert!(trace
+        .iter()
+        .any(|e| matches!(e, TraceEvent::NodeRecovered { node: 6, round: 9 })));
+    assert!(rounds > 9, "must outlive the recovery window");
+    // Pinned golden: any engine/PRNG change that shifts these is a
+    // deliberate behavioural change.
+    assert_eq!(rounds, 14);
+    assert_eq!(metrics.classical_messages, 508);
+    assert_eq!(metrics.dropped_messages, 30);
+    assert_eq!(metrics.delayed_messages, 38);
+    assert_eq!(trace.len(), 71);
 }
 
 /// The golden Byzantine + adversarial FloodBft configuration: two lying
 /// nodes (the source equivocating from round 0) plus a 2-strikes-per-round
 /// frontier adversary on Q5. Pinned end-to-end values — metrics including
-/// the mutated counter, per-round history, the full trace with mutation /
-/// equivocation / adversarial-drop events, and coverage — byte-identical at
-/// shard counts {1, 2, 4}.
+/// the mutated counter, the trace with mutation / equivocation /
+/// adversarial-drop events, and coverage.
 #[test]
-fn byzantine_flood_bft_golden_is_shard_invariant() {
+fn byzantine_flood_bft_golden() {
     let plan = FaultPlan::new(19)
         .byzantine(0, 0, 6)
         .byzantine(5, 2, 8)
         .adversarial_drops(2);
-    type GoldenRun = (u64, Metrics, Vec<RoundReport>, Vec<TraceEvent>, usize);
-    let mut baseline: Option<GoldenRun> = None;
-    for shards in [1usize, 2, 4] {
-        let graph = topology::hypercube(5).unwrap();
-        let mut runtime = SyncRuntime::new(
-            graph,
-            NetworkConfig::with_seed(11)
-                .shards(shards)
-                .track_history(true),
-            |v, d| FloodBft::new(v == 0, d),
-        );
-        runtime.enable_trace();
-        runtime.set_fault_plan(&plan);
-        let rounds = runtime.run_until_halt(300).unwrap();
-        let history = runtime.network().round_history().to_vec();
-        let metrics = runtime.metrics();
-        let trace = runtime.take_trace();
-        let covered = runtime.programs().iter().filter(|p| p.has_token()).count();
-        // Both windows are shorter than FloodBft's retransmission budget,
-        // so coverage recovers in spite of the lies and the frontier
-        // strikes.
-        assert_eq!(covered, 32, "shards = {shards}");
-        assert!(
-            trace
-                .iter()
-                .any(|e| matches!(e, TraceEvent::MessageMutated { from: 0, .. })),
-            "shards = {shards}: the source must be seen lying"
-        );
-        assert!(
-            trace
-                .iter()
-                .any(|e| matches!(e, TraceEvent::MessageEquivocated { node: 0, .. })),
-            "shards = {shards}: the degree-5 source mutates per port — equivocation"
-        );
-        assert!(
-            trace.iter().any(|e| matches!(
-                e,
-                TraceEvent::MessageDropped {
-                    cause: DropCause::Adversarial,
-                    ..
-                }
-            )),
-            "shards = {shards}: the adversary must strike frontier links"
-        );
-        let run = (rounds, metrics, history, trace, covered);
-        match &baseline {
-            None => {
-                // Pinned golden (captured at shards = 1): any engine/PRNG
-                // change that shifts these is a deliberate behavioural
-                // change.
-                assert_eq!(run.0, 13);
-                assert_eq!(run.1.classical_messages, 527);
-                assert_eq!(run.1.mutated_messages, 32);
-                assert_eq!(run.1.dropped_messages, 14);
-                assert_eq!(run.3.len(), 53);
-                baseline = Some(run);
+    let graph = topology::hypercube(5).unwrap();
+    let mut runtime = SyncRuntime::new(graph, NetworkConfig::with_seed(11), |v, d| {
+        FloodBft::new(v == 0, d)
+    });
+    runtime.enable_trace();
+    runtime.set_fault_plan(&plan);
+    let rounds = runtime.run_until_halt(300).unwrap();
+    let metrics = runtime.metrics();
+    let trace = runtime.take_trace();
+    let covered = runtime.programs().iter().filter(|p| p.has_token()).count();
+    // Both windows are shorter than FloodBft's retransmission budget, so
+    // coverage recovers in spite of the lies and the frontier strikes.
+    assert_eq!(covered, 32);
+    assert!(
+        trace
+            .iter()
+            .any(|e| matches!(e, TraceEvent::MessageMutated { from: 0, .. })),
+        "the source must be seen lying"
+    );
+    assert!(
+        trace
+            .iter()
+            .any(|e| matches!(e, TraceEvent::MessageEquivocated { node: 0, .. })),
+        "the degree-5 source mutates per port — equivocation"
+    );
+    assert!(
+        trace.iter().any(|e| matches!(
+            e,
+            TraceEvent::MessageDropped {
+                cause: DropCause::Adversarial,
+                ..
             }
-            Some(b) => assert_eq!(&run, b, "shards = {shards}"),
-        }
-    }
+        )),
+        "the adversary must strike frontier links"
+    );
+    // Pinned golden: any engine/PRNG change that shifts these is a
+    // deliberate behavioural change.
+    assert_eq!(rounds, 13);
+    assert_eq!(metrics.classical_messages, 527);
+    assert_eq!(metrics.mutated_messages, 32);
+    assert_eq!(metrics.dropped_messages, 14);
+    assert_eq!(trace.len(), 53);
 }
 
 /// The golden FloodFt outage-reroute configuration: control flow — not just
@@ -717,7 +559,6 @@ fn ghs_survives_every_latency_alignment() {
         let w = graph.neighbor(a, 0);
         for delay in 1..40u64 {
             let opts = RunOptions {
-                shards: 0,
                 fault_plan: Some(FaultPlan::new(1).link_latency(a, w, delay)),
                 trace: false,
                 ..RunOptions::default()
@@ -735,7 +576,7 @@ fn random_drops_are_fault_seed_deterministic() {
     let run = |fault_seed: u64| {
         let graph = topology::hypercube(5).unwrap();
         let plan = FaultPlan::new(fault_seed).drop_probability(0.2);
-        flood_run(&graph, 7, 1, Some(&plan))
+        flood_run(&graph, 7, Some(&plan))
     };
     assert_eq!(run(1), run(1));
     let (_, a, _, _) = run(1);

@@ -1,4 +1,4 @@
-//! The sequential round engine visits only scheduled nodes — the nodes
+//! The round engine visits only scheduled nodes — the nodes
 //! that were not idle after their last callback, received mail, or recover
 //! this round — and answers `all_halted` from a count of running programs.
 //! Both are optimisations and must be invisible:
@@ -8,7 +8,7 @@
 //!    default `idle` (= `halted`) is skipped only while halted with an
 //!    empty inbox, so it is the reference. Both must produce identical
 //!    rounds, metrics, round history, trace, tokens and `all_halted()` over
-//!    a grid of graphs, fault plans, schedulers and shard counts.
+//!    a grid of graphs, fault plans and schedulers.
 //! 2. **Count ≡ scan:** for a program that halts, is un-halted by mail and
 //!    halts again, `all_halted()` equals a scan of the programs before and
 //!    after `start()` and after every round, and under crash plans it
@@ -66,15 +66,12 @@ type Outcome = (
 fn run<P: NodeProgram<Msg = bool>>(
     graph: &Graph,
     seed: u64,
-    shards: usize,
     plan: Option<&FaultPlan>,
     scheduler: Option<&SchedulerSpec>,
     init: impl Fn(bool) -> P,
     token: impl Fn(&P) -> bool,
 ) -> Outcome {
-    let config = NetworkConfig::with_seed(seed)
-        .shards(shards)
-        .track_history(true);
+    let config = NetworkConfig::with_seed(seed).track_history(true);
     let mut net = Network::new(graph.clone(), config);
     if let Some(plan) = plan {
         net.set_fault_plan(plan);
@@ -100,8 +97,6 @@ fn run<P: NodeProgram<Msg = bool>>(
 }
 
 /// The graph grid: cycle, star, small complete, random 4-regular, torus.
-/// Sizes reach past the adaptive threshold so shard requests above 1 run
-/// sharded rounds too.
 fn graphs(n: usize, seed: u64) -> Vec<(&'static str, Graph)> {
     let side = (n as f64).sqrt().ceil() as usize;
     vec![
@@ -161,30 +156,25 @@ proptest! {
         for (graph_name, graph) in graphs(n, seed) {
             for (plan_name, plan) in plans(&graph, seed) {
                 for (scheduler_name, scheduler) in schedulers(seed) {
-                    for shards in [1usize, 4] {
-                        let plan = plan.as_ref();
-                        let scheduler = scheduler.as_ref();
-                        let idle =
-                            run(&graph, seed, shards, plan, scheduler, Flood::new, Flood::has_token);
-                        let busy = run(
-                            &graph,
-                            seed,
-                            shards,
-                            plan,
-                            scheduler,
-                            |source| BusyFlood(Flood::new(source)),
-                            |p| p.0.has_token(),
-                        );
-                        prop_assert_eq!(
-                            &idle,
-                            &busy,
-                            "{} / {} / {} / shards = {}",
-                            graph_name,
-                            plan_name,
-                            scheduler_name,
-                            shards
-                        );
-                    }
+                    let plan = plan.as_ref();
+                    let scheduler = scheduler.as_ref();
+                    let idle = run(&graph, seed, plan, scheduler, Flood::new, Flood::has_token);
+                    let busy = run(
+                        &graph,
+                        seed,
+                        plan,
+                        scheduler,
+                        |source| BusyFlood(Flood::new(source)),
+                        |p| p.0.has_token(),
+                    );
+                    prop_assert_eq!(
+                        &idle,
+                        &busy,
+                        "{} / {} / {}",
+                        graph_name,
+                        plan_name,
+                        scheduler_name
+                    );
                 }
             }
         }
@@ -253,53 +243,50 @@ fn running_count_matches_a_scan() {
         Some(FaultPlan::new(3).crash_recover(9, 2, 6).crash(41, 5)),
     ];
     for plan in &plans {
-        for shards in [1usize, 4] {
-            let config = NetworkConfig::with_seed(5).shards(shards);
-            // Every node sends a token at start-up (so the first round is
-            // dense enough to run sharded), and every fifth node starts out
-            // holding one.
-            let mut runtime = SyncRuntime::new(graph.clone(), config, |v, _| Relay {
-                held: (v % 5 == 0).then_some(1),
-                out_port: 0,
-            });
-            if let Some(plan) = plan {
-                runtime.set_fault_plan(plan);
-            }
-            let label = format!("plan = {plan:?}, shards = {shards}");
-            assert!(!runtime.all_halted(), "{label}");
+        let config = NetworkConfig::with_seed(5);
+        // Every node sends a token at start-up, and every fifth node starts
+        // out holding one.
+        let mut runtime = SyncRuntime::new(graph.clone(), config, |v, _| Relay {
+            held: (v % 5 == 0).then_some(1),
+            out_port: 0,
+        });
+        if let Some(plan) = plan {
+            runtime.set_fault_plan(plan);
+        }
+        let label = format!("plan = {plan:?}");
+        assert!(!runtime.all_halted(), "{label}");
+        assert_eq!(
+            runtime.all_halted(),
+            scanned_all_halted(&runtime),
+            "{label}"
+        );
+        runtime.start().unwrap();
+        assert_eq!(
+            runtime.all_halted(),
+            scanned_all_halted(&runtime),
+            "{label}, start-up"
+        );
+        let mut unhalted = 0;
+        for round in 1..40 {
+            let before = runtime.all_halted();
+            runtime.step().unwrap();
+            let after = runtime.all_halted();
             assert_eq!(
-                runtime.all_halted(),
+                after,
                 scanned_all_halted(&runtime),
-                "{label}"
+                "{label}, round {round}"
             );
-            runtime.start().unwrap();
-            assert_eq!(
-                runtime.all_halted(),
-                scanned_all_halted(&runtime),
-                "{label}, start-up"
-            );
-            let mut unhalted = 0;
-            for round in 1..40 {
-                let before = runtime.all_halted();
-                runtime.step().unwrap();
-                let after = runtime.all_halted();
-                assert_eq!(
-                    after,
-                    scanned_all_halted(&runtime),
-                    "{label}, round {round}"
-                );
-                if before && !after {
-                    unhalted += 1;
-                }
+            if before && !after {
+                unhalted += 1;
             }
-            // Tokens run out of hops, and every node halts again.
-            assert!(runtime.all_halted(), "{label}");
-            // Mail really did un-halt a fully halted network: odd rounds
-            // deliver tokens to halted relays.
-            assert!(unhalted > 0, "{label}");
-            if plan.is_none() {
-                assert!(runtime.programs().iter().all(Relay::halted), "{label}");
-            }
+        }
+        // Tokens run out of hops, and every node halts again.
+        assert!(runtime.all_halted(), "{label}");
+        // Mail really did un-halt a fully halted network: odd rounds
+        // deliver tokens to halted relays.
+        assert!(unhalted > 0, "{label}");
+        if plan.is_none() {
+            assert!(runtime.programs().iter().all(Relay::halted), "{label}");
         }
     }
 }

@@ -8,8 +8,8 @@
 //!
 //! The shared tracking allocator (`tests/support`) keeps **thread-local**
 //! current/peak byte counters, so the concurrently running tests in this
-//! binary measure only their own thread's allocations (the sequential round
-//! engine with `shards(1)` allocates exclusively on the driving thread).
+//! binary measure only their own thread's allocations (the round engine
+//! allocates exclusively on the driving thread).
 //!
 //! The ceilings below are per-node budgets with headroom (roughly 2× the
 //! measured footprint), not tight pins: they exist to catch a reintroduced
@@ -69,14 +69,14 @@ fn million_node_complete_broadcast_stays_lean() {
 }
 
 /// A full fault-oblivious flood over the *star* at 2^20 nodes, driven by the
-/// real round engine (`SyncRuntime`, sequential path): covers every node,
-/// and peak memory stays linear in n even though the centre's stamp page and
-/// the two full-traffic rounds are maximal.
+/// real round engine (`SyncRuntime`): covers every node, and peak memory
+/// stays linear in n even though the centre's stamp page and the two
+/// full-traffic rounds are maximal.
 #[test]
 fn million_node_star_flood_covers_and_stays_lean() {
     let (runtime, peak) = measured(|| {
         let graph = topology::star(MILLION).unwrap();
-        let mut runtime = SyncRuntime::new(graph, NetworkConfig::with_seed(3).shards(1), |v, _| {
+        let mut runtime = SyncRuntime::new(graph, NetworkConfig::with_seed(3), |v, _| {
             Flood::new(v == 0)
         });
         let rounds = runtime.run_until_halt(64).unwrap();
@@ -111,7 +111,7 @@ fn million_node_star_flood_covers_and_stays_lean() {
 fn million_node_star_flood_ft_covers_and_stays_lean() {
     let (runtime, peak) = measured(|| {
         let graph = topology::star(MILLION).unwrap();
-        let mut runtime = SyncRuntime::new(graph, NetworkConfig::with_seed(3).shards(1), |v, d| {
+        let mut runtime = SyncRuntime::new(graph, NetworkConfig::with_seed(3), |v, d| {
             FloodFt::new(v == 0, d)
         });
         let rounds = runtime.run_until_halt(64).unwrap();
@@ -147,7 +147,7 @@ fn million_node_star_flood_ft_covers_and_stays_lean() {
 fn million_node_hypercube_flood_completes() {
     let (runtime, peak) = measured(|| {
         let graph = topology::hypercube(20).unwrap();
-        let mut runtime = SyncRuntime::new(graph, NetworkConfig::with_seed(5).shards(1), |v, _| {
+        let mut runtime = SyncRuntime::new(graph, NetworkConfig::with_seed(5), |v, _| {
             Flood::new(v == 0)
         });
         let rounds = runtime.run_until_halt(64).unwrap();

@@ -2,11 +2,7 @@
 
 use std::collections::HashSet;
 
-use congest_net::programs::Flood;
-use congest_net::{
-    topology, Error, Graph, Network, NetworkConfig, NodeProgram, Outbox, Payload, Port,
-    RoundContext, SyncRuntime,
-};
+use congest_net::{topology, Error, Graph, Network, NetworkConfig, Payload, Port};
 use proptest::prelude::*;
 use qle::algorithms::{QuantumGeneralLe, QuantumLe};
 use qle::candidate::{sample_candidates_seeded, satisfies_fact_c2};
@@ -212,40 +208,16 @@ proptest! {
         prop_assert_eq!(g.port_to(0, g.node_count()), None);
     }
 
-    /// The sharded round engine reproduces the sequential engine
-    /// byte-for-byte — metrics, round count, and per-round history — on
-    /// random graphs, random seeds, and random shard counts.
-    #[test]
-    fn sharded_flood_matches_sequential_on_random_graphs(
-        n in 8usize..64,
-        seed in 0u64..500,
-        shards in 2usize..9,
-    ) {
-        let graph = topology::erdos_renyi_connected(n, 0.2, seed).unwrap();
-        let run = |k: usize| {
-            let mut runtime = SyncRuntime::new(
-                graph.clone(),
-                NetworkConfig::with_seed(seed).shards(k).track_history(true),
-                |v, _| Flood::new(v == 0),
-            );
-            let rounds = runtime.run_until_halt(10_000).unwrap();
-            let history = runtime.network().round_history().to_vec();
-            (rounds, runtime.metrics(), history)
-        };
-        prop_assert_eq!(run(shards), run(1));
-    }
-
     /// Every implicit structured family is indistinguishable from its
     /// materialized CSR twin through the public `Graph` API: same neighbour
-    /// order, same reverse ports, reverse ports that lead straight back, and
-    /// identical shard tilings — the contract that makes runs byte-identical
-    /// across backends. Sizes include the odd and degenerate ends (K_2, the
-    /// two-node star, C_3, Q_1, the smallest 3×3 torus).
+    /// order, same reverse ports, and reverse ports that lead straight back —
+    /// the contract that makes runs byte-identical across backends. Sizes
+    /// include the odd and degenerate ends (K_2, the two-node star, C_3,
+    /// Q_1, the smallest 3×3 torus).
     #[test]
     fn implicit_backends_match_materialized_csr(
         n in 2usize..40,
         d in 1u32..7,
-        shards in 1usize..9,
     ) {
         let graphs: Vec<Graph> = vec![
             topology::complete(n).unwrap(),
@@ -275,21 +247,9 @@ proptest! {
                     prop_assert_eq!(g.reverse_port_at(u, rp), p);
                 }
             }
-            prop_assert_eq!(g.shard_boundaries(shards), csr.shard_boundaries(shards));
         }
     }
 
-    /// Shard boundaries always tile the node and edge ranges, for random
-    /// graphs and any requested shard count.
-    #[test]
-    fn shard_boundaries_tile_random_graphs(n in 2usize..64, seed in 0u64..200, shards in 1usize..80) {
-        let g = topology::erdos_renyi_connected(n, 0.15, seed).unwrap();
-        let bounds = g.shard_boundaries(shards);
-        prop_assert_eq!(bounds[0], 0);
-        prop_assert_eq!(*bounds.last().unwrap(), n);
-        prop_assert!(bounds.windows(2).all(|w| w[0] < w[1]));
-        prop_assert_eq!(bounds.len() - 1, shards.clamp(1, n));
-    }
 }
 
 /// The model test's payload: an id, and a flag that makes the message
@@ -451,58 +411,6 @@ fn check_congest_against_reference(graph: &Graph, seed: u64) {
     }
 }
 
-/// A [`NodeProgram`] that sends 1–20 messages a round through a random run
-/// of consecutive ports, for a fixed number of rounds, folding what it
-/// receives into a digest. On `K_100` a port set becomes a page at the 17th
-/// port of one round, so nodes grow their sets and move to pages at
-/// different rounds.
-#[derive(Debug)]
-struct BurstSender {
-    rounds_left: u64,
-    digest: u64,
-}
-
-impl BurstSender {
-    fn burst(ctx: &mut RoundContext<'_>, outbox: &mut Outbox<u64>) {
-        let count = ctx.rng.gen_range(1..=20usize).min(ctx.degree);
-        let first = ctx.rng.gen_range(0..ctx.degree);
-        for i in 0..count {
-            outbox.send((first + i) % ctx.degree, ctx.rng.gen());
-        }
-    }
-}
-
-impl NodeProgram for BurstSender {
-    type Msg = u64;
-
-    fn on_start(&mut self, ctx: &mut RoundContext<'_>, outbox: &mut Outbox<u64>) {
-        Self::burst(ctx, outbox);
-    }
-
-    fn on_round(
-        &mut self,
-        ctx: &mut RoundContext<'_>,
-        incoming: &[(Port, u64)],
-        outbox: &mut Outbox<u64>,
-    ) {
-        for &(port, msg) in incoming {
-            self.digest = self
-                .digest
-                .rotate_left(7)
-                .wrapping_add(msg ^ port as u64)
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-        if self.rounds_left > 0 {
-            self.rounds_left -= 1;
-            Self::burst(ctx, outbox);
-        }
-    }
-
-    fn halted(&self) -> bool {
-        self.rounds_left == 0
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -517,30 +425,6 @@ proptest! {
         check_congest_against_reference(&complete.materialize(), seed);
         check_congest_against_reference(&topology::star(n).unwrap(), seed);
         check_congest_against_reference(&topology::random_regular(n, 8, seed).unwrap(), seed);
-    }
-
-    /// Senders growing their port sets and moving to pages at different
-    /// rounds give the same metrics, per-round history and received messages
-    /// with 1 and 4 shards.
-    #[test]
-    fn burst_senders_match_across_shard_counts(seed in 0u64..10_000) {
-        let run = |shards: usize| {
-            let mut runtime = SyncRuntime::new(
-                topology::complete(100).unwrap(),
-                NetworkConfig::with_seed(seed).shards(shards).track_history(true),
-                |_, _| BurstSender { rounds_left: 12, digest: 0 },
-            );
-            let rounds = runtime.run_until_halt(100).unwrap();
-            let digests: Vec<u64> = runtime.programs().iter().map(|p| p.digest).collect();
-            let history = runtime.network().round_history().to_vec();
-            (rounds, runtime.metrics(), history, digests, runtime.adaptive_sequential_rounds())
-        };
-        let (rounds, metrics, history, digests, sequential) = run(4);
-        prop_assert!(sequential < rounds, "no round ran sharded");
-        prop_assert_eq!((rounds, metrics, history, digests), {
-            let (rounds, metrics, history, digests, _) = run(1);
-            (rounds, metrics, history, digests)
-        });
     }
 }
 

@@ -1,28 +1,25 @@
 //! End-to-end tests of the scenario engine: the acceptance matrix (several
-//! topologies × protocols × fault plans), replay byte-identity at shard
-//! counts 1 and 4, and the spec text format.
+//! topologies × protocols × fault plans), replay byte-identity, and the
+//! spec text format.
 
 use congest_net::topology::Family;
 use congest_net::FaultPlan;
 use sim_harness::{run_matrix, trace, ProtocolKind, ScenarioSpec};
 
 /// A compact version of the committed acceptance matrix: 4 topologies ×
-/// 4 protocols, fault-free plus two distinct fault plans, parameterised by
-/// shard count.
-fn acceptance_specs(shards: usize) -> Vec<ScenarioSpec> {
+/// 4 protocols, fault-free plus two distinct fault plans.
+fn acceptance_specs() -> Vec<ScenarioSpec> {
     let drop_plan = FaultPlan::new(9).drop_probability(0.05);
     let chaos_plan = FaultPlan::new(11).link_outage(0, 1, 0, 4).crash(5, 2);
     vec![
         ScenarioSpec::new("flood-cycle", Family::Cycle, ProtocolKind::Flood)
             .sizes([48])
             .seeds([1, 2])
-            .max_rounds(500)
-            .shards(shards),
+            .max_rounds(500),
         ScenarioSpec::new("flood-torus-drop", Family::Torus, ProtocolKind::Flood)
             .sizes([36])
             .seeds([1])
             .max_rounds(500)
-            .shards(shards)
             .faults(drop_plan.clone()),
         ScenarioSpec::new(
             "flood-expander-chaos",
@@ -32,21 +29,17 @@ fn acceptance_specs(shards: usize) -> Vec<ScenarioSpec> {
         .sizes([32])
         .seeds([1])
         .max_rounds(500)
-        .shards(shards)
         .faults(chaos_plan.clone()),
         ScenarioSpec::new("ghs-torus", Family::Torus, ProtocolKind::GhsLe)
             .sizes([25])
-            .seeds([1])
-            .shards(shards),
+            .seeds([1]),
         ScenarioSpec::new("ghs-cycle-drop", Family::Cycle, ProtocolKind::GhsLe)
             .sizes([32])
             .seeds([1])
-            .shards(shards)
             .faults(drop_plan),
         ScenarioSpec::new("quantum-le", Family::Complete, ProtocolKind::QuantumLe)
             .sizes([32])
-            .seeds([1])
-            .shards(shards),
+            .seeds([1]),
         ScenarioSpec::new(
             "quantum-le-chaos",
             Family::Complete,
@@ -54,12 +47,10 @@ fn acceptance_specs(shards: usize) -> Vec<ScenarioSpec> {
         )
         .sizes([32])
         .seeds([1])
-        .shards(shards)
         .faults(chaos_plan),
         ScenarioSpec::new("cpr-d2-star", Family::Star, ProtocolKind::CprDiameterTwoLe)
             .sizes([48])
-            .seeds([1])
-            .shards(shards),
+            .seeds([1]),
         // The extended fault model end to end: cross-round delivery (link
         // latency), an outage the fault-tolerant flood reroutes around, and
         // a crash-recovery window whose reboot re-requests the token.
@@ -71,7 +62,6 @@ fn acceptance_specs(shards: usize) -> Vec<ScenarioSpec> {
         .sizes([32])
         .seeds([1])
         .max_rounds(500)
-        .shards(shards)
         .faults(
             FaultPlan::new(13)
                 .link_latency(2, 3, 3)
@@ -82,53 +72,44 @@ fn acceptance_specs(shards: usize) -> Vec<ScenarioSpec> {
 }
 
 /// The acceptance criterion: the matrix runs end-to-end, and replay mode
-/// reproduces byte-identical metrics and traces for every cell at shard
-/// counts 1 and 4 — including replaying one shard count's baseline under
-/// the other.
+/// reproduces byte-identical metrics and traces for every cell.
 #[test]
-fn acceptance_matrix_replays_byte_identically_across_shard_counts() {
-    let sequential = run_matrix(&acceptance_specs(1)).unwrap();
-    assert_eq!(sequential.len(), 10);
-    let baseline_text = trace::serialize(&sequential);
+fn acceptance_matrix_replays_byte_identically() {
+    let recorded = run_matrix(&acceptance_specs()).unwrap();
+    assert_eq!(recorded.len(), 10);
+    let baseline_text = trace::serialize(&recorded);
     let baseline = trace::parse(&baseline_text).unwrap();
 
-    // Replay at the same shard count.
-    let replayed = run_matrix(&acceptance_specs(1)).unwrap();
-    assert!(trace::compare(&replayed, &baseline).is_empty());
-
-    // Cross-shard replay: the sharded engine must reproduce the sequential
-    // baseline byte-for-byte (fault decisions happen at the deterministic
-    // barrier merge).
-    let sharded = run_matrix(&acceptance_specs(4)).unwrap();
-    let mismatches = trace::compare(&sharded, &baseline);
+    let replayed = run_matrix(&acceptance_specs()).unwrap();
+    let mismatches = trace::compare(&replayed, &baseline);
     assert!(
         mismatches.is_empty(),
-        "sharded run diverged from sequential baseline:\n{}",
+        "replay diverged from the baseline:\n{}",
         mismatches.join("\n")
     );
-    assert_eq!(trace::serialize(&sharded), baseline_text);
+    assert_eq!(trace::serialize(&replayed), baseline_text);
 
     // The matrix genuinely exercised the fault plane.
-    let total_dropped: u64 = sequential
+    let total_dropped: u64 = recorded
         .iter()
         .map(|r| r.outcome.metrics.dropped_messages)
         .sum();
-    let total_crashed: u64 = sequential
+    let total_crashed: u64 = recorded
         .iter()
         .map(|r| r.outcome.metrics.crashed_nodes)
         .max()
         .unwrap();
     assert!(total_dropped > 0, "no drops recorded");
     assert!(total_crashed > 0, "no crashes recorded");
-    assert!(sequential.iter().any(|r| !r.outcome.trace.is_empty()));
+    assert!(recorded.iter().any(|r| !r.outcome.trace.is_empty()));
     // The extended model too: cross-round deliveries and a recovery.
-    let total_delayed: u64 = sequential
+    let total_delayed: u64 = recorded
         .iter()
         .map(|r| r.outcome.metrics.delayed_messages)
         .sum();
     assert!(total_delayed > 0, "no delays recorded");
     assert!(
-        sequential.iter().any(|r| r
+        recorded.iter().any(|r| r
             .outcome
             .trace
             .iter()
@@ -136,12 +117,12 @@ fn acceptance_matrix_replays_byte_identically_across_shard_counts() {
         "no recovery recorded"
     );
     // The fault-tolerant flood genuinely succeeds under the chaos plan.
-    assert!(sequential
+    assert!(recorded
         .iter()
         .filter(|r| r.cell.scenario == "flood-ft-latency-recover")
         .all(|r| r.outcome.ok));
     // Fault-free cells stay pristine.
-    assert!(sequential
+    assert!(recorded
         .iter()
         .filter(|r| r.cell.faults.is_empty())
         .all(|r| r.outcome.metrics.dropped_messages == 0 && r.outcome.trace.is_empty()));
@@ -256,7 +237,7 @@ fn scorecard_baseline_matches_the_standalone_fault_free_run() {
 /// can be saved as `.scn` files and reloaded identically.
 #[test]
 fn builder_specs_round_trip_through_text() {
-    for spec in acceptance_specs(0) {
+    for spec in acceptance_specs() {
         let parsed = ScenarioSpec::parse_many(&spec.to_text()).unwrap();
         assert_eq!(parsed, vec![spec]);
     }

@@ -1,8 +1,7 @@
 //! End-to-end tests of the batch farm and its content-addressed cell
 //! cache: cold/warm byte-identity with a 100% warm hit rate, cache-key
-//! sensitivity to every spec stanza, shard-invariance of cached results,
-//! on-disk corruption handled as diagnosed misses, and the
-//! all-failing-cells error contract.
+//! sensitivity to every spec stanza, on-disk corruption handled as
+//! diagnosed misses, and the all-failing-cells error contract.
 
 use congest_net::topology::Family;
 use congest_net::{ExecMode, FaultPlan, SchedulerSpec};
@@ -72,31 +71,6 @@ fn cold_then_warm_is_byte_identical_with_full_hit_rate() {
     );
     assert!((warm_report.hit_rate() - 100.0).abs() < f64::EPSILON);
     assert!(warm_report.stats_text().contains("hit rate = 100.0%"));
-}
-
-#[test]
-fn cached_results_are_shard_invariant() {
-    // Cold at shards=4, warm at shards=1: the key deliberately excludes the
-    // shard count (results are byte-identical for every count), so the warm
-    // single-shard run must be all hits — and identical bytes.
-    let dir = cache_dir("shard-invariant");
-    let at_shards = |k: usize| {
-        vec![
-            base_spec().shards(k),
-            ScenarioSpec::new("farm-bft", Family::Torus, ProtocolKind::FloodBft)
-                .sizes([16])
-                .seeds([2])
-                .max_rounds(500)
-                .shards(k)
-                .faults(FaultPlan::new(3).byzantine(1, 0, 4)),
-        ]
-    };
-    let (cold_results, cold_traces, cold_report) = farm_run(&at_shards(4), &dir);
-    assert_eq!(cold_report.hits, 0);
-    let (warm_results, warm_traces, warm_report) = farm_run(&at_shards(1), &dir);
-    assert_eq!(warm_report.hits, warm_report.cells, "{warm_report:?}");
-    assert_eq!(warm_results, cold_results);
-    assert_eq!(warm_traces, cold_traces);
 }
 
 proptest! {
@@ -190,15 +164,10 @@ fn flipping_any_stanza_changes_the_cache_key() {
     let mut fault_seed = base.clone();
     fault_seed.faults = FaultPlan::new(6).drop_probability(0.02).crash(3, 4);
     assert_ne!(key(&fault_seed), base_key, "fault seed must enter the key");
-    // Not hashed: scenario name and shard count (shard-invariant results).
+    // Not hashed: the scenario name.
     let mut renamed = base.clone();
     renamed.scenario = "renamed".into();
-    renamed.shards = 4;
-    assert_eq!(
-        key(&renamed),
-        base_key,
-        "name/shards must not enter the key"
-    );
+    assert_eq!(key(&renamed), base_key, "the name must not enter the key");
 }
 
 #[test]

@@ -2,12 +2,12 @@
 //! (`docs/OBSERVABILITY.md`):
 //!
 //! 1. **Observation changes nothing:** metrics, per-round history, traces,
-//!    and verdicts are byte-identical with telemetry on vs off, sequential
-//!    and sharded, round-mode and event-mode.
-//! 2. **The deterministic half is shard-invariant:** the report's
+//!    and verdicts are byte-identical with telemetry on vs off, round-mode
+//!    and event-mode.
+//! 2. **The deterministic half is reproducible:** the report's
 //!    `deterministic` projection (rounds, messages, histograms) is
-//!    byte-identical across shard counts, while wall readings stay
-//!    segregated in the `wall` half.
+//!    byte-identical run to run, while wall readings stay segregated in the
+//!    `wall` half.
 //! 3. **Wall time is outside replay:** serialized trace baselines and
 //!    `trace::compare` ignore `CellResult::wall_nanos` and the telemetry
 //!    sidecar entirely, so profiled runs replay cleanly against unprofiled
@@ -24,19 +24,18 @@ use sim_harness::{expand, run_cell_with, trace, CellResult, ProtocolKind, Scenar
 /// The one-cell matrix used throughout: fault-tolerant flooding on a cycle
 /// under a drop-and-crash plan, so all of the fault judge, the trace sink,
 /// and retransmission control flow are live.
-fn cells(shards: usize, mode: ExecMode) -> Vec<sim_harness::Cell> {
+fn cells(mode: ExecMode) -> Vec<sim_harness::Cell> {
     let spec = ScenarioSpec::new("telemetry-probe", Family::Cycle, ProtocolKind::FloodFt)
         .sizes([48])
         .seeds([3])
-        .shards(shards)
         .max_rounds(10_000)
         .faults(FaultPlan::new(11).drop_probability(0.05).crash(7, 4))
         .mode(mode);
     expand(&[spec])
 }
 
-fn run(shards: usize, mode: ExecMode, telemetry: bool) -> CellResult {
-    let matrix = cells(shards, mode);
+fn run(mode: ExecMode, telemetry: bool) -> CellResult {
+    let matrix = cells(mode);
     run_cell_with(&matrix[0], telemetry).unwrap()
 }
 
@@ -59,18 +58,16 @@ fn telemetry_does_not_perturb_the_determinism_domain() {
         ExecMode::Round,
         ExecMode::Event(SchedulerSpec::latency_skew(3, 7)),
     ] {
-        for shards in [1usize, 4] {
-            let off = run(shards, mode, false);
-            let on = run(shards, mode, true);
-            assert!(off.outcome.telemetry.is_none());
-            assert!(off.wall_nanos == 0, "unprofiled runs are not wall-timed");
-            assert!(on.outcome.telemetry.is_some());
-            assert_eq!(
-                deterministic_view(&off),
-                deterministic_view(&on),
-                "telemetry must be invisible to metrics/trace (mode {mode:?}, {shards} shards)"
-            );
-        }
+        let off = run(mode, false);
+        let on = run(mode, true);
+        assert!(off.outcome.telemetry.is_none());
+        assert!(off.wall_nanos == 0, "unprofiled runs are not wall-timed");
+        assert!(on.outcome.telemetry.is_some());
+        assert_eq!(
+            deterministic_view(&off),
+            deterministic_view(&on),
+            "telemetry must be invisible to metrics/trace (mode {mode:?})"
+        );
     }
 }
 
@@ -80,11 +77,9 @@ fn telemetry_does_not_perturb_the_determinism_domain() {
 #[test]
 fn round_history_is_identical_with_telemetry_on_and_off() {
     use congest_net::programs::Flood;
-    let history = |shards: usize, telemetry: bool| {
+    let history = |telemetry: bool| {
         let graph = topology::random_regular(48, 4, 5).unwrap();
-        let config = NetworkConfig::with_seed(5)
-            .shards(shards)
-            .track_history(true);
+        let config = NetworkConfig::with_seed(5).track_history(true);
         let mut runtime = SyncRuntime::new(graph, config, |v, _| Flood::new(v == 0));
         if telemetry {
             runtime.enable_telemetry();
@@ -95,48 +90,44 @@ fn round_history_is_identical_with_telemetry_on_and_off() {
             runtime.network().round_history().to_vec(),
         )
     };
-    for shards in [1usize, 4] {
-        assert_eq!(
-            history(shards, false),
-            history(shards, true),
-            "history must not see the sidecar ({shards} shards)"
-        );
-    }
+    assert_eq!(
+        history(false),
+        history(true),
+        "history must not see the sidecar"
+    );
 }
 
 #[test]
-fn deterministic_telemetry_is_shard_invariant() {
+fn deterministic_telemetry_is_reproducible() {
     for mode in [
         ExecMode::Round,
         ExecMode::Event(SchedulerSpec::worst_case(2)),
     ] {
-        let report = |shards: usize| -> TelemetryReport {
-            run(shards, mode, true).outcome.telemetry.unwrap()
-        };
-        let (one, four) = (report(1), report(4));
+        let report = || -> TelemetryReport { run(mode, true).outcome.telemetry.unwrap() };
+        let (first, second) = (report(), report());
         assert_eq!(
-            one.deterministic, four.deterministic,
-            "deterministic half must not depend on the shard count (mode {mode:?})"
+            first.deterministic, second.deterministic,
+            "deterministic half must not change run to run (mode {mode:?})"
         );
         assert_eq!(
-            one.deterministic_jsonl("cell"),
-            four.deterministic_jsonl("cell"),
+            first.deterministic_jsonl("cell"),
+            second.deterministic_jsonl("cell"),
             "the CI-diffed projection must be byte-identical"
         );
         // Wall readings live in the segregated half only: the full JSONL
         // line legitimately differs across runs, but stripping the wall
         // object must leave the byte-identical prefix.
         let strip = |line: String| line.split(",\"wall\":").next().unwrap().to_string();
-        let one_line = strip(one.to_jsonl("cell"));
-        assert_eq!(one_line, strip(four.to_jsonl("cell")));
-        assert!(!one_line.contains("nanos"));
+        let first_line = strip(first.to_jsonl("cell"));
+        assert_eq!(first_line, strip(second.to_jsonl("cell")));
+        assert!(!first_line.contains("nanos"));
     }
 }
 
 #[test]
 fn wall_time_is_excluded_from_baselines_and_replay() {
-    let profiled = run(1, ExecMode::Round, true);
-    let plain = run(1, ExecMode::Round, false);
+    let profiled = run(ExecMode::Round, true);
+    let plain = run(ExecMode::Round, false);
     assert_ne!(profiled.wall_nanos, 0);
     // Same serialized baseline whether or not the run was profiled...
     assert_eq!(
@@ -154,7 +145,7 @@ fn wall_time_is_excluded_from_baselines_and_replay() {
 
 #[test]
 fn event_mode_populates_heap_and_skew_histograms() {
-    let report = run(1, ExecMode::Event(SchedulerSpec::latency_skew(3, 7)), true)
+    let report = run(ExecMode::Event(SchedulerSpec::latency_skew(3, 7)), true)
         .outcome
         .telemetry
         .unwrap();
@@ -179,6 +170,6 @@ fn event_mode_populates_heap_and_skew_histograms() {
         "inbox sampling must have seen deliveries"
     );
     // Round-mode runs sample the same histograms but never see skew.
-    let round = run(1, ExecMode::Round, true).outcome.telemetry.unwrap();
+    let round = run(ExecMode::Round, true).outcome.telemetry.unwrap();
     assert!(round.deterministic.skew_per_round.is_empty());
 }

@@ -50,13 +50,7 @@ impl NodeProgram for Chatter {
 #[test]
 fn steady_state_rounds_do_not_allocate() {
     let graph = topology::random_regular(64, 4, 3).unwrap();
-    // The zero-allocation guarantee is a property of the *sequential* round
-    // engine; sharded execution (k > 1) deliberately pays O(k) task-envelope
-    // allocations per round for pool dispatch. Pin k = 1 so a CONGEST_SHARDS
-    // environment override (the CI sharding matrix) doesn't change what this
-    // test measures.
-    let mut runtime =
-        SyncRuntime::new(graph, NetworkConfig::with_seed(5).shards(1), |_, _| Chatter);
+    let mut runtime = SyncRuntime::new(graph, NetworkConfig::with_seed(5), |_, _| Chatter);
     // Telemetry is compiled into this engine but must stay off by default:
     // the zero-allocation window below is also the pin that the telemetry
     // branch on the barrier path costs nothing when the sidecar is absent.
@@ -139,12 +133,11 @@ fn sparse_rounds_cost_what_their_active_nodes_do() {
     let graph = topology::cycle(n).unwrap();
     // Only the last node runs, so a halting check that scans the programs
     // queries all of them.
-    let mut runtime =
-        SyncRuntime::new(graph, NetworkConfig::with_seed(5).shards(1), |v, _| Relay {
-            calls: 0,
-            halted: v != n - 1,
-            queries: Cell::new(0),
-        });
+    let mut runtime = SyncRuntime::new(graph, NetworkConfig::with_seed(5), |v, _| Relay {
+        calls: 0,
+        halted: v != n - 1,
+        queries: Cell::new(0),
+    });
     let calls =
         |runtime: &SyncRuntime<Relay>| -> u64 { runtime.programs().iter().map(|p| p.calls).sum() };
     let queries = |runtime: &SyncRuntime<Relay>| -> u64 {
@@ -186,8 +179,7 @@ fn sparse_rounds_cost_what_their_active_nodes_do() {
 fn peak_bytes_feeds_the_telemetry_report() {
     let graph = topology::random_regular(32, 4, 7).unwrap();
     let (mut report, m) = support::measured(|| {
-        let mut runtime =
-            SyncRuntime::new(graph, NetworkConfig::with_seed(9).shards(1), |_, _| Chatter);
+        let mut runtime = SyncRuntime::new(graph, NetworkConfig::with_seed(9), |_, _| Chatter);
         runtime.enable_telemetry();
         runtime.start().unwrap();
         for _ in 0..20 {
