@@ -8,10 +8,7 @@
 //! cargo run --release -p bench-harness --bin experiments                  # all experiments
 //! cargo run --release -p bench-harness --bin experiments -- e1 e7         # a selection
 //! cargo run --release -p bench-harness --bin experiments -- --scenarios examples/scenarios
-//!     # run a scenario matrix; streams results.txt + traces.txt (+ cache-stats.txt) to --out
-//! cargo run --release -p bench-harness --bin experiments -- --scenarios examples/scenarios \
-//!     --cache-dir farm-cache
-//!     # same, through the content-addressed cell cache: a warm rerun re-executes nothing
+//!     # run a scenario matrix; writes results.txt + traces.txt to --out
 //! cargo run --release -p bench-harness --bin experiments -- --scenarios examples/scenarios \
 //!     --replay scenario-out
 //!     # re-run the matrix and assert byte-identical metrics + traces
@@ -30,86 +27,23 @@ use bench_harness::{
     ExperimentTable,
 };
 
-/// A [`sim_harness::FarmSink`] that streams each completed cell's results
-/// row and trace block straight to the output files (and the row to
-/// stdout), so a thousand-spec sweep never buffers the whole run — the
-/// files come out byte-identical to the old buffered writer.
-struct StreamSink {
-    results: std::io::BufWriter<std::fs::File>,
-    traces: std::io::BufWriter<std::fs::File>,
-}
-
-impl StreamSink {
-    fn open(out: &std::path::Path) -> Result<Self, String> {
-        let file = |name: &str| {
-            std::fs::File::create(out.join(name))
-                .map(std::io::BufWriter::new)
-                .map_err(|e| format!("write {name}: {e}"))
-        };
-        Ok(StreamSink {
-            results: file("results.txt")?,
-            traces: file("traces.txt")?,
-        })
-    }
-
-    fn finish(self) -> Result<(), String> {
-        use std::io::Write;
-        let flush = |mut w: std::io::BufWriter<std::fs::File>, name: &str| {
-            w.flush().map_err(|e| format!("write {name}: {e}"))
-        };
-        flush(self.results, "results.txt")?;
-        flush(self.traces, "traces.txt")
-    }
-}
-
-impl sim_harness::FarmSink for StreamSink {
-    fn on_start(&mut self) -> Result<(), String> {
-        use std::io::Write;
-        let header = sim_harness::results_table_header();
-        print!("{header}");
-        self.results
-            .write_all(header.as_bytes())
-            .map_err(|e| format!("write results.txt: {e}"))?;
-        self.traces
-            .write_all(sim_harness::trace::HEADER.as_bytes())
-            .map_err(|e| format!("write traces.txt: {e}"))
-    }
-
-    fn on_cell(&mut self, _index: usize, result: sim_harness::CellResult) -> Result<(), String> {
-        use std::io::Write;
-        let row = sim_harness::results_table_row(&result);
-        print!("{row}");
-        self.results
-            .write_all(row.as_bytes())
-            .map_err(|e| format!("write results.txt: {e}"))?;
-        self.traces
-            .write_all(sim_harness::trace::serialize_cell(&result).as_bytes())
-            .map_err(|e| format!("write traces.txt: {e}"))
-    }
-}
-
 /// Runs the scenario engine: `--scenarios <spec|dir> [--out <dir>]
-/// [--cache-dir <dir>] [--replay <dir>]`. Normal mode streams the results
-/// table and the trace file into the output directory cell by cell (plus
-/// `cache-stats.txt` with the farm's hit/miss bookkeeping); replay mode
-/// re-runs the matrix and exits non-zero unless metrics and traces are
-/// byte-identical to the recorded baseline.
+/// [--replay <dir>]`. Normal mode writes the results table and the trace
+/// file into the output directory once every cell has run; replay mode
+/// re-runs the matrix, writes nothing, and exits non-zero unless metrics
+/// and traces are byte-identical to the recorded baseline.
 fn run_scenarios(rest: &[String]) -> Result<(), CliError> {
     let mut path: Option<&str> = None;
-    let mut out_dir = "scenario-out".to_string();
+    let mut out_dir: Option<String> = None;
     let mut replay_dir: Option<String> = None;
-    let mut cache_dir: Option<String> = None;
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--out" => {
-                out_dir = flag_value(it.next(), "--out")?;
+                out_dir = Some(flag_value(it.next(), "--out")?);
             }
             "--replay" => {
                 replay_dir = Some(flag_value(it.next(), "--replay")?);
-            }
-            "--cache-dir" => {
-                cache_dir = Some(flag_value(it.next(), "--cache-dir")?);
             }
             other if path.is_none() && !other.starts_with("--") => path = Some(other),
             other => {
@@ -121,11 +55,9 @@ fn run_scenarios(rest: &[String]) -> Result<(), CliError> {
     }
     let path =
         path.ok_or_else(|| CliError::Usage("--scenarios needs a spec file or directory".into()))?;
-    // Replay must genuinely re-execute — serving cached results would
-    // verify the cache against itself, not the engine's determinism.
-    if replay_dir.is_some() && cache_dir.is_some() {
+    if replay_dir.is_some() && out_dir.is_some() {
         return Err(CliError::Usage(
-            "--cache-dir cannot be combined with --replay (replay re-executes)".into(),
+            "--out cannot be combined with --replay (replay writes nothing)".into(),
         ));
     }
     let specs = sim_harness::load_specs(path)?;
@@ -137,10 +69,10 @@ fn run_scenarios(rest: &[String]) -> Result<(), CliError> {
         rayon::current_num_threads()
     );
     let start = std::time::Instant::now();
+    let results = sim_harness::run_cells(&cells)?;
+    println!("{}", sim_harness::results_table(&results));
+    println!("[matrix completed in {:.1?}]", start.elapsed());
     if let Some(replay_dir) = replay_dir {
-        let results = sim_harness::run_cells(&cells)?;
-        println!("{}", sim_harness::results_table(&results));
-        println!("[matrix completed in {:.1?}]", start.elapsed());
         let baseline_path = std::path::Path::new(&replay_dir).join("traces.txt");
         let baseline_text = std::fs::read_to_string(&baseline_path)
             .map_err(|e| format!("{}: {e}", baseline_path.display()))?;
@@ -162,34 +94,20 @@ fn run_scenarios(rest: &[String]) -> Result<(), CliError> {
             baseline_path.display()
         );
     } else {
+        let out_dir = out_dir.unwrap_or_else(|| "scenario-out".to_string());
         let out = std::path::Path::new(&out_dir);
         std::fs::create_dir_all(out).map_err(|e| format!("{}: {e}", out.display()))?;
-        let farm_opts = sim_harness::FarmOptions {
-            telemetry: false,
-            cache_dir: cache_dir.map(std::path::PathBuf::from),
-        };
-        let mut sink = StreamSink::open(out)?;
-        let report = sim_harness::run_farm(&cells, &farm_opts, &mut sink)?;
-        sink.finish()?;
-        println!("\n[matrix completed in {:.1?}]", start.elapsed());
-        std::fs::write(out.join("cache-stats.txt"), report.stats_text())
-            .map_err(|e| format!("write cache-stats.txt: {e}"))?;
-        if farm_opts.cache_dir.is_some() {
-            println!(
-                "cache: {} hit(s), {} miss(es), {} store(s), {} rejected (hit rate {:.1}%)",
-                report.hits,
-                report.misses,
-                report.stores,
-                report.rejected.len(),
-                report.hit_rate()
-            );
-            for diag in &report.rejected {
-                eprintln!("cache: {diag}");
-            }
-        }
-        println!(
-            "wrote {out_dir}/results.txt, {out_dir}/traces.txt, and {out_dir}/cache-stats.txt"
-        );
+        std::fs::write(
+            out.join("results.txt"),
+            sim_harness::results_table(&results),
+        )
+        .map_err(|e| format!("write results.txt: {e}"))?;
+        std::fs::write(
+            out.join("traces.txt"),
+            sim_harness::trace::serialize(&results),
+        )
+        .map_err(|e| format!("write traces.txt: {e}"))?;
+        println!("wrote {out_dir}/results.txt and {out_dir}/traces.txt");
     }
     Ok(())
 }
@@ -495,16 +413,12 @@ USAGE:
                                              case-insensitive, an unknown one exits 2)
     experiments --scenarios <spec|dir>       run a scenario matrix (*.scn specs; a directory
                                              sweeps every spec through one work-stealing queue)
-        [--out <dir>]                        output directory for results.txt, traces.txt, and
-                                             cache-stats.txt, streamed cell by cell
+        [--out <dir>]                        output directory for results.txt and traces.txt,
+                                             written once every cell has run
                                              (default: scenario-out)
-        [--cache-dir <dir>]                  content-addressed cell cache: hits return stored
-                                             results without re-running; misses execute and
-                                             persist (key: spec stanza + code fingerprint; see
-                                             docs/SCENARIO_FORMAT.md)
         [--replay <dir>]                     re-run and assert byte-identical metrics + traces
                                              against <dir>/traces.txt instead of writing output
-                                             (not combinable with --cache-dir)
+                                             (not combinable with --out)
     experiments --scorecard <spec|dir>       resilience scorecard: run every faulty scenario
                                              against its fault-free twin and aggregate success
                                              rate + message/round overhead per protocol x
@@ -534,7 +448,7 @@ EXIT CODES:
     0    success
     1    the run failed: an unreadable spec, an I/O error, a replay mismatch
     2    CLI misuse (an unknown flag or experiment, a missing or unexpected
-         argument, --cache-dir with --replay) or a spec naming an unknown
+         argument, --out with --replay) or a spec naming an unknown
          protocol
 
 The benchmark is perfbench/ (see perfbench/README.md), not this binary."
@@ -618,6 +532,7 @@ mod tests {
             &["specs", "--cache-dir"],
             &["specs", "extra"],
             &["specs", "--cache-dir", "cache", "--replay", "out"],
+            &["specs", "--replay", "out", "--out", "dir"],
         ] {
             assert_eq!(code(run_scenarios(&names(misuse))), 2, "{misuse:?}");
         }

@@ -6,8 +6,8 @@
 //! The build environment has no access to crates.io, so the workspace
 //! vendors this shim instead. One caller dispatches through the pool: the
 //! scenario farm in `sim-harness`, one batch of cell workers per matrix. It
-//! keeps its output independent of thread scheduling by emitting cells in
-//! matrix order. The only `unsafe` in the shim is the scoped lifetime
+//! keeps its output independent of thread scheduling by sorting results
+//! back into matrix order. The only `unsafe` in the shim is the scoped lifetime
 //! erasure inside [`pool`], with the soundness argument documented there.
 
 #![deny(unsafe_code)]

@@ -12,7 +12,7 @@ use congest_net::topology::Family;
 use congest_net::{ExecMode, FaultPlan};
 use qle::RunOptions;
 
-use crate::farm::{run_cells_collect, FarmOptions};
+use crate::farm::run_farm;
 use crate::registry::{topology_name, CellOutcome, ProtocolKind};
 use crate::spec::ScenarioSpec;
 
@@ -151,10 +151,9 @@ pub fn run_cell_with(cell: &Cell, telemetry: bool) -> Result<CellResult, String>
 }
 
 /// Runs an already-expanded cell list on the farm's work-stealing queue
-/// (see [`crate::farm::run_farm`]), merging results in cell order
-/// (deterministic regardless of scheduling). Telemetry is off and no cache
-/// is consulted; pass a [`FarmOptions`] to [`run_cells_collect`] for the
-/// cached path.
+/// (see [`crate::farm`]), returning results in cell order (deterministic
+/// regardless of scheduling). Telemetry is off; [`run_cells_with`] turns
+/// it on.
 ///
 /// # Errors
 ///
@@ -171,11 +170,7 @@ pub fn run_cells(cells: &[Cell]) -> Result<Vec<CellResult>, String> {
 ///
 /// Same as [`run_cells`].
 pub fn run_cells_with(cells: &[Cell], telemetry: bool) -> Result<Vec<CellResult>, String> {
-    let opts = FarmOptions {
-        telemetry,
-        cache_dir: None,
-    };
-    run_cells_collect(cells, &opts).map(|(results, _)| results)
+    run_farm(cells, telemetry)
 }
 
 /// Expands `specs` and runs every cell (see [`expand`] and [`run_cells`]).
@@ -207,24 +202,7 @@ pub fn results_table_with_wall(results: &[CellResult]) -> String {
     render_results_table(results, true)
 }
 
-/// The deterministic results-table header line (including the trailing
-/// newline) — what a streaming sink writes once before its first
-/// [`results_table_row`].
-#[must_use]
-pub fn results_table_header() -> String {
-    header_line(false)
-}
-
-/// One cell's deterministic results-table row (including the trailing
-/// newline). `results_table` is exactly [`results_table_header`] followed
-/// by one row per cell, so a sink that writes rows as cells complete
-/// produces a byte-identical file without ever buffering the run.
-#[must_use]
-pub fn results_table_row(r: &CellResult) -> String {
-    row_line(r, false)
-}
-
-fn header_line(with_wall: bool) -> String {
+fn render_results_table(results: &[CellResult], with_wall: bool) -> String {
     use std::fmt::Write;
     let mut out = String::new();
     write!(
@@ -250,44 +228,32 @@ fn header_line(with_wall: bool) -> String {
         write!(out, " {:>9}", "wall(ms)").unwrap();
     }
     writeln!(out, "  detail").unwrap();
-    out
-}
-
-fn row_line(r: &CellResult, with_wall: bool) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    let m = &r.outcome.metrics;
-    write!(
-        out,
-        "{:<24} {:<16} {:<12} {:>6} {:>6} {:>9} {:>9} {:>8} {:>7} {:>7} {:>7} {:>7} {:>7} {:>6}",
-        r.cell.scenario,
-        r.cell.protocol.name(),
-        topology_name(r.cell.topology),
-        r.cell.n,
-        r.cell.seed,
-        m.total_messages(),
-        r.outcome.effective_rounds,
-        m.peak_messages_per_round,
-        m.dropped_messages,
-        m.delayed_messages,
-        m.scheduled_messages,
-        m.mutated_messages,
-        m.crashed_nodes,
-        if r.outcome.ok { "yes" } else { "NO" },
-    )
-    .unwrap();
-    if with_wall {
-        let ms = r.wall_nanos as f64 / 1_000_000.0;
-        write!(out, " {ms:>9.3}").unwrap();
-    }
-    writeln!(out, "  {}", r.outcome.detail).unwrap();
-    out
-}
-
-fn render_results_table(results: &[CellResult], with_wall: bool) -> String {
-    let mut out = header_line(with_wall);
     for r in results {
-        out.push_str(&row_line(r, with_wall));
+        let m = &r.outcome.metrics;
+        write!(
+            out,
+            "{:<24} {:<16} {:<12} {:>6} {:>6} {:>9} {:>9} {:>8} {:>7} {:>7} {:>7} {:>7} {:>7} {:>6}",
+            r.cell.scenario,
+            r.cell.protocol.name(),
+            topology_name(r.cell.topology),
+            r.cell.n,
+            r.cell.seed,
+            m.total_messages(),
+            r.outcome.effective_rounds,
+            m.peak_messages_per_round,
+            m.dropped_messages,
+            m.delayed_messages,
+            m.scheduled_messages,
+            m.mutated_messages,
+            m.crashed_nodes,
+            if r.outcome.ok { "yes" } else { "NO" },
+        )
+        .unwrap();
+        if with_wall {
+            let ms = r.wall_nanos as f64 / 1_000_000.0;
+            write!(out, " {ms:>9.3}").unwrap();
+        }
+        writeln!(out, "  {}", r.outcome.detail).unwrap();
     }
     out
 }

@@ -13,7 +13,7 @@
 //! the full `.scn` grammar; the invariants stated here are the
 //! authoritative ones for this crate.)
 //!
-//! The subsystem is four layers, each usable on its own:
+//! The subsystem is six layers, each usable on its own:
 //!
 //! * **Specs** ([`spec`]) — [`ScenarioSpec`]: a typed builder plus a
 //!   TOML-ish text format (`[scenario]` / `[faults]` sections, parsed with
@@ -41,15 +41,11 @@
 //!   round-stamped fault events plus its full [`congest_net::Metrics`];
 //!   [`trace::serialize`] writes the line-oriented trace file and
 //!   [`trace::compare`] re-verifies a fresh run against it.
-//! * **Farm & cache** ([`farm`], [`cache`]) — [`farm::run_farm`] is the
-//!   batch-execution path behind all of the above: one global cell queue
-//!   (a whole directory of specs at once), work-stealing chunk claiming
-//!   across the `rayon` pool, a content-addressed [`cache::CellCache`]
-//!   keyed on each cell's canonical stanza plus a compile-time code
-//!   fingerprint, and a cell-ordered [`farm::FarmSink`] that streams
-//!   results/trace lines incrementally in O(1 cell) memory. The
-//!   determinism invariants below are what make the cache *sound*: equal
-//!   keys replay byte-for-byte, so a hit is indistinguishable from a rerun.
+//! * **Farm** ([`farm`]) — the batch-execution path behind all of the
+//!   above: one global cell queue (a whole directory of specs at once),
+//!   work-stealing chunk claiming across the `rayon` pool, and results
+//!   sorted back into cell order before they are returned, with every
+//!   failing cell reported, one per line.
 //! * **Scorecard** ([`scorecard`]) — [`run_scorecard`] runs every faulty
 //!   scenario next to its fault-free twin and aggregates success rate and
 //!   message/round overhead per `(protocol, fault class)` — the resilience
@@ -98,7 +94,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod engine;
 pub mod farm;
 pub mod registry;
@@ -106,12 +101,11 @@ pub mod scorecard;
 pub mod spec;
 pub mod trace;
 
-pub use cache::{cache_key, cache_key_material, code_fingerprint, CellCache};
 pub use engine::{
-    expand, results_table, results_table_header, results_table_row, results_table_with_wall,
-    run_cell_with, run_cells, run_cells_with, run_matrix, Cell, CellResult,
+    expand, results_table, results_table_with_wall, run_cell_with, run_cells, run_cells_with,
+    run_matrix, Cell, CellResult,
 };
-pub use farm::{run_cells_collect, run_farm, FarmOptions, FarmReport, FarmSink};
+pub use farm::{run_cells_collect, FarmOptions};
 pub use registry::{parse_topology, topology_name, CellOutcome, ProtocolKind, ALL_PROTOCOLS};
 pub use scorecard::{fault_class, fault_free_twin, run_scorecard, Scorecard, ScorecardRow};
 pub use spec::{ScenarioSpec, SpecError};

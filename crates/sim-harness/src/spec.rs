@@ -196,11 +196,8 @@ impl ScenarioSpec {
 }
 
 /// Renders the `[faults]` section stanzas of `faults` into `out`, in the
-/// plan's entry order (so emit ∘ parse is the identity). Shared by
-/// [`ScenarioSpec::to_text`] and the cell cache's canonical key material —
-/// using one renderer guarantees the cache key covers exactly the fault
-/// plan the spec format can express.
-pub(crate) fn write_fault_stanzas(faults: &FaultPlan, out: &mut String) {
+/// plan's entry order (so emit ∘ parse is the identity).
+fn write_fault_stanzas(faults: &FaultPlan, out: &mut String) {
     use std::fmt::Write;
     writeln!(out, "seed = {}", faults.seed()).unwrap();
     if faults.drop_rate() > 0.0 {

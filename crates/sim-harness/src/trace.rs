@@ -38,43 +38,30 @@ pub struct BaselineCell {
     pub events: Vec<TraceEvent>,
 }
 
-/// The version line every trace file starts with. The farm's streaming
-/// writer emits this once, then appends [`serialize_cell`] blocks as cells
-/// complete — byte-identical to a buffered [`serialize`] call.
-pub const HEADER: &str = "# sim-harness trace v4\n";
+/// The version line every trace file starts with.
+const HEADER: &str = "# sim-harness trace v4\n";
 
 /// Serializes a matrix run as a trace file.
 #[must_use]
 pub fn serialize(results: &[CellResult]) -> String {
+    use std::fmt::Write;
     let mut out = String::from(HEADER);
     for r in results {
-        out.push_str(&serialize_cell(r));
+        writeln!(out, "cell {}", r.cell.id()).unwrap();
+        write_summary(
+            &mut out,
+            &r.outcome.metrics,
+            r.outcome.effective_rounds,
+            r.outcome.ok,
+        );
+        write_events(&mut out, &r.outcome.trace);
+        out.push_str("end\n");
     }
     out
 }
 
-/// Serializes one cell's trace block (header line, summary, events, `end`).
-/// [`serialize`] is [`HEADER`] plus these blocks in cell order, which is
-/// what lets the farm stream the trace file incrementally.
-#[must_use]
-pub fn serialize_cell(r: &CellResult) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    writeln!(out, "cell {}", r.cell.id()).unwrap();
-    write_summary(
-        &mut out,
-        &r.outcome.metrics,
-        r.outcome.effective_rounds,
-        r.outcome.ok,
-    );
-    write_events(&mut out, &r.outcome.trace);
-    out.push_str("end\n");
-    out
-}
-
-/// Writes the `summary` line for one cell (shared with the cell cache's
-/// entry format, so the two can never drift apart on a new counter).
-pub(crate) fn write_summary(out: &mut String, m: &Metrics, effective_rounds: u64, ok: bool) {
+/// Writes the `summary` line for one cell.
+fn write_summary(out: &mut String, m: &Metrics, effective_rounds: u64, ok: bool) {
     use std::fmt::Write;
     writeln!(
         out,
@@ -95,8 +82,8 @@ pub(crate) fn write_summary(out: &mut String, m: &Metrics, effective_rounds: u64
     .unwrap();
 }
 
-/// Writes one `event` line per trace event (shared with the cell cache).
-pub(crate) fn write_events(out: &mut String, events: &[TraceEvent]) {
+/// Writes one `event` line per trace event.
+fn write_events(out: &mut String, events: &[TraceEvent]) {
     use std::fmt::Write;
     for event in events {
         match *event {
@@ -221,8 +208,8 @@ pub fn parse(text: &str) -> Result<Vec<BaselineCell>, String> {
 }
 
 /// Parses the attribute list of a `summary` line into its metrics,
-/// effective rounds, and ok verdict (shared with the cell cache).
-pub(crate) fn parse_summary(rest: &str, line_no: usize) -> Result<(Metrics, u64, bool), String> {
+/// effective rounds, and ok verdict.
+fn parse_summary(rest: &str, line_no: usize) -> Result<(Metrics, u64, bool), String> {
     let get = |key: &str| -> Result<u64, String> {
         field(rest, key, line_no)?
             .parse()
@@ -245,12 +232,12 @@ pub(crate) fn parse_summary(rest: &str, line_no: usize) -> Result<(Metrics, u64,
     Ok((metrics, effective_rounds, ok))
 }
 
-/// Parses the attribute list of an `event` line (shared with the cell
-/// cache). The line is split into tokens once, at ASCII whitespace (the
-/// writer separates tokens with single spaces): the bare token names the
-/// event kind, and each `key=value` token fills its attribute (the first
-/// occurrence wins), so attributes may come in any order.
-pub(crate) fn parse_event(rest: &str, line_no: usize) -> Result<TraceEvent, String> {
+/// Parses the attribute list of an `event` line. The line is split into
+/// tokens once, at ASCII whitespace (the writer separates tokens with
+/// single spaces): the bare token names the event kind, and each
+/// `key=value` token fills its attribute (the first occurrence wins), so
+/// attributes may come in any order.
+fn parse_event(rest: &str, line_no: usize) -> Result<TraceEvent, String> {
     let mut kind = None;
     let [mut round, mut from, mut to, mut node, mut cause, mut delay, mut rounds] = [None; 7];
     for token in rest.split_ascii_whitespace() {
