@@ -18,7 +18,7 @@
 //! their decisions are fault-oblivious; a fully inbox-driven GHS is a
 //! ROADMAP follow-on.
 
-use congest_net::{Graph, Network, NodeId};
+use congest_net::{Graph, Network, NodeId, Port};
 use qle::merging::{Clustering, MergeMessage, OutgoingEdge};
 use qle::{Error, LeaderElection, RunOptions, TracedRun};
 
@@ -53,9 +53,9 @@ impl LeaderElection for GhsLe {
         let max_phases = (n.max(2) as f64).log2().ceil() as usize + 2;
         let mut effective_rounds = 0u64;
         // Reusable scratch for reading inboxes back in step 1, and for the
-        // per-sender query dedup of the reply round.
+        // per-port query dedup of the reply round.
         let mut inbox_scratch = Vec::new();
-        let mut query_scratch: Vec<(NodeId, u64)> = Vec::new();
+        let mut query_scratch: Vec<(Port, u64)> = Vec::new();
 
         for _phase in 0..max_phases {
             if clustering.cluster_count() <= 1 {
@@ -70,18 +70,21 @@ impl LeaderElection for GhsLe {
             // edges whose replies it actually received — so drops, outages,
             // latency, and crashes genuinely change which clusters merge
             // (the later tree bookkeeping stays driver-side; see the module
-            // docs). On a fault-free run the messages, rounds, and proposal
+            // docs). Every message goes out by port: queries through ports
+            // `0..deg(v)`, each reply back through its query's arrival port.
+            // On a simple graph ports and neighbours correspond one to one,
+            // so on a fault-free run the messages, rounds, and proposal
             // choices are byte-identical to the omniscient formulation:
-            // inboxes deliver in ascending sender order, which is exactly
-            // the neighbour order the old scan used.
+            // every inbox lists its messages in ascending arrival-port
+            // order, and each reply leaves on the port its query came in.
             let cluster_of = clustering.cluster_of();
             let mut proposals: Vec<Option<OutgoingEdge>> = vec![None; n];
             for (v, &cluster) in cluster_of.iter().enumerate() {
                 if net.node_crashed(v) {
                     continue;
                 }
-                for w in graph.neighbors(v) {
-                    net.send(v, w, MergeMessage::ClusterQuery(cluster))?;
+                for port in 0..graph.degree(v) {
+                    net.send_through_port(v, port, MergeMessage::ClusterQuery(cluster))?;
                 }
             }
             net.advance_round();
@@ -90,27 +93,27 @@ impl LeaderElection for GhsLe {
                     continue;
                 }
                 net.swap_inbox(w, &mut inbox_scratch);
-                // One reply per querying neighbour, answering the freshest
-                // query (the last in delivery order). Today the inbox can
-                // hold at most one query per neighbour — queries travel only
-                // on the direct edge, the CONGEST rule admits one message
-                // per directed edge per round, and constant per-link latency
+                // One reply per arrival port, answering the freshest query
+                // (the last in delivery order). Today the inbox can hold at
+                // most one query per port — queries travel only on the
+                // direct edge, the CONGEST rule admits one message per
+                // directed edge per round, and constant per-link latency
                 // preserves FIFO with at most one maturing message per
                 // barrier (pinned by the fault-plane latency sweep) — but
                 // deduplicating keeps a double `send` on one edge (an
                 // `EdgeBusy` abort) impossible even if a future fault model
                 // adds jittered latency.
                 query_scratch.clear();
-                for &(v, _port, msg) in inbox_scratch.iter() {
+                for &(_, port, msg) in inbox_scratch.iter() {
                     if let MergeMessage::ClusterQuery(c) = msg {
-                        match query_scratch.iter_mut().find(|(from, _)| *from == v) {
+                        match query_scratch.iter_mut().find(|(p, _)| *p == port) {
                             Some(entry) => entry.1 = c,
-                            None => query_scratch.push((v, c)),
+                            None => query_scratch.push((port, c)),
                         }
                     }
                 }
-                for &(v, c) in query_scratch.iter() {
-                    net.send(w, v, MergeMessage::ClusterReply(c != own_cluster))?;
+                for &(port, c) in query_scratch.iter() {
+                    net.send_through_port(w, port, MergeMessage::ClusterReply(c != own_cluster))?;
                 }
             }
             net.advance_round();
@@ -119,8 +122,8 @@ impl LeaderElection for GhsLe {
                     continue;
                 }
                 net.swap_inbox(v, &mut inbox_scratch);
-                // The lowest-port outgoing reply wins, matching the old
-                // neighbour-order scan on the fault-free path.
+                // The lowest-port outgoing reply wins; on the fault-free
+                // path that is the first one delivered.
                 let mut best: Option<(usize, NodeId)> = None;
                 for &(w, port, msg) in inbox_scratch.iter() {
                     if msg == MergeMessage::ClusterReply(true)

@@ -68,7 +68,7 @@ pub(crate) enum ImplicitFamily {
     Star { n: usize },
     /// Cycle `0 — 1 — … — n-1 — 0`, `n >= 3`.
     Cycle { n: usize },
-    /// Hypercube `Q_d` on `2^d` nodes, `1 <= d < usize::BITS`.
+    /// Hypercube `Q_d` on `2^d` nodes, `d >= 1`.
     Hypercube { dims: u32 },
     /// `rows × cols` torus with wrap-around, both sides `>= 3` (smaller
     /// sides collapse wrap edges and stay on the CSR backend).
@@ -86,13 +86,18 @@ impl ImplicitFamily {
         }
     }
 
-    fn directed_edge_count(self) -> usize {
+    /// The directed edge count `2m`, or `None` if it overflows `usize`.
+    /// [`Graph::from_implicit`] rejects the families that overflow, and
+    /// every family has `n <= 2m`, so `node_count` cannot overflow either.
+    fn directed_edge_count(self) -> Option<usize> {
         match self {
-            ImplicitFamily::Complete { n } => n * (n - 1),
-            ImplicitFamily::Star { n } => 2 * (n - 1),
-            ImplicitFamily::Cycle { n } => 2 * n,
-            ImplicitFamily::Hypercube { dims } => (dims as usize) << dims,
-            ImplicitFamily::Torus { rows, cols } => 4 * rows * cols,
+            ImplicitFamily::Complete { n } => n.checked_mul(n - 1),
+            ImplicitFamily::Star { n } => (n - 1).checked_mul(2),
+            ImplicitFamily::Cycle { n } => n.checked_mul(2),
+            ImplicitFamily::Hypercube { dims } => {
+                (dims as usize).checked_mul(1usize.checked_shl(dims)?)
+            }
+            ImplicitFamily::Torus { rows, cols } => rows.checked_mul(cols)?.checked_mul(4),
         }
     }
 
@@ -225,6 +230,20 @@ impl ImplicitFamily {
         }
     }
 
+    /// The neighbour behind port `p` of `v` and the arrival port there:
+    /// `(neighbor(v, p), port_to(neighbor(v, p), v))`, which the torus
+    /// reads off its row rule at both ends in one step.
+    fn delivery(self, v: NodeId, p: Port) -> (NodeId, Port) {
+        if let ImplicitFamily::Torus { rows, cols } = self {
+            return torus_delivery(rows, cols, v, p);
+        }
+        let u = self.neighbor(v, p);
+        (
+            u,
+            self.port_to(u, v).expect("asymmetric implicit adjacency"),
+        )
+    }
+
     /// Eccentricity — every family here is vertex-symmetric enough for a
     /// closed form.
     fn eccentricity(self, v: NodeId) -> usize {
@@ -262,16 +281,71 @@ impl ImplicitFamily {
 
 /// The four torus neighbours of `v`, sorted ascending (the CSR port order).
 /// Both sides are `>= 3`, so the four are pairwise distinct.
+///
+/// The order follows from the rows, without a sort. Let `lo < hi` be the two
+/// neighbours in `v`'s own row, `up` the one in the row above and `down` the
+/// one in the row below, both with wrap-around. Row 0 gives
+/// `[lo, hi, down, up]` (`up` wraps to the last row), the last row gives
+/// `[down, up, lo, hi]` (`down` wraps to row 0), and every other row gives
+/// `[up, lo, hi, down]`; [`torus_row_ports`] holds this rule.
 fn torus_sorted_neighbors(rows: usize, cols: usize, v: NodeId) -> [NodeId; 4] {
-    let (r, c) = (v / cols, v % cols);
-    let mut a = [
-        ((r + rows - 1) % rows) * cols + c,
-        ((r + 1) % rows) * cols + c,
-        r * cols + (c + cols - 1) % cols,
-        r * cols + (c + 1) % cols,
-    ];
-    a.sort_unstable();
-    a
+    let r = v / cols;
+    let row_start = r * cols;
+    let c = v - row_start;
+    let left = row_start + if c == 0 { cols - 1 } else { c - 1 };
+    let right = row_start + if c + 1 == cols { 0 } else { c + 1 };
+    let above = if r == 0 { rows - 1 } else { r - 1 };
+    let below = if r + 1 == rows { 0 } else { r + 1 };
+    let (up, down, lo) = torus_row_ports(rows, r);
+    let mut sorted = [0; 4];
+    sorted[up] = above * cols + c;
+    sorted[down] = below * cols + c;
+    sorted[lo] = left.min(right);
+    sorted[lo + 1] = left.max(right);
+    sorted
+}
+
+/// The row rule of [`torus_sorted_neighbors`] as ports: a node in row `r`
+/// has its `up`, `down` and `lo` neighbours behind the three ports
+/// returned, and `hi` behind `lo + 1`.
+fn torus_row_ports(rows: usize, r: usize) -> (Port, Port, Port) {
+    if r == 0 {
+        (3, 2, 0)
+    } else if r + 1 == rows {
+        (1, 0, 2)
+    } else {
+        (0, 3, 1)
+    }
+}
+
+/// The torus neighbour behind port `p` of `v` and the arrival port there,
+/// read off the row rule at both ends: one division for `v`'s row, and
+/// none for the neighbour's, which differs from `v`'s by at most one.
+fn torus_delivery(rows: usize, cols: usize, v: NodeId, p: Port) -> (NodeId, Port) {
+    let r = v / cols;
+    let row_start = r * cols;
+    let c = v - row_start;
+    let (up, down, lo) = torus_row_ports(rows, r);
+    if p == up {
+        // `v` is the `down` neighbour of the node above it.
+        let above = if r == 0 { rows - 1 } else { r - 1 };
+        (above * cols + c, torus_row_ports(rows, above).1)
+    } else if p == down {
+        let below = if r + 1 == rows { 0 } else { r + 1 };
+        (below * cols + c, torus_row_ports(rows, below).0)
+    } else {
+        // In the first and last columns the right-hand neighbour is `lo`,
+        // because the left-hand one wraps to the row's other end.
+        let edge = |c: usize| c == 0 || c + 1 == cols;
+        if (p == lo) == edge(c) {
+            // Rightwards: `v` is the left-hand neighbour there.
+            let right = if c + 1 == cols { 0 } else { c + 1 };
+            (row_start + right, lo + usize::from(edge(right)))
+        } else {
+            let left = if c == 0 { cols - 1 } else { c - 1 };
+            (row_start + left, lo + usize::from(!edge(left)))
+        }
+    }
 }
 
 /// Storage behind a [`Graph`]: materialized CSR arrays or an implicit
@@ -486,12 +560,22 @@ impl Graph {
         })
     }
 
-    /// Wraps an implicit family; validation (size floors, side lengths) is
-    /// the topology constructors' responsibility.
-    pub(crate) fn from_implicit(family: ImplicitFamily) -> Self {
-        Graph {
-            backend: Backend::Implicit(family),
+    /// Wraps an implicit family whose directed edge count `2m` fits in
+    /// `usize`; the other validation (size floors, side lengths) is the
+    /// topology constructors' responsibility.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidTopology`] if `2m` overflows `usize`.
+    pub(crate) fn from_implicit(family: ImplicitFamily) -> Result<Self, Error> {
+        if family.directed_edge_count().is_none() {
+            return Err(Error::InvalidTopology {
+                reason: format!("{family:?}: the directed edge count 2m overflows usize"),
+            });
         }
+        Ok(Graph {
+            backend: Backend::Implicit(family),
+        })
     }
 
     /// Whether this graph computes its adjacency from a closed form (O(1)
@@ -538,7 +622,9 @@ impl Graph {
     fn directed_edge_count(&self) -> usize {
         match &self.backend {
             Backend::Csr { neighbors, .. } => neighbors.len(),
-            Backend::Implicit(family) => family.directed_edge_count(),
+            Backend::Implicit(family) => family
+                .directed_edge_count()
+                .expect("checked by from_implicit"),
         }
     }
 
@@ -632,8 +718,9 @@ impl Graph {
                 rev_port[offsets[v] + p]
             }
             Backend::Implicit(family) => {
-                let u = self.neighbor(v, p);
-                family.port_to(u, v).expect("asymmetric implicit adjacency")
+                assert!(v < family.node_count(), "node {v} out of range");
+                assert!(p < family.degree(v), "port {p} out of range for node {v}");
+                family.delivery(v, p).1
             }
         }
     }
@@ -667,11 +754,7 @@ impl Graph {
                 if p >= degree {
                     return Err(degree);
                 }
-                let u = family.neighbor(v, p);
-                Ok((
-                    u,
-                    family.port_to(u, v).expect("asymmetric implicit adjacency"),
-                ))
+                Ok(family.delivery(v, p))
             }
         }
     }
@@ -699,13 +782,7 @@ impl Graph {
                 let idx = offsets[v] + p;
                 (neighbors[idx], rev_port[idx])
             }
-            Backend::Implicit(family) => {
-                let u = family.neighbor(v, p);
-                (
-                    u,
-                    family.port_to(u, v).expect("asymmetric implicit adjacency"),
-                )
-            }
+            Backend::Implicit(family) => family.delivery(v, p),
         }
     }
 
@@ -856,20 +933,25 @@ mod tests {
 
     /// Every implicit family instance the unit tests sweep, including the
     /// degenerate floors (K_2, star_2, C_3, Q_1, 3×3 torus) and odd sizes.
+    /// The tori are every `rows × cols` with both sides in `3..=7`, so the
+    /// row rule of the torus port map meets its first, middle and last rows
+    /// and columns on square and oblong shapes with odd and even sides.
     fn implicit_zoo() -> Vec<Graph> {
         let mut zoo = Vec::new();
         for n in [2usize, 3, 5, 8, 17] {
-            zoo.push(Graph::from_implicit(ImplicitFamily::Complete { n }));
-            zoo.push(Graph::from_implicit(ImplicitFamily::Star { n }));
+            zoo.push(Graph::from_implicit(ImplicitFamily::Complete { n }).unwrap());
+            zoo.push(Graph::from_implicit(ImplicitFamily::Star { n }).unwrap());
         }
         for n in [3usize, 4, 7, 16] {
-            zoo.push(Graph::from_implicit(ImplicitFamily::Cycle { n }));
+            zoo.push(Graph::from_implicit(ImplicitFamily::Cycle { n }).unwrap());
         }
         for dims in [1u32, 2, 3, 5] {
-            zoo.push(Graph::from_implicit(ImplicitFamily::Hypercube { dims }));
+            zoo.push(Graph::from_implicit(ImplicitFamily::Hypercube { dims }).unwrap());
         }
-        for (rows, cols) in [(3usize, 3usize), (3, 5), (4, 3), (5, 7)] {
-            zoo.push(Graph::from_implicit(ImplicitFamily::Torus { rows, cols }));
+        for rows in 3usize..=7 {
+            for cols in 3usize..=7 {
+                zoo.push(Graph::from_implicit(ImplicitFamily::Torus { rows, cols }).unwrap());
+            }
         }
         zoo
     }
@@ -993,6 +1075,7 @@ mod tests {
                 );
                 for p in 0..g.degree(v) {
                     assert_eq!(g.reverse_port_at(v, p), csr.reverse_port_at(v, p));
+                    assert_eq!(g.delivery_slot(v, p), csr.delivery_slot(v, p));
                 }
                 for u in 0..g.node_count() {
                     assert_eq!(g.port_to(v, u), csr.port_to(v, u), "port_to({v}, {u})");
@@ -1031,7 +1114,7 @@ mod tests {
     fn implicit_graph_memory_is_constant() {
         // The point of the backend: a graph whose CSR arrays would need
         // ~2^40 slots is a couple of machine words.
-        let g = Graph::from_implicit(ImplicitFamily::Complete { n: 1 << 20 });
+        let g = Graph::from_implicit(ImplicitFamily::Complete { n: 1 << 20 }).unwrap();
         assert_eq!(g.node_count(), 1 << 20);
         assert_eq!(g.directed_edge_count(), (1 << 20) * ((1 << 20) - 1));
         assert_eq!(std::mem::size_of::<Graph>(), std::mem::size_of::<Backend>());
@@ -1047,7 +1130,7 @@ mod tests {
 
     #[test]
     fn neighbors_iterator_is_double_ended_and_exact() {
-        let g = Graph::from_implicit(ImplicitFamily::Hypercube { dims: 4 });
+        let g = Graph::from_implicit(ImplicitFamily::Hypercube { dims: 4 }).unwrap();
         let forward: Vec<_> = g.neighbors(11).collect();
         let mut backward: Vec<_> = g.neighbors(11).rev().collect();
         backward.reverse();

@@ -10,14 +10,15 @@ use crate::graph::{Graph, ImplicitFamily};
 ///
 /// # Errors
 ///
-/// Returns [`Error::InvalidTopology`] if `n < 2`.
+/// Returns [`Error::InvalidTopology`] if `n < 2`, or if the directed edge
+/// count `n·(n-1)` overflows `usize`.
 pub fn complete(n: usize) -> Result<Graph, Error> {
     if n < 2 {
         return Err(Error::InvalidTopology {
             reason: format!("complete graph needs n >= 2, got {n}"),
         });
     }
-    Ok(Graph::from_implicit(ImplicitFamily::Complete { n }))
+    Graph::from_implicit(ImplicitFamily::Complete { n })
 }
 
 /// The star graph with centre `0` and `n - 1` leaves, used in the worked
@@ -27,14 +28,15 @@ pub fn complete(n: usize) -> Result<Graph, Error> {
 ///
 /// # Errors
 ///
-/// Returns [`Error::InvalidTopology`] if `n < 2`.
+/// Returns [`Error::InvalidTopology`] if `n < 2`, or if the directed edge
+/// count `2·(n-1)` overflows `usize`.
 pub fn star(n: usize) -> Result<Graph, Error> {
     if n < 2 {
         return Err(Error::InvalidTopology {
             reason: format!("star graph needs n >= 2, got {n}"),
         });
     }
-    Ok(Graph::from_implicit(ImplicitFamily::Star { n }))
+    Graph::from_implicit(ImplicitFamily::Star { n })
 }
 
 /// The cycle `C_n`.
@@ -43,14 +45,15 @@ pub fn star(n: usize) -> Result<Graph, Error> {
 ///
 /// # Errors
 ///
-/// Returns [`Error::InvalidTopology`] if `n < 3`.
+/// Returns [`Error::InvalidTopology`] if `n < 3`, or if the directed edge
+/// count `2n` overflows `usize`.
 pub fn cycle(n: usize) -> Result<Graph, Error> {
     if n < 3 {
         return Err(Error::InvalidTopology {
             reason: format!("cycle needs n >= 3, got {n}"),
         });
     }
-    Ok(Graph::from_implicit(ImplicitFamily::Cycle { n }))
+    Graph::from_implicit(ImplicitFamily::Cycle { n })
 }
 
 /// The path `P_n`.

@@ -136,6 +136,42 @@ mod tests {
         }
     }
 
+    /// Both sides of each implicit family's overflow boundary: the largest
+    /// instance whose directed edge count `2m` fits in a 64-bit `usize` is
+    /// accepted with exact counts, the next one is rejected. A torus with a
+    /// side of 2 is rejected before its CSR arrays are sized.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn implicit_families_reject_edge_counts_that_overflow_usize() {
+        let invalid = |r: Result<Graph, Error>| matches!(r, Err(Error::InvalidTopology { .. }));
+
+        let g = torus(1 << 31, (1 << 31) - 1).unwrap();
+        assert_eq!(g.node_count(), (1 << 31) * ((1 << 31) - 1));
+        assert_eq!(g.edge_count(), (1 << 32) * ((1 << 31) - 1));
+        assert!(invalid(torus(1 << 31, 1 << 31)));
+        assert!(invalid(torus(1 << 32, 1 << 32)));
+        // A side of 2 stays on CSR, under the same bound.
+        assert!(invalid(torus(2, 1 << 62)));
+        assert!(invalid(torus(usize::MAX, 2)));
+
+        let g = complete(1 << 32).unwrap();
+        assert_eq!(g.edge_count(), (1 << 31) * ((1 << 32) - 1));
+        assert!(invalid(complete((1 << 32) + 1)));
+
+        let g = hypercube(58).unwrap();
+        assert_eq!(g.node_count(), 1 << 58);
+        assert_eq!(g.edge_count(), 58 << 57);
+        assert!(invalid(hypercube(59)));
+        assert!(invalid(hypercube(63)));
+        assert!(invalid(hypercube(64)));
+
+        let half = usize::MAX / 2;
+        assert_eq!(star(half + 1).unwrap().edge_count(), half);
+        assert!(invalid(star(half + 2)));
+        assert_eq!(cycle(half).unwrap().edge_count(), half);
+        assert!(invalid(cycle(half + 1)));
+    }
+
     #[test]
     fn family_names_are_distinct() {
         let names = [

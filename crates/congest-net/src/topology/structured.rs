@@ -16,19 +16,15 @@ use crate::graph::{Graph, ImplicitFamily};
 ///
 /// # Errors
 ///
-/// Returns [`Error::InvalidTopology`] if `d == 0` or `2^d` overflows `usize`.
+/// Returns [`Error::InvalidTopology`] if `d == 0`, or if the directed edge
+/// count `d·2^d` overflows `usize` (on 64-bit targets: if `d > 58`).
 pub fn hypercube(d: u32) -> Result<Graph, Error> {
     if d == 0 {
         return Err(Error::InvalidTopology {
             reason: "hypercube dimension must be >= 1".into(),
         });
     }
-    if d >= usize::BITS {
-        return Err(Error::InvalidTopology {
-            reason: format!("hypercube dimension {d} too large"),
-        });
-    }
-    Ok(Graph::from_implicit(ImplicitFamily::Hypercube { dims: d }))
+    Graph::from_implicit(ImplicitFamily::Hypercube { dims: d })
 }
 
 /// The `rows × cols` two-dimensional torus (wrap-around grid).
@@ -39,9 +35,11 @@ pub fn hypercube(d: u32) -> Result<Graph, Error> {
 ///
 /// # Errors
 ///
-/// Returns [`Error::InvalidTopology`] if either side is `< 2`, or if the
+/// Returns [`Error::InvalidTopology`] if either side is `< 2`, if the
 /// torus would degenerate into a multigraph (side of exactly 2 is allowed and
-/// handled by collapsing the duplicate wrap edge).
+/// handled by collapsing the duplicate wrap edge), or if `4·rows·cols`
+/// overflows `usize` (the directed edge count `2m` when both sides are
+/// `>= 3`, and a bound on it otherwise).
 pub fn torus(rows: usize, cols: usize) -> Result<Graph, Error> {
     if rows < 2 || cols < 2 {
         return Err(Error::InvalidTopology {
@@ -49,9 +47,16 @@ pub fn torus(rows: usize, cols: usize) -> Result<Graph, Error> {
         });
     }
     if rows >= 3 && cols >= 3 {
-        return Ok(Graph::from_implicit(ImplicitFamily::Torus { rows, cols }));
+        return Graph::from_implicit(ImplicitFamily::Torus { rows, cols });
     }
-    let n = rows * cols;
+    let Some(n) = rows
+        .checked_mul(cols)
+        .filter(|n| n.checked_mul(4).is_some())
+    else {
+        return Err(Error::InvalidTopology {
+            reason: format!("torus {rows}x{cols}: the directed edge count overflows usize"),
+        });
+    };
     let idx = |r: usize, c: usize| r * cols + c;
     let mut edges = Vec::with_capacity(2 * n);
     for r in 0..rows {

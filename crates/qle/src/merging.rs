@@ -25,8 +25,12 @@
 //!
 //! These phases run off driver-side tree state: their sends are charged on
 //! the network, but their decisions are fault-oblivious.
-
-use std::collections::{HashMap, HashSet};
+//!
+//! The cluster trees change only when clusters merge, so [`Clustering`]
+//! walks each tree once per phase: `merge` rebuilds one flat breadth-first
+//! order of every tree after it installs the new tree edges. Step 3's
+//! broadcast, the next phase's convergecast and both matching broadcasts,
+//! and [`Clustering::announce_leaders`] all read that order.
 
 use congest_net::{Network, NodeId, Payload};
 
@@ -83,12 +87,29 @@ pub struct PhaseDepths {
 #[derive(Debug)]
 pub struct Clustering {
     cluster_of: Vec<u64>,
-    /// Spanning-tree adjacency (tree edges are always graph edges).
+    /// Spanning-tree adjacency (tree edges are always graph edges). A
+    /// matched pair installs both of its chosen edges, so a node's list can
+    /// repeat a neighbour and the edges can close cycles; the walk's `seen`
+    /// marks keep `tree_order` a tree.
     tree_adj: Vec<Vec<NodeId>>,
     /// The distinct values of `cluster_of`, ascending.
     ids: Vec<u64>,
-    /// `tree_order`'s visited marks, all `false` between calls.
+    /// Every cluster tree's breadth-first order as `(node, parent)` pairs,
+    /// clusters in `ids` order: the walk starts at the centre (the only
+    /// entry without a parent), follows `tree_adj` in insertion order, and
+    /// skips nodes already seen and nodes of other clusters. Cluster
+    /// `ids[i]`'s walk is `tree_order[tree_starts[i]..tree_starts[i + 1]]`.
+    /// Built by `singletons`, rebuilt by `merge`, read by every
+    /// convergecast and broadcast.
+    tree_order: Vec<(NodeId, Option<NodeId>)>,
+    /// The walks' start offsets into `tree_order`, plus its length.
+    tree_starts: Vec<usize>,
+    /// The walk's visited marks, all `false` between rebuilds.
     seen: Vec<bool>,
+    /// The root each cluster id merges into this phase, indexed by cluster
+    /// id: set by the matching and the hooks, cleared when `merge` maps
+    /// the old ids through it.
+    new_root: Vec<Option<u64>>,
 }
 
 impl Clustering {
@@ -99,7 +120,10 @@ impl Clustering {
             cluster_of: (0..n as u64).collect(),
             tree_adj: vec![Vec::new(); n],
             ids: (0..n as u64).collect(),
+            tree_order: (0..n).map(|v| (v, None)).collect(),
+            tree_starts: (0..=n).collect(),
             seen: vec![false; n],
+            new_root: vec![None; n],
         }
     }
 
@@ -115,43 +139,64 @@ impl Clustering {
         self.ids.len()
     }
 
-    /// Breadth-first order of the cluster tree from its centre, as
-    /// `(node, parent)` pairs; used for convergecast/broadcast charging.
-    fn tree_order(&mut self, cluster: u64) -> Vec<(NodeId, Option<NodeId>)> {
-        let center = cluster as NodeId;
-        let mut order = vec![(center, None)];
-        self.seen[center] = true;
-        // The order doubles as the queue: entries from `head` on are still
-        // to be expanded.
-        let mut head = 0;
-        while let Some(&(v, _)) = order.get(head) {
-            head += 1;
-            for &u in &self.tree_adj[v] {
-                if !self.seen[u] && self.cluster_of[u] == cluster {
-                    self.seen[u] = true;
-                    order.push((u, Some(v)));
+    /// Each cluster id with its tree's breadth-first `(node, parent)` walk,
+    /// in ascending id order.
+    fn trees(&self) -> impl Iterator<Item = (u64, &[(NodeId, Option<NodeId>)])> {
+        self.ids
+            .iter()
+            .zip(self.tree_starts.windows(2))
+            .map(|(&cluster, w)| (cluster, &self.tree_order[w[0]..w[1]]))
+    }
+
+    /// Rebuilds `tree_order` and `tree_starts` from `tree_adj`, one
+    /// breadth-first walk per cluster in ascending id order.
+    fn walk_trees(&mut self) {
+        let Clustering {
+            cluster_of,
+            tree_adj,
+            ids,
+            tree_order,
+            tree_starts,
+            seen,
+            ..
+        } = self;
+        tree_order.clear();
+        tree_starts.clear();
+        for &cluster in ids.iter() {
+            let center = cluster as NodeId;
+            // Each walk doubles as its own queue: entries from `head` on
+            // are still to be expanded.
+            let mut head = tree_order.len();
+            tree_starts.push(head);
+            tree_order.push((center, None));
+            seen[center] = true;
+            while let Some(&(v, _)) = tree_order.get(head) {
+                head += 1;
+                for &u in &tree_adj[v] {
+                    if !seen[u] && cluster_of[u] == cluster {
+                        seen[u] = true;
+                        tree_order.push((u, Some(v)));
+                    }
                 }
             }
         }
-        for &(v, _) in &order {
-            self.seen[v] = false;
+        tree_starts.push(tree_order.len());
+        for &(v, _) in tree_order.iter() {
+            seen[v] = false;
         }
-        order
     }
 
     /// Sends `msg(cluster)` from every tree node to its children, over every
     /// cluster in ascending id order, and returns the largest tree's size.
     fn broadcast_down(
-        &mut self,
+        &self,
         net: &mut Network<MergeMessage>,
         msg: fn(u64) -> MergeMessage,
     ) -> Result<u64, Error> {
         let mut largest = 0u64;
-        for i in 0..self.ids.len() {
-            let cluster = self.ids[i];
-            let order = self.tree_order(cluster);
-            largest = largest.max(order.len() as u64);
-            for &(node, parent) in order.iter().skip(1) {
+        for (cluster, tree) in self.trees() {
+            largest = largest.max(tree.len() as u64);
+            for &(node, parent) in tree {
                 if let Some(parent) = parent {
                     net.send(parent, node, msg(cluster))?;
                 }
@@ -174,8 +219,8 @@ impl Clustering {
         matching_rounds: u64,
     ) -> Result<PhaseDepths, Error> {
         let (chosen, tree) = self.convergecast(net, proposals)?;
-        let matched = self.match_clusters(net, &chosen, matching_rounds)?;
-        let merged = self.merge(net, &chosen, &matched)?;
+        self.match_clusters(net, &chosen, matching_rounds)?;
+        let merged = self.merge(net, &chosen)?;
         Ok(PhaseDepths { tree, merged })
     }
 
@@ -184,20 +229,18 @@ impl Clustering {
     /// tree edge carries at most one proposal), one round per cluster.
     /// Returns each cluster's chosen edge and the largest tree's size.
     fn convergecast(
-        &mut self,
+        &self,
         net: &mut Network<MergeMessage>,
         proposals: &[Option<OutgoingEdge>],
     ) -> Result<(Vec<(u64, OutgoingEdge)>, u64), Error> {
         let mut chosen = Vec::new();
         let mut largest = 0u64;
-        for i in 0..self.ids.len() {
-            let cluster = self.ids[i];
-            let order = self.tree_order(cluster);
-            largest = largest.max(order.len() as u64);
+        for (cluster, tree) in self.trees() {
+            largest = largest.max(tree.len() as u64);
             let mut best: Option<OutgoingEdge> = None;
             // Walk the tree bottom-up: each non-centre node forwards the
             // best proposal seen in its subtree to its parent.
-            for &(node, parent) in order.iter().rev() {
+            for &(node, parent) in tree.iter().rev() {
                 if best.is_none() || (proposals[node].is_some() && proposals[node] < best) {
                     best = proposals[node];
                 }
@@ -220,13 +263,14 @@ impl Clustering {
     /// Step 2: a maximal matching on the cluster supergraph. Each matching
     /// round costs one broadcast per cluster tree plus one message across
     /// each chosen edge; the matching itself is greedy over the chosen
-    /// edges in cluster order.
+    /// edges in cluster order, and each matched pair's `new_root` is the
+    /// smaller of its two ids.
     fn match_clusters(
         &mut self,
         net: &mut Network<MergeMessage>,
         chosen: &[(u64, OutgoingEdge)],
         rounds: u64,
-    ) -> Result<Vec<(u64, u64)>, Error> {
+    ) -> Result<(), Error> {
         for _ in 0..rounds {
             self.broadcast_down(net, MergeMessage::Matching)?;
             for &(_, (from, to)) in chosen {
@@ -234,17 +278,16 @@ impl Clustering {
             }
             net.advance_round();
         }
-        let mut matched = Vec::new();
-        let mut in_matching: HashSet<u64> = HashSet::new();
         for &(a, (_, to)) in chosen {
             let b = self.cluster_of[to];
-            if a != b && !in_matching.contains(&a) && !in_matching.contains(&b) {
-                in_matching.insert(a);
-                in_matching.insert(b);
-                matched.push((a, b));
+            if a != b && self.new_root[a as usize].is_none() && self.new_root[b as usize].is_none()
+            {
+                let root = Some(a.min(b));
+                self.new_root[a as usize] = root;
+                self.new_root[b as usize] = root;
             }
         }
-        Ok(matched)
+        Ok(())
     }
 
     /// Step 3: matched pairs merge along their chosen edge; an unmatched
@@ -256,42 +299,40 @@ impl Clustering {
         &mut self,
         net: &mut Network<MergeMessage>,
         chosen: &[(u64, OutgoingEdge)],
-        matched: &[(u64, u64)],
     ) -> Result<u64, Error> {
-        let mut new_root: HashMap<u64, u64> = HashMap::new();
-        for &(a, b) in matched {
-            let root = a.min(b);
-            new_root.insert(a, root);
-            new_root.insert(b, root);
-        }
+        let new_root = &mut self.new_root;
         for &(cluster, (_, to)) in chosen {
-            if !new_root.contains_key(&cluster) {
+            if new_root[cluster as usize].is_none() {
                 let other = self.cluster_of[to];
-                let root = new_root
-                    .get(&other)
-                    .copied()
-                    .unwrap_or_else(|| other.min(cluster));
-                new_root.insert(cluster, root);
-                new_root.entry(other).or_insert(root);
+                let root = new_root[other as usize].unwrap_or_else(|| other.min(cluster));
+                new_root[cluster as usize] = Some(root);
+                new_root[other as usize].get_or_insert(root);
             }
         }
         // Install the new tree edges (each chosen edge used for a merge).
         for &(cluster, (from, to)) in chosen {
-            let this_root = new_root.get(&cluster).copied();
-            let other_root = new_root.get(&self.cluster_of[to]).copied();
+            let this_root = new_root[cluster as usize];
+            let other_root = new_root[self.cluster_of[to] as usize];
             if this_root.is_some() && this_root == other_root {
                 self.tree_adj[from].push(to);
                 self.tree_adj[to].push(from);
             }
         }
         for cluster in &mut self.cluster_of {
-            if let Some(&root) = new_root.get(cluster) {
+            if let Some(root) = new_root[*cluster as usize] {
                 *cluster = root;
             }
         }
-        self.ids.clone_from(&self.cluster_of);
+        // Every id `new_root` holds is an old cluster id, so mapping the
+        // old ids through it also clears it for the next phase.
+        for id in &mut self.ids {
+            if let Some(root) = new_root[*id as usize].take() {
+                *id = root;
+            }
+        }
         self.ids.sort_unstable();
         self.ids.dedup();
+        self.walk_trees();
         let merged = self.broadcast_down(net, MergeMessage::NewCluster)?;
         net.advance_round();
         Ok(merged)
@@ -306,7 +347,7 @@ impl Clustering {
     /// Returns a network error if a send breaks the CONGEST rules (a
     /// protocol bug).
     pub fn announce_leaders(
-        &mut self,
+        &self,
         net: &mut Network<MergeMessage>,
     ) -> Result<Vec<NodeStatus>, Error> {
         let mut statuses = vec![NodeStatus::NonElected; self.cluster_of.len()];
@@ -358,7 +399,8 @@ mod tests {
         let proposals = [None, Some((1, 2)), None, Some((3, 0))];
         clustering.merge_phase(&mut net, &proposals, 1).unwrap();
         assert_eq!(clustering.cluster_of(), &[0, 0, 0, 0]);
-        let order = clustering.tree_order(0);
+        assert_eq!(clustering.tree_starts, [0, 4], "one walk over all four");
+        let order = &clustering.tree_order;
         let mut nodes: Vec<NodeId> = order.iter().map(|&(v, _)| v).collect();
         nodes.sort_unstable();
         assert_eq!(nodes, [0, 1, 2, 3], "every node listed once");

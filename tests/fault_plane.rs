@@ -172,6 +172,35 @@ fn faulty_ghs_golden_with_trace() {
         .any(|e| matches!(e, TraceEvent::NodeCrashed { node: 11, round: 5 })));
 }
 
+/// GHS under drops, an outage and a crash runs the same on the implicit
+/// torus as on its CSR twin: the port maps agree, so every send, drop and
+/// trace event lands in the same place.
+#[test]
+fn faulty_ghs_is_identical_on_implicit_and_csr_tori() {
+    let torus = topology::torus(12, 20).unwrap();
+    let csr = torus.materialize();
+    assert!(torus.is_implicit() && !csr.is_implicit());
+    let opts = RunOptions {
+        fault_plan: Some(
+            FaultPlan::new(21)
+                .drop_probability(0.05)
+                .link_outage(3, 4, 2, 8)
+                .crash(37, 5),
+        ),
+        trace: true,
+        ..RunOptions::default()
+    };
+    let a = GhsLe::new().run_with(&torus, 5, &opts).unwrap();
+    let b = GhsLe::new().run_with(&csr, 5, &opts).unwrap();
+    assert_eq!(a, b, "implicit and CSR tori must give the same run");
+    assert_eq!(a.run.cost.total_messages(), 16_581);
+    assert_eq!(a.run.cost.metrics.rounds, 437);
+    assert_eq!(a.run.cost.metrics.dropped_messages, 881);
+    assert_eq!(a.run.cost.metrics.crashed_nodes, 1);
+    assert_eq!(a.trace.len(), 882, "881 drops + 1 crash event");
+    assert_eq!(a.run.cost.effective_rounds, 1_679);
+}
+
 /// Crash semantics on the runtime: a crashed node is skipped by the engine
 /// (it neither sends nor draws randomness) and messages to it are dropped.
 #[test]
