@@ -278,13 +278,13 @@ impl Clustering {
             }
             net.advance_round();
         }
+        let new_root = &mut self.new_root;
         for &(a, (_, to)) in chosen {
             let b = self.cluster_of[to];
-            if a != b && self.new_root[a as usize].is_none() && self.new_root[b as usize].is_none()
-            {
+            if a != b && new_root[a as usize].is_none() && new_root[b as usize].is_none() {
                 let root = Some(a.min(b));
-                self.new_root[a as usize] = root;
-                self.new_root[b as usize] = root;
+                new_root[a as usize] = root;
+                new_root[b as usize] = root;
             }
         }
         Ok(())
