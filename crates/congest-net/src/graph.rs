@@ -230,20 +230,6 @@ impl ImplicitFamily {
         }
     }
 
-    /// The neighbour behind port `p` of `v` and the arrival port there:
-    /// `(neighbor(v, p), port_to(neighbor(v, p), v))`, which the torus
-    /// reads off its row rule at both ends in one step.
-    fn delivery(self, v: NodeId, p: Port) -> (NodeId, Port) {
-        if let ImplicitFamily::Torus { rows, cols } = self {
-            return torus_delivery(rows, cols, v, p);
-        }
-        let u = self.neighbor(v, p);
-        (
-            u,
-            self.port_to(u, v).expect("asymmetric implicit adjacency"),
-        )
-    }
-
     /// Eccentricity — every family here is vertex-symmetric enough for a
     /// closed form.
     fn eccentricity(self, v: NodeId) -> usize {
@@ -287,64 +273,23 @@ impl ImplicitFamily {
 /// one in the row below, both with wrap-around. Row 0 gives
 /// `[lo, hi, down, up]` (`up` wraps to the last row), the last row gives
 /// `[down, up, lo, hi]` (`down` wraps to row 0), and every other row gives
-/// `[up, lo, hi, down]`; [`torus_row_ports`] holds this rule.
+/// `[up, lo, hi, down]`.
 fn torus_sorted_neighbors(rows: usize, cols: usize, v: NodeId) -> [NodeId; 4] {
     let r = v / cols;
     let row_start = r * cols;
     let c = v - row_start;
     let left = row_start + if c == 0 { cols - 1 } else { c - 1 };
     let right = row_start + if c + 1 == cols { 0 } else { c + 1 };
+    let (lo, hi) = (left.min(right), left.max(right));
     let above = if r == 0 { rows - 1 } else { r - 1 };
     let below = if r + 1 == rows { 0 } else { r + 1 };
-    let (up, down, lo) = torus_row_ports(rows, r);
-    let mut sorted = [0; 4];
-    sorted[up] = above * cols + c;
-    sorted[down] = below * cols + c;
-    sorted[lo] = left.min(right);
-    sorted[lo + 1] = left.max(right);
-    sorted
-}
-
-/// The row rule of [`torus_sorted_neighbors`] as ports: a node in row `r`
-/// has its `up`, `down` and `lo` neighbours behind the three ports
-/// returned, and `hi` behind `lo + 1`.
-fn torus_row_ports(rows: usize, r: usize) -> (Port, Port, Port) {
+    let (up, down) = (above * cols + c, below * cols + c);
     if r == 0 {
-        (3, 2, 0)
+        [lo, hi, down, up]
     } else if r + 1 == rows {
-        (1, 0, 2)
+        [down, up, lo, hi]
     } else {
-        (0, 3, 1)
-    }
-}
-
-/// The torus neighbour behind port `p` of `v` and the arrival port there,
-/// read off the row rule at both ends: one division for `v`'s row, and
-/// none for the neighbour's, which differs from `v`'s by at most one.
-fn torus_delivery(rows: usize, cols: usize, v: NodeId, p: Port) -> (NodeId, Port) {
-    let r = v / cols;
-    let row_start = r * cols;
-    let c = v - row_start;
-    let (up, down, lo) = torus_row_ports(rows, r);
-    if p == up {
-        // `v` is the `down` neighbour of the node above it.
-        let above = if r == 0 { rows - 1 } else { r - 1 };
-        (above * cols + c, torus_row_ports(rows, above).1)
-    } else if p == down {
-        let below = if r + 1 == rows { 0 } else { r + 1 };
-        (below * cols + c, torus_row_ports(rows, below).0)
-    } else {
-        // In the first and last columns the right-hand neighbour is `lo`,
-        // because the left-hand one wraps to the row's other end.
-        let edge = |c: usize| c == 0 || c + 1 == cols;
-        if (p == lo) == edge(c) {
-            // Rightwards: `v` is the left-hand neighbour there.
-            let right = if c + 1 == cols { 0 } else { c + 1 };
-            (row_start + right, lo + usize::from(edge(right)))
-        } else {
-            let left = if c == 0 { cols - 1 } else { c - 1 };
-            (row_start + left, lo + usize::from(!edge(left)))
-        }
+        [up, lo, hi, down]
     }
 }
 
@@ -718,9 +663,8 @@ impl Graph {
                 rev_port[offsets[v] + p]
             }
             Backend::Implicit(family) => {
-                assert!(v < family.node_count(), "node {v} out of range");
-                assert!(p < family.degree(v), "port {p} out of range for node {v}");
-                family.delivery(v, p).1
+                let u = self.neighbor(v, p);
+                family.port_to(u, v).expect("asymmetric implicit adjacency")
             }
         }
     }
@@ -754,7 +698,11 @@ impl Graph {
                 if p >= degree {
                     return Err(degree);
                 }
-                Ok(family.delivery(v, p))
+                let u = family.neighbor(v, p);
+                Ok((
+                    u,
+                    family.port_to(u, v).expect("asymmetric implicit adjacency"),
+                ))
             }
         }
     }
@@ -782,7 +730,13 @@ impl Graph {
                 let idx = offsets[v] + p;
                 (neighbors[idx], rev_port[idx])
             }
-            Backend::Implicit(family) => family.delivery(v, p),
+            Backend::Implicit(family) => {
+                let u = family.neighbor(v, p);
+                (
+                    u,
+                    family.port_to(u, v).expect("asymmetric implicit adjacency"),
+                )
+            }
         }
     }
 
