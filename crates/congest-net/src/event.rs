@@ -24,8 +24,8 @@
 //!   buckets in the same delivery order, so fault delays and scheduler
 //!   skews share one total order: by due time, then by parking order.
 //! * **Determinism**: each scheduler draws from a dedicated PRNG stream
-//!   (`plan seed ⊕ "SCHEDULE"` salt — like the fault plane's `BYZ_MUTA` /
-//!   `ADV_DROP` streams), consulted only at the barrier in delivery order,
+//!   (`plan seed ⊕ "SCHEDULE"` salt — like the fault plane's `ADV_DROP`
+//!   stream), consulted only at the barrier in delivery order,
 //!   which is send order. So identical `(spec, seed, scheduler)` produce
 //!   byte-identical metrics, history, and trace.
 //! * **Equivalence theorem**: under [`SchedulerKind::Synchronous`] the
@@ -41,8 +41,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Seed salt for the dedicated scheduler stream, so installing a scheduler
-/// never perturbs the node, drop, mutation, or adversary streams (the same
-/// convention as the fault plane's `BYZ_MUTA` / `ADV_DROP` salts).
+/// never perturbs the node, drop, or adversary streams (the same convention
+/// as the fault plane's `ADV_DROP` salt).
 const SCHEDULER_STREAM_SALT: u64 = 0x5343_4845_4455_4c45; // "SCHEDULE"
 
 /// The scheduler adversary families event mode ships.

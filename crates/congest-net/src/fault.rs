@@ -1,7 +1,7 @@
 //! The fault-injection plane: declarative, seeded fault plans consulted at
 //! the round barrier.
 //!
-//! A [`FaultPlan`] describes seven fault classes, all deterministic for a
+//! A [`FaultPlan`] describes six fault classes, all deterministic for a
 //! given plan:
 //!
 //! * **seeded message drops** — every delivered message is dropped with a
@@ -23,31 +23,16 @@
 //!   resumes at round `until` with whatever state its
 //!   [`NodeProgram::on_recover`](crate::runtime::NodeProgram::on_recover)
 //!   hook reconstructs (the default keeps the pre-crash state);
-//! * **Byzantine windows** — during `[from, until)` a node *lies*: every
-//!   outgoing message that survives the drop checks passes through the
-//!   payload's [`Payload::mutate`] hook,
-//!   driven by a dedicated mutation PRNG stream. Each outgoing message
-//!   draws its own mutation, so one node can emit **different** corrupted
-//!   payloads on different ports in the same round (equivocation);
 //! * **adversarial drop scheduling** — instead of (or on top of) the
 //!   uniform drop lottery, a seeded scheduler strikes up to `k` messages
 //!   per round chosen among those crossing a directed link **for the first
 //!   time in the run** — the protocol's frontier — which is where a flood
-//!   or an election actually makes progress.
-//!
-//! # Adversarial faults: mutation only through the plan
-//!
-//! Payloads are `Clone` values owned by the network between the send and
-//! the barrier; **the only code path that ever rewrites one is the
-//! barrier's mutation hook, and only inside a Byzantine window**. The
-//! mutation stream and the adversary stream are separate PRNGs, seeded
-//! from the plan seed XOR-ed with distinct per-stream salts, and each is
-//! instantiated only when its fault class is configured — so adding a
-//! Byzantine window to a plan perturbs neither the drop lottery nor
-//! protocol randomness, and an empty window (or a `k = 0` adversary) is
-//! byte-identical to no plan at all. Struck messages are dropped *before*
-//! the uniform drop lottery would run, so the drop stream is not consumed
-//! for them.
+//!   or an election actually makes progress. The scheduler draws from its
+//!   own stream, seeded from the plan seed XOR-ed with a salt and
+//!   instantiated only when `k > 0`, so a `k = 0` adversary is
+//!   byte-identical to no plan at all. Struck messages are dropped *before*
+//!   the uniform drop lottery would run, so the drop stream is not consumed
+//!   for them.
 //!
 //! # Determinism and delivery order
 //!
@@ -86,14 +71,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::graph::{Graph, NodeId, Port};
-use crate::message::Payload;
 use crate::metrics::MetricsRecorder;
 
-/// Seed salt for the dedicated Byzantine payload-mutation stream (the drop
+/// Seed salt for the dedicated adversarial drop-scheduler stream (the drop
 /// stream uses the plan seed unsalted, so the streams never collide).
-const MUTATION_STREAM_SALT: u64 = 0x4259_5a5f_4d55_5441; // "BYZ_MUTA"
-
-/// Seed salt for the dedicated adversarial drop-scheduler stream.
 const ADVERSARY_STREAM_SALT: u64 = 0x4144_565f_4452_4f50; // "ADV_DROP"
 
 /// A declarative fault schedule for one network execution. Built with the
@@ -107,20 +88,18 @@ const ADVERSARY_STREAM_SALT: u64 = 0x4144_565f_4452_4f50; // "ADV_DROP"
 ///
 /// // Drop 5% of messages, take link {0, 1} down for rounds 2..10, delay
 /// // link {2, 3} by 3 rounds, crash node 7 for good at round 4, crash
-/// // node 5 at round 1 with recovery at round 6, make node 2 Byzantine
-/// // during rounds 3..9, and strike 2 frontier links per round.
+/// // node 5 at round 1 with recovery at round 6, and strike 2 frontier
+/// // links per round.
 /// let plan = FaultPlan::new(9)
 ///     .drop_probability(0.05)
 ///     .link_outage(0, 1, 2, 10)
 ///     .link_latency(2, 3, 3)
 ///     .crash(7, 4)
 ///     .crash_recover(5, 1, 6)
-///     .byzantine(2, 3, 9)
 ///     .adversarial_drops(2);
 /// assert!(!plan.is_empty());
 /// assert_eq!(plan.latencies().len(), 1);
 /// assert_eq!(plan.crashes().len(), 2);
-/// assert_eq!(plan.byzantines().len(), 1);
 /// assert_eq!(plan.adversarial_drops_per_round(), 2);
 ///
 /// // A freshly seeded plan injects nothing; installing it is byte-identical
@@ -134,7 +113,6 @@ pub struct FaultPlan {
     outages: Vec<LinkOutage>,
     latencies: Vec<LinkLatency>,
     crashes: Vec<CrashPoint>,
-    byzantines: Vec<ByzantineWindow>,
     adversarial_drops: u64,
 }
 
@@ -183,23 +161,6 @@ pub struct CrashPoint {
     pub round: u64,
     /// The first round the node participates in again (`u64::MAX` = never).
     pub recover_round: u64,
-}
-
-/// A Byzantine window: during rounds `from_round..until_round` every
-/// outgoing message of `node` that survives the drop checks passes through
-/// the payload's [`Payload::mutate`] hook,
-/// driven by the plan's dedicated mutation PRNG stream. Each message draws
-/// its own mutation, so the node can equivocate — emit different corrupted
-/// payloads on different ports in the same round. A `until_round` of
-/// `u64::MAX` keeps the node Byzantine for the whole run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ByzantineWindow {
-    /// The lying node.
-    pub node: NodeId,
-    /// First Byzantine round (inclusive).
-    pub from_round: u64,
-    /// End of the window (exclusive; `u64::MAX` = forever).
-    pub until_round: u64,
 }
 
 impl FaultPlan {
@@ -276,24 +237,6 @@ impl FaultPlan {
         self
     }
 
-    /// Makes `node` Byzantine during rounds `from_round..until_round`: its
-    /// surviving outgoing messages are mutated through
-    /// [`Payload::mutate`], each with an
-    /// independent draw from the dedicated mutation stream (so different
-    /// ports can carry different lies — equivocation). An empty window
-    /// (`until_round <= from_round`) is ignored; `u64::MAX` means forever.
-    #[must_use]
-    pub fn byzantine(mut self, node: NodeId, from_round: u64, until_round: u64) -> Self {
-        if until_round > from_round {
-            self.byzantines.push(ByzantineWindow {
-                node,
-                from_round,
-                until_round,
-            });
-        }
-        self
-    }
-
     /// Enables adversarial drop scheduling: at every barrier, up to `k` of
     /// the messages crossing a directed link **for the first time in the
     /// run** (the protocol's frontier) are struck, chosen by a dedicated
@@ -312,7 +255,6 @@ impl FaultPlan {
             && self.outages.is_empty()
             && self.latencies.is_empty()
             && self.crashes.is_empty()
-            && self.byzantines.is_empty()
             && self.adversarial_drops == 0
     }
 
@@ -344,12 +286,6 @@ impl FaultPlan {
     #[must_use]
     pub fn crashes(&self) -> &[CrashPoint] {
         &self.crashes
-    }
-
-    /// The configured Byzantine windows.
-    #[must_use]
-    pub fn byzantines(&self) -> &[ByzantineWindow] {
-        &self.byzantines
     }
 
     /// How many frontier messages the adversarial scheduler strikes per
@@ -460,26 +396,6 @@ pub enum TraceEvent {
         /// delivery.
         delay: u64,
     },
-    /// A surviving message's payload was mutated because its sender was
-    /// inside a Byzantine window at the send round.
-    MessageMutated {
-        /// The send round of the mutated message.
-        round: u64,
-        /// The Byzantine sender.
-        from: NodeId,
-        /// The intended recipient.
-        to: NodeId,
-    },
-    /// A Byzantine node's mutated payloads went out on at least two ports
-    /// in the same round — each with an independent mutation draw, so the
-    /// node (almost surely) told different lies to different neighbours.
-    /// Emitted at most once per `(round, node)`.
-    MessageEquivocated {
-        /// The send round.
-        round: u64,
-        /// The equivocating node.
-        node: NodeId,
-    },
     /// A message was parked on the event queue by the scheduler adversary of
     /// the event-driven execution mode (see the [`event`](crate::event)
     /// module). Like `MessageDelayed` but chosen by the scheduler's policy
@@ -560,15 +476,6 @@ pub(crate) struct FaultState {
     outages: Vec<LinkOutage>,
     /// Per-link latency faults (entries with in-range endpoints only).
     latencies: Vec<LinkLatency>,
-    /// First Byzantine round per node (`u64::MAX` = never Byzantine).
-    byz_from: Vec<u64>,
-    /// End of the Byzantine window per node (exclusive; meaningful only
-    /// where `byz_from` is finite).
-    byz_until: Vec<u64>,
-    /// Dedicated payload-mutation stream; `Some` iff some in-range
-    /// Byzantine window exists, so plans without Byzantine nodes consume
-    /// no mutation randomness at all.
-    mutation_rng: Option<StdRng>,
     /// Frontier messages the adversarial scheduler strikes per round
     /// (0 = no adversary).
     adversary_k: usize,
@@ -613,26 +520,10 @@ impl FaultState {
             .map(|(v, &r)| (r, v))
             .collect();
         recover_events.sort_unstable();
-        // Byzantine windows follow the crash-schedule conventions: entries
-        // for out-of-range nodes are ignored, and when several windows name
-        // the same node the earliest (ties: shortest) wins.
-        let mut byz_from = vec![u64::MAX; n];
-        let mut byz_until = vec![u64::MAX; n];
-        for w in plan.byzantines.iter().filter(|w| w.node < n) {
-            if (w.from_round, w.until_round) < (byz_from[w.node], byz_until[w.node]) {
-                byz_from[w.node] = w.from_round;
-                byz_until[w.node] = w.until_round;
-            }
-        }
-        let any_byzantine = byz_from.iter().any(|&r| r != u64::MAX);
         let adversary_k = plan.adversarial_drops as usize;
         FaultState {
             drop_probability: plan.drop_probability,
             rng: (plan.drop_probability > 0.0).then(|| StdRng::seed_from_u64(plan.seed)),
-            byz_from,
-            byz_until,
-            mutation_rng: any_byzantine
-                .then(|| StdRng::seed_from_u64(plan.seed ^ MUTATION_STREAM_SALT)),
             adversary_k,
             adversary_rng: (adversary_k > 0)
                 .then(|| StdRng::seed_from_u64(plan.seed ^ ADVERSARY_STREAM_SALT)),
@@ -714,25 +605,6 @@ impl FaultState {
     /// inbox.
     pub(crate) fn unreachable_at(&self, v: NodeId, round: u64) -> bool {
         self.down_from[v] <= round && round <= self.down_until[v]
-    }
-
-    /// Whether `v` is inside a Byzantine window at round `round`.
-    pub(crate) fn byzantine_at(&self, v: NodeId, round: u64) -> bool {
-        self.byz_from[v] <= round && round < self.byz_until[v]
-    }
-
-    /// Mutates one surviving message through the dedicated mutation stream
-    /// iff its sender is inside a Byzantine window at the current clock.
-    /// Returns `None` (payload untouched, no randomness consumed) outside a
-    /// window, and whatever [`Payload::mutate`] returns inside one — called
-    /// once per surviving message in delivery order, so the mutation stream
-    /// is as deterministic as the sends.
-    pub(crate) fn mutate_payload<M: Payload>(&mut self, from: NodeId, msg: &M) -> Option<M> {
-        if !self.byzantine_at(from, self.clock) {
-            return None;
-        }
-        let rng = self.mutation_rng.as_mut()?;
-        msg.mutate(rng)
     }
 
     /// Whether adversarial drop scheduling is configured.
@@ -1070,56 +942,8 @@ mod tests {
     }
 
     #[test]
-    fn byzantine_window_gates_mutation() {
-        let plan = FaultPlan::new(3).byzantine(1, 2, 5);
-        assert!(!plan.is_empty());
-        let mut state = FaultState::new(&plan, 4);
-        // Outside the window: no mutation, no randomness consumed.
-        assert_eq!(state.mutate_payload(1, &7u64), None);
-        state.clock = 2;
-        assert!(state.byzantine_at(1, 2));
-        let mutated = state.mutate_payload(1, &7u64).expect("window is open");
-        assert_ne!(mutated, 7, "u64 mutation flips one bit");
-        assert_eq!((mutated ^ 7).count_ones(), 1);
-        // Other nodes are honest even while the window is open.
-        assert_eq!(state.mutate_payload(0, &7u64), None);
-        state.clock = 5;
-        assert_eq!(state.mutate_payload(1, &7u64), None, "window closed");
-    }
-
-    #[test]
-    fn empty_byzantine_windows_and_identity_adversary_are_ignored() {
-        assert!(FaultPlan::new(0).byzantine(1, 5, 5).is_empty());
-        assert!(FaultPlan::new(0).byzantine(1, 6, 2).is_empty());
+    fn identity_adversary_is_ignored() {
         assert!(FaultPlan::new(0).adversarial_drops(0).is_empty());
-    }
-
-    #[test]
-    fn out_of_range_byzantine_windows_consume_nothing() {
-        let plan = FaultPlan::new(0).byzantine(100, 0, u64::MAX);
-        let mut state = FaultState::new(&plan, 4);
-        assert!(state.mutation_rng.is_none());
-        assert_eq!(state.mutate_payload(0, &7u64), None);
-    }
-
-    #[test]
-    fn mutation_stream_is_independent_of_the_drop_stream() {
-        // Same plan seed: the drop verdicts must be identical with and
-        // without a Byzantine window, because the two streams are salted
-        // apart.
-        let verdicts = |plan: &FaultPlan| -> Vec<bool> {
-            let mut state = FaultState::new(plan, 4);
-            (0..64)
-                .map(|_| {
-                    let dropped = state.judge(0, 1) != Verdict::Deliver;
-                    state.mutate_payload(2, &1u64);
-                    dropped
-                })
-                .collect()
-        };
-        let plain = FaultPlan::new(9).drop_probability(0.5);
-        let byz = FaultPlan::new(9).drop_probability(0.5).byzantine(2, 0, 64);
-        assert_eq!(verdicts(&plain), verdicts(&byz));
     }
 
     #[test]

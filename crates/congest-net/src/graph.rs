@@ -707,35 +707,24 @@ impl Graph {
         }
     }
 
-    /// The delivery slot of `v`'s port `p`: the target node together with
-    /// the arrival port there, resolved in **one** backend dispatch. The
-    /// hot send path uses this so a send costs a single indexed pair of
-    /// loads on CSR (shared offset computation) and a single closed-form
-    /// evaluation pair on implicit backends — instead of separate
-    /// `neighbor` + `reverse_port_at` calls.
+    /// The arrival port of the known edge `v →(port p)→ u`: the port of `u`
+    /// that leads back to `v`. [`Network::send`](crate::Network::send) has
+    /// already resolved both `p` and `u`, so this costs one table read on
+    /// CSR (`rev_port`) and one closed-form port lookup on implicit
+    /// families, with no second evaluation of `neighbor(v, p)`.
     ///
-    /// Callers must have validated `v < n` and `p < deg(v)` (every send
-    /// entry point does); only a debug assert re-checks, keeping the
-    /// release hot path to the two loads.
+    /// Callers must pass an existing edge, `u == neighbor(v, p)`; only a
+    /// debug assert re-checks.
     #[must_use]
     #[inline]
-    pub(crate) fn delivery_slot(&self, v: NodeId, p: Port) -> (NodeId, Port) {
+    pub(crate) fn arrival_port(&self, v: NodeId, p: Port, u: NodeId) -> Port {
+        debug_assert_eq!(self.neighbor(v, p), u, "not the edge v -(p)-> u");
         match &self.backend {
             Backend::Csr {
-                offsets,
-                neighbors,
-                rev_port,
-            } => {
-                debug_assert!(p < offsets[v + 1] - offsets[v], "port {p} out of range");
-                let idx = offsets[v] + p;
-                (neighbors[idx], rev_port[idx])
-            }
+                offsets, rev_port, ..
+            } => rev_port[offsets[v] + p],
             Backend::Implicit(family) => {
-                let u = family.neighbor(v, p);
-                (
-                    u,
-                    family.port_to(u, v).expect("asymmetric implicit adjacency"),
-                )
+                family.port_to(u, v).expect("asymmetric implicit adjacency")
             }
         }
     }
@@ -1029,7 +1018,8 @@ mod tests {
                 );
                 for p in 0..g.degree(v) {
                     assert_eq!(g.reverse_port_at(v, p), csr.reverse_port_at(v, p));
-                    assert_eq!(g.delivery_slot(v, p), csr.delivery_slot(v, p));
+                    let u = g.neighbor(v, p);
+                    assert_eq!(g.arrival_port(v, p, u), csr.arrival_port(v, p, u));
                 }
                 for u in 0..g.node_count() {
                     assert_eq!(g.port_to(v, u), csr.port_to(v, u), "port_to({v}, {u})");

@@ -139,21 +139,12 @@
 //! a function of the send order too (pinned by the fault-plane suite's
 //! latency goldens and drain-order test).
 //!
-//! Beyond the benign classes, the plan models an **adversary**: Byzantine
-//! windows ([`FaultPlan::byzantine`]) in which a node's surviving outgoing
-//! messages are rewritten through the [`Payload::mutate`] hook — each
-//! message drawing independently from a dedicated, salted PRNG stream, so a
-//! lying node can *equivocate* (send different corruptions per port in the
-//! same round) — and adversarial drop scheduling
-//! ([`FaultPlan::adversarial_drops`]), which strikes up to `k` *frontier*
-//! messages per round (first uses of a directed link in the run) instead of
-//! sampling uniformly. Both are judged at the same barrier in the same
-//! delivery order, mutation draws and strike selections consume their own
-//! streams (never the drop lottery's), and mutation is the **only** code
-//! path that rewrites a payload — so adversarial runs replay byte for byte,
-//! and [`Metrics::mutated_messages`] plus the
-//! `MessageMutated`/`MessageEquivocated` trace events make every lie
-//! observable.
+//! Beyond the benign classes, the plan models an **adversary**: adversarial
+//! drop scheduling ([`FaultPlan::adversarial_drops`]) strikes up to `k`
+//! *frontier* messages per round (first uses of a directed link in the run)
+//! instead of sampling uniformly. It is judged at the same barrier in the
+//! same delivery order, and its strike selections consume their own stream
+//! (never the drop lottery's), so adversarial runs replay byte for byte.
 //!
 //! Faults are **protocol-visible**, not just metric-visible:
 //! [`runtime::RoundContext::failed_neighbors`] is a perfect failure
@@ -161,9 +152,7 @@
 //! [`runtime::NodeProgram::on_recover`] is invoked (instead of the round
 //! callback) when a crash-recovery window ends, so node programs can
 //! implement genuinely fault-tolerant variants —
-//! [`programs::FloodFt`] is the reference example for omission faults,
-//! [`programs::FloodBft`] (checksum-tagged tokens, bounded retransmission)
-//! the one for Byzantine mutation.
+//! [`programs::FloodFt`] is the reference example.
 //!
 //! **Invariant:** without an installed plan, delivery takes the untouched
 //! fast path of §3 — and installing an *empty* plan is byte-identical to
@@ -256,9 +245,7 @@ pub mod walks;
 
 pub use error::Error;
 pub use event::{ExecMode, SchedulerKind, SchedulerSpec};
-pub use fault::{
-    ByzantineWindow, CrashPoint, DropCause, FaultPlan, LinkLatency, LinkOutage, TraceEvent,
-};
+pub use fault::{CrashPoint, DropCause, FaultPlan, LinkLatency, LinkOutage, TraceEvent};
 pub use graph::{Graph, Neighbors, NodeId, Port};
 pub use message::Payload;
 pub use metrics::{Metrics, RoundReport};

@@ -1,8 +1,5 @@
 //! Message payloads and the CONGEST bit-size accounting they must implement.
 
-use rand::rngs::StdRng;
-use rand::Rng;
-
 /// A message payload that knows its own encoded size in bits.
 ///
 /// The CONGEST model allows at most `O(log n)` bits per edge per round
@@ -37,32 +34,11 @@ use rand::Rng;
 pub trait Payload: Clone + std::fmt::Debug {
     /// The number of bits needed to encode this payload on the wire.
     fn size_bits(&self) -> usize;
-
-    /// The Byzantine mutation hook: a corrupted copy of this payload, as a
-    /// sender inside a [`ByzantineWindow`](crate::fault::ByzantineWindow)
-    /// would put it on the wire.
-    ///
-    /// This is the **only** code path through which the simulator ever
-    /// rewrites a payload, and it is invoked exclusively by the fault
-    /// plane's barrier (driven by the plan's dedicated mutation PRNG
-    /// stream) — never by protocols or by the fault-free delivery path.
-    /// The default returns `None`, making the type immune to mutation;
-    /// types opt in by returning a corrupted copy, conventionally flipping
-    /// one uniformly-chosen bit of their wire encoding. Implementations
-    /// must be pure in `(self, rng)` so runs stay seed-deterministic.
-    fn mutate(&self, rng: &mut StdRng) -> Option<Self> {
-        let _ = rng;
-        None
-    }
 }
 
 impl Payload for u64 {
     fn size_bits(&self) -> usize {
         64
-    }
-
-    fn mutate(&self, rng: &mut StdRng) -> Option<Self> {
-        Some(self ^ (1u64 << rng.gen_range(0..64u32)))
     }
 }
 
@@ -70,19 +46,11 @@ impl Payload for u32 {
     fn size_bits(&self) -> usize {
         32
     }
-
-    fn mutate(&self, rng: &mut StdRng) -> Option<Self> {
-        Some(self ^ (1u32 << rng.gen_range(0..32u32)))
-    }
 }
 
 impl Payload for bool {
     fn size_bits(&self) -> usize {
         1
-    }
-
-    fn mutate(&self, _rng: &mut StdRng) -> Option<Self> {
-        Some(!self)
     }
 }
 
@@ -96,27 +64,11 @@ impl<A: Payload, B: Payload> Payload for (A, B) {
     fn size_bits(&self) -> usize {
         self.0.size_bits() + self.1.size_bits()
     }
-
-    fn mutate(&self, rng: &mut StdRng) -> Option<Self> {
-        // Corrupt the first mutable component; a tuple of immune parts
-        // stays immune.
-        if let Some(a) = self.0.mutate(rng) {
-            return Some((a, self.1.clone()));
-        }
-        self.1.mutate(rng).map(|b| (self.0.clone(), b))
-    }
 }
 
 impl<T: Payload> Payload for Option<T> {
     fn size_bits(&self) -> usize {
         1 + self.as_ref().map_or(0, Payload::size_bits)
-    }
-
-    fn mutate(&self, rng: &mut StdRng) -> Option<Self> {
-        // `None` carries no corruptible bits beyond its presence flag;
-        // dropping a present payload is the drop plane's job, not the
-        // mutator's, so only the inner value is corrupted.
-        self.as_ref().and_then(|t| t.mutate(rng)).map(Some)
     }
 }
 
@@ -163,36 +115,6 @@ mod tests {
         // Budget always admits a 64-bit machine word.
         assert!(congest_budget_bits(2) >= 64);
         assert!(congest_budget_bits(256) >= 64);
-    }
-
-    #[test]
-    fn primitive_mutations_flip_exactly_one_bit() {
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(5);
-        for _ in 0..32 {
-            let m = 0xDEAD_BEEFu64.mutate(&mut rng).unwrap();
-            assert_eq!((m ^ 0xDEAD_BEEF).count_ones(), 1);
-            let m = 0xBEEFu32.mutate(&mut rng).unwrap();
-            assert_eq!((m ^ 0xBEEF).count_ones(), 1);
-        }
-        assert_eq!(true.mutate(&mut rng), Some(false));
-        assert_eq!(().mutate(&mut rng), None, "unit payloads are immune");
-        assert_eq!(None::<u32>.mutate(&mut rng), None);
-        assert!(Some(7u32).mutate(&mut rng).unwrap().is_some());
-        // Tuples corrupt exactly one component.
-        let (a, b) = (3u32, true).mutate(&mut rng).unwrap();
-        assert_eq!(u32::from(a != 3) + u32::from(!b), 1);
-    }
-
-    #[test]
-    fn mutation_is_seed_deterministic() {
-        use rand::SeedableRng;
-        let stream = |seed: u64| -> Vec<u64> {
-            let mut rng = StdRng::seed_from_u64(seed);
-            (0..16).map(|_| 99u64.mutate(&mut rng).unwrap()).collect()
-        };
-        assert_eq!(stream(4), stream(4));
-        assert_ne!(stream(4), stream(5));
     }
 
     #[test]

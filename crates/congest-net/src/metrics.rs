@@ -38,10 +38,6 @@ pub struct Metrics {
     /// skews; scheduled messages still count as sent and are delivered at
     /// their due tick unless a crash catches them first).
     pub scheduled_messages: u64,
-    /// Messages whose payload a Byzantine window corrupted at the barrier
-    /// (always 0 without a fault plan; mutated messages still count as sent
-    /// and are delivered — corrupted — unless something else drops them).
-    pub mutated_messages: u64,
     /// Nodes whose crash round the execution has reached (monotone; counts
     /// crash *events*, so a crash-recovery node stays counted after it
     /// resumes; always 0 without a fault plan).
@@ -120,11 +116,6 @@ impl MetricsRecorder {
     /// adversary of the event-driven execution mode.
     pub(crate) fn record_scheduled(&mut self) {
         self.totals.scheduled_messages += 1;
-    }
-
-    /// Counts one payload corrupted by a Byzantine window at the barrier.
-    pub(crate) fn record_mutation(&mut self) {
-        self.totals.mutated_messages += 1;
     }
 
     /// Closes the current round. A [`RoundReport`] is recorded only when

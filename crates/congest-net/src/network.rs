@@ -451,20 +451,10 @@ impl<M: Payload> Network<M> {
         }
     }
 
-    /// The hot send path: every send funnels here with a resolved
-    /// `(from, port)` pair, where CONGEST enforcement is an O(1) stamp
-    /// compare against the sender's stamp page (or an expected O(1) probe
-    /// of its port set, which is at most half full) and the arrival port an
-    /// O(1) reverse-port lookup — closed-form on implicit backends, table
-    /// read on CSR.
-    fn send_on_port(&mut self, from: NodeId, port: Port, msg: M) -> Result<(), Error> {
-        let (to, arrival) = self.graph.delivery_slot(from, port);
-        self.send_resolved(from, port, to, arrival, msg)
-    }
-
-    /// The tail of every send once the delivery slot is known: budget
-    /// check, stamp, meter, queue. Split out so `send_through_port` can
-    /// resolve the slot and validate the port in a single graph dispatch.
+    /// The tail of every send once the target and arrival port are known:
+    /// budget check, stamp, meter, queue. CONGEST enforcement is an O(1)
+    /// stamp compare against the sender's stamp page (or an expected O(1)
+    /// probe of its port set, which is at most half full).
     #[inline]
     fn send_resolved(
         &mut self,
@@ -513,7 +503,8 @@ impl<M: Payload> Network<M> {
         let Some(port) = self.graph.port_to(from, to) else {
             return Err(Error::NotAdjacent { from, to });
         };
-        self.send_on_port(from, port, msg)
+        let arrival = self.graph.arrival_port(from, port, to);
+        self.send_resolved(from, port, to, arrival, msg)
     }
 
     /// Sends `msg` from `from` through its local port `port` (KT0
@@ -687,13 +678,6 @@ impl<M: Payload> Network<M> {
             _ => Vec::new(),
         };
         let mut next_strike = 0usize;
-        // Equivocation detection: the runtime flushes one node's outbox at
-        // a time, so a node's sends sit contiguously in `pending`, and a
-        // second mutated payload from the sender whose message was mutated
-        // last means at least two ports got independent mutation draws this
-        // round.
-        let mut last_mutated: Option<NodeId> = None;
-        let mut equivocation_flagged = false;
         let mut pending = std::mem::take(&mut self.pending);
         for (i, (from, port, to, msg)) in pending.drain(..).enumerate() {
             // Phase two: a struck message is dropped before `judge` runs,
@@ -720,38 +704,6 @@ impl<M: Payload> Network<M> {
                 }
                 continue;
             }
-            // The message survives the barrier: a Byzantine sender lies
-            // *now*, at send time — a latency-delayed copy parks the
-            // corrupted payload, and every outgoing message draws its own
-            // mutation (different ports can carry different lies).
-            let msg = match faults.as_mut().and_then(|f| f.mutate_payload(from, &msg)) {
-                Some(mutated) => {
-                    self.recorder.record_mutation();
-                    if self.trace_enabled {
-                        self.trace.push(TraceEvent::MessageMutated {
-                            round: clock,
-                            from,
-                            to,
-                        });
-                    }
-                    if last_mutated == Some(from) {
-                        if !equivocation_flagged {
-                            equivocation_flagged = true;
-                            if self.trace_enabled {
-                                self.trace.push(TraceEvent::MessageEquivocated {
-                                    round: clock,
-                                    node: from,
-                                });
-                            }
-                        }
-                    } else {
-                        last_mutated = Some(from);
-                        equivocation_flagged = false;
-                    }
-                    mutated
-                }
-                None => msg,
-            };
             let delay = match verdict {
                 Verdict::Delay(delay) => {
                     self.recorder.record_delay();

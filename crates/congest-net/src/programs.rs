@@ -7,12 +7,7 @@
 //! fault-*oblivious* broadcast; [`FloodFt`] is its fault-*tolerant*
 //! counterpart — an acknowledgement-and-retransmission flood whose control
 //! flow genuinely depends on the installed
-//! [`FaultPlan`](crate::fault::FaultPlan); [`FloodBft`] hardens it against
-//! *Byzantine* payload mutation by carrying a checksum tag on every token,
-//! so corrupted copies are detected and retransmitted instead of adopted.
-
-use rand::rngs::StdRng;
-use rand::Rng;
+//! [`FaultPlan`](crate::fault::FaultPlan).
 
 use crate::graph::Port;
 use crate::message::Payload;
@@ -248,216 +243,6 @@ impl NodeProgram for FloodFt {
     }
 }
 
-/// The wire format of [`FloodBft`]: a token value protected by a checksum
-/// tag (a stand-in for authenticated channels), plus a piggybacked ack.
-///
-/// The tag is a bijective function of the value (`value · 31 ⊕ 0x5A`, an odd
-/// multiplier modulo 256), so **no single-bit flip of a valid
-/// `(value, tag)` pair yields another valid pair**: flipping a value bit
-/// changes the required tag, flipping a tag bit breaks the existing one.
-/// The ack-only encoding `(0, 0)` is never a valid token either, because
-/// `tag_of(0) = 0x5A ≠ 0`. A Byzantine mutation therefore either produces a
-/// detectably-invalid token, forges/suppresses the one `ack` bit, or — with
-/// probability 1/17 — flips the ack bit on a token and leaves it valid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BftMsg {
-    /// The flooded token value.
-    pub value: u8,
-    /// Checksum over `value`; a mismatch marks the token as corrupted.
-    pub tag: u8,
-    /// Acknowledges a valid token received on this link last round.
-    pub ack: bool,
-}
-
-impl BftMsg {
-    /// The checksum a well-formed token carries for `value`.
-    #[must_use]
-    pub fn tag_of(value: u8) -> u8 {
-        value.wrapping_mul(31) ^ 0x5A
-    }
-
-    /// A well-formed token message with an optional piggybacked ack.
-    #[must_use]
-    pub fn token(value: u8, ack: bool) -> Self {
-        BftMsg {
-            value,
-            tag: Self::tag_of(value),
-            ack,
-        }
-    }
-
-    /// An acknowledgement with no token (the `(0, 0)` pair is deliberately
-    /// *not* a valid token, so a mutated ack can never be adopted as one).
-    #[must_use]
-    pub fn ack_only() -> Self {
-        BftMsg {
-            value: 0,
-            tag: 0,
-            ack: true,
-        }
-    }
-
-    /// The token value iff the checksum verifies.
-    #[must_use]
-    pub fn valid_token(&self) -> Option<u8> {
-        (self.tag == Self::tag_of(self.value)).then_some(self.value)
-    }
-}
-
-impl Payload for BftMsg {
-    fn size_bits(&self) -> usize {
-        17
-    }
-
-    fn mutate(&self, rng: &mut StdRng) -> Option<Self> {
-        // Flip one uniformly-chosen bit of the 17-bit wire encoding: bits
-        // 0–7 corrupt the value, 8–15 the tag, 16 forges or suppresses the
-        // acknowledgement.
-        let mut m = *self;
-        match rng.gen_range(0..17u32) {
-            bit @ 0..=7 => m.value ^= 1 << bit,
-            bit @ 8..=15 => m.tag ^= 1 << (bit - 8),
-            _ => m.ack = !m.ack,
-        }
-        Some(m)
-    }
-}
-
-/// Byzantine-resilient single-source flooding: tokens carry a checksum tag
-/// and are retransmitted until acknowledged, so corrupted copies from a
-/// [`ByzantineWindow`](crate::fault::ByzantineWindow) are discarded instead
-/// of adopted — but only `MAX_ATTEMPTS` times per port, so a *permanently*
-/// lying neighbourhood cannot force unbounded retransmission.
-///
-/// Where [`Flood`] trusts every arriving bit (a mutated announcement loses
-/// coverage forever) and [`FloodFt`] trusts payload integrity (it has no way
-/// to tell a corrupted token from a real one), `FloodBft`'s control flow
-/// genuinely diverges under mutation:
-///
-/// * an arriving token is adopted **only if its tag verifies**; a corrupted
-///   token is silently discarded and never acknowledged, so the sender keeps
-///   retransmitting — a Byzantine window on the source delays coverage by
-///   the window length instead of destroying it;
-/// * each port has a retransmission budget of [`FloodBft::MAX_ATTEMPTS`];
-///   when it is exhausted the port is given up, so runs against permanent
-///   Byzantine windows still terminate at the senders;
-/// * a *forged* ack (a mutation flipping the ack bit on) marks the port
-///   acknowledged even though the neighbour may never have accepted the
-///   token — the one lie the checksum cannot catch, visible in scorecards
-///   as lost coverage;
-/// * ports whose neighbour the failure detector reports down are given up,
-///   as in [`FloodFt`].
-///
-/// Fault-free the protocol terminates in `ecc(source) + O(1)` rounds with
-/// `O(m)` messages.
-#[derive(Debug, Clone)]
-pub struct FloodBft {
-    has_token: bool,
-    value: u8,
-    /// Per-port: the neighbour acknowledged our token (or forged an ack).
-    acked: Vec<bool>,
-    /// Per-port: an ack owed for a valid token received last round.
-    ack_due: Vec<bool>,
-    /// Per-port: retransmission budget exhausted or neighbour reported
-    /// down; stop retransmitting and stop waiting.
-    given_up: Vec<bool>,
-    /// Per-port: token retransmissions sent so far.
-    attempts: Vec<u8>,
-}
-
-impl FloodBft {
-    /// The retransmission budget per port: enough to outlast the Byzantine
-    /// windows used in scenarios while guaranteeing termination when a
-    /// window never closes.
-    pub const MAX_ATTEMPTS: u8 = 8;
-
-    /// The token value the source floods.
-    pub const TOKEN: u8 = 42;
-
-    /// A node with `degree` ports that starts with the token iff `source`.
-    #[must_use]
-    pub fn new(source: bool, degree: usize) -> Self {
-        FloodBft {
-            has_token: source,
-            value: if source { Self::TOKEN } else { 0 },
-            acked: vec![false; degree],
-            ack_due: vec![false; degree],
-            given_up: vec![false; degree],
-            attempts: vec![0; degree],
-        }
-    }
-
-    /// Whether this node has accepted (or started with) a valid token.
-    #[must_use]
-    pub fn has_token(&self) -> bool {
-        self.has_token
-    }
-
-    /// Queues this round's outgoing messages: piggybacked acks plus token
-    /// retransmissions on every port still awaiting one and still inside
-    /// its retransmission budget.
-    fn send_round(&mut self, outbox: &mut Outbox<BftMsg>) {
-        for port in 0..self.acked.len() {
-            let mut token = self.has_token && !self.acked[port] && !self.given_up[port];
-            if token {
-                if self.attempts[port] >= Self::MAX_ATTEMPTS {
-                    self.given_up[port] = true;
-                    token = false;
-                } else {
-                    self.attempts[port] += 1;
-                }
-            }
-            let ack = self.ack_due[port];
-            self.ack_due[port] = false;
-            if token {
-                outbox.send(port, BftMsg::token(self.value, ack));
-            } else if ack {
-                outbox.send(port, BftMsg::ack_only());
-            }
-        }
-    }
-}
-
-impl NodeProgram for FloodBft {
-    type Msg = BftMsg;
-
-    fn on_start(&mut self, _ctx: &mut RoundContext<'_>, outbox: &mut Outbox<BftMsg>) {
-        self.send_round(outbox);
-    }
-
-    fn on_round(
-        &mut self,
-        ctx: &mut RoundContext<'_>,
-        incoming: &[(Port, BftMsg)],
-        outbox: &mut Outbox<BftMsg>,
-    ) {
-        for &(port, m) in incoming {
-            // Adopt only checksum-verified tokens; a corrupted token is
-            // discarded unacknowledged, so the sender retransmits.
-            if let Some(value) = m.valid_token() {
-                if !self.has_token {
-                    self.has_token = true;
-                    self.value = value;
-                }
-                self.ack_due[port] = true;
-            }
-            if m.ack {
-                self.acked[port] = true;
-            }
-        }
-        // Perfect failure detector, as in FloodFt: stop waiting on
-        // currently-down neighbours.
-        for port in ctx.failed_neighbors() {
-            self.given_up[port] = true;
-        }
-        self.send_round(outbox);
-    }
-
-    fn halted(&self) -> bool {
-        self.has_token && self.acked.iter().zip(&self.given_up).all(|(&a, &g)| a || g)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -576,91 +361,6 @@ mod tests {
             rounds < 30,
             "re-request must converge quickly, took {rounds}"
         );
-    }
-
-    #[test]
-    fn bft_msg_checksum_rejects_every_single_bit_flip() {
-        // The tag construction promises that no single-bit flip of a valid
-        // (value, tag) pair stays a valid token — check all 256·16 cases,
-        // plus the deliberate invalidity of the ack-only encoding.
-        for value in 0..=255u8 {
-            let m = BftMsg::token(value, false);
-            assert_eq!(m.valid_token(), Some(value));
-            for bit in 0..16u32 {
-                let mut f = m;
-                if bit < 8 {
-                    f.value ^= 1 << bit;
-                } else {
-                    f.tag ^= 1 << (bit - 8);
-                }
-                assert_eq!(f.valid_token(), None, "value={value} bit={bit}");
-            }
-        }
-        assert_eq!(BftMsg::ack_only().valid_token(), None);
-    }
-
-    #[test]
-    fn flood_bft_terminates_fault_free() {
-        for graph in [
-            topology::cycle(12).unwrap(),
-            topology::hypercube(4).unwrap(),
-            topology::complete(8).unwrap(),
-        ] {
-            let mut runtime = SyncRuntime::new(graph, NetworkConfig::with_seed(5), |v, d| {
-                FloodBft::new(v == 0, d)
-            });
-            let rounds = runtime.run_until_halt(200).unwrap();
-            assert!(runtime.all_halted(), "terminated in {rounds} rounds");
-            assert!(runtime.programs().iter().all(FloodBft::has_token));
-            assert_eq!(runtime.metrics().mutated_messages, 0);
-        }
-    }
-
-    #[test]
-    fn flood_bft_recovers_from_a_bounded_byzantine_window() {
-        // The source lies for rounds [0, 6) — shorter than MAX_ATTEMPTS, so
-        // retransmission outlasts the window and coverage completes. Plain
-        // Flood under the same plan announces exactly once, inside the
-        // window; its one-bit token always flips to `false`, so coverage is
-        // deterministically lost.
-        let graph = topology::cycle(10).unwrap();
-        let plan = FaultPlan::new(11).byzantine(0, 0, 6);
-
-        let mut plain = SyncRuntime::new(graph.clone(), NetworkConfig::with_seed(2), |v, _| {
-            Flood::new(v == 0)
-        });
-        plain.set_fault_plan(&plan);
-        plain.run_until_halt(100).unwrap();
-        let plain_covered = plain.programs().iter().filter(|p| p.has_token()).count();
-        assert_eq!(plain_covered, 1, "the oblivious flood adopts the lie");
-
-        let mut bft = SyncRuntime::new(graph, NetworkConfig::with_seed(2), |v, d| {
-            FloodBft::new(v == 0, d)
-        });
-        bft.set_fault_plan(&plan);
-        bft.run_until_halt(100).unwrap();
-        assert!(bft.all_halted());
-        assert!(bft.programs().iter().all(FloodBft::has_token));
-        assert!(bft.metrics().mutated_messages > 0);
-    }
-
-    #[test]
-    fn flood_bft_gives_up_under_a_permanent_byzantine_window() {
-        // The source lies for the entire run: after MAX_ATTEMPTS corrupted
-        // retransmissions per port it gives up and halts instead of
-        // retransmitting forever.
-        let graph = topology::cycle(6).unwrap();
-        let plan = FaultPlan::new(9).byzantine(0, 0, 1_000_000);
-        let mut runtime = SyncRuntime::new(graph, NetworkConfig::with_seed(1), |v, d| {
-            FloodBft::new(v == 0, d)
-        });
-        runtime.set_fault_plan(&plan);
-        runtime.run_until_halt(100).unwrap();
-        assert!(
-            runtime.programs()[0].halted(),
-            "the source must give up, not retransmit forever"
-        );
-        assert!(runtime.metrics().mutated_messages > 0);
     }
 
     #[test]

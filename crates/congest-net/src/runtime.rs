@@ -133,17 +133,6 @@ impl<M> Outbox<M> {
 }
 
 /// A per-node state machine driven by the [`SyncRuntime`].
-///
-/// Programs never see *who* mutated a payload: under a Byzantine window
-/// ([`FaultPlan::byzantine`](crate::fault::FaultPlan::byzantine)) the fault
-/// barrier rewrites a lying node's outgoing messages through
-/// [`Payload::mutate`] — the protocol's *wire-corruption model*, the only
-/// code path that rewrites payloads. A protocol that wants its control flow
-/// to genuinely diverge under mutation implements `mutate` on its message
-/// type (conventionally: flip one uniformly-chosen bit of the wire
-/// encoding) and detects or mis-adopts the corruption in
-/// [`on_round`](NodeProgram::on_round), as
-/// [`FloodBft`](crate::programs::FloodBft) does with its checksum tag.
 pub trait NodeProgram {
     /// The message type exchanged by this protocol.
     type Msg: Payload;

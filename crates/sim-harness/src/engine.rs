@@ -207,7 +207,7 @@ fn render_results_table(results: &[CellResult], with_wall: bool) -> String {
     let mut out = String::new();
     write!(
         out,
-        "{:<24} {:<16} {:<12} {:>6} {:>6} {:>9} {:>9} {:>8} {:>7} {:>7} {:>7} {:>7} {:>7} {:>6}",
+        "{:<24} {:<16} {:<12} {:>6} {:>6} {:>9} {:>9} {:>8} {:>7} {:>7} {:>7} {:>7} {:>6}",
         "scenario",
         "protocol",
         "topology",
@@ -219,7 +219,6 @@ fn render_results_table(results: &[CellResult], with_wall: bool) -> String {
         "dropped",
         "delayed",
         "sched",
-        "mutated",
         "crashed",
         "ok",
     )
@@ -232,7 +231,7 @@ fn render_results_table(results: &[CellResult], with_wall: bool) -> String {
         let m = &r.outcome.metrics;
         write!(
             out,
-            "{:<24} {:<16} {:<12} {:>6} {:>6} {:>9} {:>9} {:>8} {:>7} {:>7} {:>7} {:>7} {:>7} {:>6}",
+            "{:<24} {:<16} {:<12} {:>6} {:>6} {:>9} {:>9} {:>8} {:>7} {:>7} {:>7} {:>7} {:>6}",
             r.cell.scenario,
             r.cell.protocol.name(),
             topology_name(r.cell.topology),
@@ -244,7 +243,6 @@ fn render_results_table(results: &[CellResult], with_wall: bool) -> String {
             m.dropped_messages,
             m.delayed_messages,
             m.scheduled_messages,
-            m.mutated_messages,
             m.crashed_nodes,
             if r.outcome.ok { "yes" } else { "NO" },
         )

@@ -11,7 +11,7 @@
 //! plan, trace and telemetry flags, and execution mode (event mode is a
 //! scheduler adversary on that network).
 
-use congest_net::programs::{Flood, FloodBft, FloodFt};
+use congest_net::programs::{Flood, FloodFt};
 use congest_net::topology::Family;
 use congest_net::{Graph, Metrics, NodeProgram, SyncRuntime, TelemetryReport, TraceEvent};
 
@@ -56,10 +56,6 @@ pub enum ProtocolKind {
     /// retransmission, and crash-recovery re-requests (runtime-driven and
     /// inbox-driven: its control flow genuinely depends on the fault plan).
     FloodFt,
-    /// Byzantine-resilient single-source flooding: checksum-tagged tokens
-    /// detect payload mutation, bounded retransmission outlasts Byzantine
-    /// windows (runtime-driven; the mutation/adversary reference protocol).
-    FloodBft,
     /// Classical GHS-style tree-merging leader election (arbitrary graphs).
     GhsLe,
     /// `QuantumLE` (complete graphs, `Õ(n^{1/3})` messages).
@@ -75,10 +71,9 @@ pub enum ProtocolKind {
 }
 
 /// Every registered protocol, in registry order.
-pub const ALL_PROTOCOLS: [ProtocolKind; 9] = [
+pub const ALL_PROTOCOLS: [ProtocolKind; 8] = [
     ProtocolKind::Flood,
     ProtocolKind::FloodFt,
-    ProtocolKind::FloodBft,
     ProtocolKind::GhsLe,
     ProtocolKind::QuantumLe,
     ProtocolKind::QuantumQwLe,
@@ -94,7 +89,6 @@ impl ProtocolKind {
         match self {
             ProtocolKind::Flood => "flood",
             ProtocolKind::FloodFt => "flood-ft",
-            ProtocolKind::FloodBft => "flood-bft",
             ProtocolKind::GhsLe => "ghs-le",
             ProtocolKind::QuantumLe => "quantum-le",
             ProtocolKind::QuantumQwLe => "quantum-qw-le",
@@ -139,14 +133,6 @@ impl ProtocolKind {
                 opts,
                 max_rounds,
                 |v, d| FloodFt::new(v == 0, d),
-                |p| p.has_token(),
-            ),
-            ProtocolKind::FloodBft => run_flood(
-                graph,
-                seed,
-                opts,
-                max_rounds,
-                |v, d| FloodBft::new(v == 0, d),
                 |p| p.has_token(),
             ),
             ProtocolKind::GhsLe => run_le(&GhsLe::new(), graph, seed, opts),

@@ -17,7 +17,7 @@
 //! seed)` triple, matrices merge in cell order, rows aggregate in cell
 //! order and sort by `(protocol, fault class)`, and the rendered table is
 //! byte-identical run to run (CI diffs the scorecard of
-//! `examples/scenarios/byzantine.scn` against `tests/golden/scorecard/`).
+//! `examples/scenarios/adversary.scn` against `tests/golden/scorecard/`).
 
 use congest_net::FaultPlan;
 
@@ -25,8 +25,8 @@ use crate::engine::{run_matrix, CellResult};
 use crate::spec::ScenarioSpec;
 
 /// The canonical fault-class label of a plan: the active fault kinds in a
-/// fixed order (`byzantine`, `adversarial-drop`, `random-drop`, `outage`,
-/// `latency`, `crash`) joined with `+`, or `fault-free` for an empty plan.
+/// fixed order (`adversarial-drop`, `random-drop`, `outage`, `latency`,
+/// `crash`) joined with `+`, or `fault-free` for an empty plan.
 ///
 /// The label is what scorecard rows aggregate by, so two plans that differ
 /// only in parameters (window bounds, drop rate, strike budget) land in the
@@ -34,9 +34,6 @@ use crate::spec::ScenarioSpec;
 #[must_use]
 pub fn fault_class(plan: &FaultPlan) -> String {
     let mut parts: Vec<&str> = Vec::new();
-    if !plan.byzantines().is_empty() {
-        parts.push("byzantine");
-    }
     if plan.adversarial_drops_per_round() > 0 {
         parts.push("adversarial-drop");
     }
@@ -91,8 +88,6 @@ pub struct ScorecardRow {
     pub rounds: u64,
     /// Total effective rounds across the fault-free twins.
     pub baseline_rounds: u64,
-    /// Total mutated messages across the faulty cells.
-    pub mutated: u64,
     /// Total dropped messages across the faulty cells (all causes).
     pub dropped: u64,
 }
@@ -144,16 +139,8 @@ impl Scorecard {
         let mut out = String::new();
         writeln!(
             out,
-            "{:<16} {:<32} {:>5} {:>8} {:>8} {:>9} {:>9} {:>9} {:>9}",
-            "protocol",
-            "fault-class",
-            "cells",
-            "ok",
-            "base-ok",
-            "success",
-            "msg-ovh",
-            "round-ovh",
-            "mutated",
+            "{:<16} {:<32} {:>5} {:>8} {:>8} {:>9} {:>9} {:>9}",
+            "protocol", "fault-class", "cells", "ok", "base-ok", "success", "msg-ovh", "round-ovh",
         )
         .unwrap();
         for r in &self.rows {
@@ -163,7 +150,7 @@ impl Scorecard {
             };
             writeln!(
                 out,
-                "{:<16} {:<32} {:>5} {:>8} {:>8} {:>8.0}% {:>9} {:>9} {:>9}",
+                "{:<16} {:<32} {:>5} {:>8} {:>8} {:>8.0}% {:>9} {:>9}",
                 r.protocol,
                 r.fault_class,
                 r.cells,
@@ -172,7 +159,6 @@ impl Scorecard {
                 r.success_rate() * 100.0,
                 ratio(r.message_overhead()),
                 ratio(r.round_overhead()),
-                r.mutated,
             )
             .unwrap();
         }
@@ -229,7 +215,6 @@ pub fn run_scorecard(specs: &[ScenarioSpec]) -> Result<Scorecard, String> {
                     baseline_messages: 0,
                     rounds: 0,
                     baseline_rounds: 0,
-                    mutated: 0,
                     dropped: 0,
                 });
                 rows.last_mut().unwrap()
@@ -242,7 +227,6 @@ pub fn run_scorecard(specs: &[ScenarioSpec]) -> Result<Scorecard, String> {
         row.baseline_messages += b.outcome.metrics.total_messages();
         row.rounds += f.outcome.effective_rounds;
         row.baseline_rounds += b.outcome.effective_rounds;
-        row.mutated += f.outcome.metrics.mutated_messages;
         row.dropped += f.outcome.metrics.dropped_messages;
     }
     rows.sort_by(|a, b| {
@@ -266,10 +250,6 @@ mod tests {
     fn fault_class_labels_are_canonical() {
         assert_eq!(fault_class(&FaultPlan::default()), "fault-free");
         assert_eq!(
-            fault_class(&FaultPlan::new(1).byzantine(0, 0, 5)),
-            "byzantine"
-        );
-        assert_eq!(
             fault_class(&FaultPlan::new(1).adversarial_drops(2)),
             "adversarial-drop"
         );
@@ -277,21 +257,21 @@ mod tests {
         assert_eq!(
             fault_class(
                 &FaultPlan::new(1)
-                    .drop_probability(0.1)
-                    .byzantine(0, 0, 5)
                     .crash(2, 3)
+                    .drop_probability(0.1)
+                    .adversarial_drops(1)
             ),
-            "byzantine+random-drop+crash"
+            "adversarial-drop+random-drop+crash"
         );
     }
 
     #[test]
     fn twin_strips_only_the_fault_plan() {
-        let spec = ScenarioSpec::new("x", Family::Cycle, ProtocolKind::FloodBft)
+        let spec = ScenarioSpec::new("x", Family::Cycle, ProtocolKind::FloodFt)
             .sizes([16, 24])
             .seeds([1, 2])
             .max_rounds(500)
-            .faults(FaultPlan::new(3).byzantine(0, 0, 4));
+            .faults(FaultPlan::new(3).adversarial_drops(1));
         let twin = fault_free_twin(&spec);
         assert!(twin.faults.is_empty());
         assert_eq!(twin.name, spec.name);
@@ -303,26 +283,29 @@ mod tests {
     #[test]
     fn scorecard_aggregates_per_protocol_and_fault_class() {
         let specs = vec![
-            ScenarioSpec::new("bft-byz", Family::Cycle, ProtocolKind::FloodBft)
+            ScenarioSpec::new("ft-adv", Family::Cycle, ProtocolKind::FloodFt)
                 .sizes([12])
                 .seeds([1, 2])
                 .max_rounds(400)
-                .faults(FaultPlan::new(7).byzantine(0, 0, 4)),
+                .faults(FaultPlan::new(7).adversarial_drops(1)),
             // Fault-free scenarios are skipped, not a second row.
-            ScenarioSpec::new("bft-clean", Family::Cycle, ProtocolKind::FloodBft).sizes([12]),
+            ScenarioSpec::new("ft-clean", Family::Cycle, ProtocolKind::FloodFt).sizes([12]),
         ];
         let card = run_scorecard(&specs).unwrap();
         assert_eq!(card.rows.len(), 1);
         let row = &card.rows[0];
-        assert_eq!(row.protocol, "flood-bft");
-        assert_eq!(row.fault_class, "byzantine");
+        assert_eq!(row.protocol, "flood-ft");
+        assert_eq!(row.fault_class, "adversarial-drop");
         assert_eq!(row.cells, 2);
         assert_eq!(row.baseline_ok_cells, 2, "fault-free twins must succeed");
-        assert!(row.mutated > 0, "the Byzantine window must actually lie");
-        assert!(row.message_overhead().unwrap() > 1.0, "lying costs retries");
+        assert!(row.dropped > 0, "the adversary must actually strike");
+        assert!(
+            row.message_overhead().unwrap() > 1.0,
+            "struck messages cost retries"
+        );
         let table = card.table();
-        assert!(table.contains("flood-bft"), "{table}");
-        assert!(table.contains("byzantine"), "{table}");
+        assert!(table.contains("flood-ft"), "{table}");
+        assert!(table.contains("adversarial-drop"), "{table}");
     }
 
     #[test]

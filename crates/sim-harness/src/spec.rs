@@ -24,7 +24,6 @@
 //! latency = [4, 5, 3]      # link 4-5 delivers 3 rounds late
 //! crash = [3, 4]           # node 3 crashes at round 4, for good
 //! recover = [6, 2, 9]      # node 6 down during rounds [2, 9), then reboots
-//! byzantine = [2, 0, 6]    # node 2 lies (mutates payloads) in rounds [0, 6)
 //! adversary = 2            # strike up to 2 frontier messages per round
 //! ```
 //!
@@ -226,14 +225,6 @@ fn write_fault_stanzas(faults: &FaultPlan, out: &mut String) {
             .unwrap();
         }
     }
-    for w in faults.byzantines() {
-        writeln!(
-            out,
-            "byzantine = [{}, {}, {}]",
-            w.node, w.from_round, w.until_round
-        )
-        .unwrap();
-    }
     if faults.adversarial_drops_per_round() > 0 {
         writeln!(out, "adversary = {}", faults.adversarial_drops_per_round()).unwrap();
     }
@@ -285,9 +276,6 @@ struct Draft {
     /// (`u64::MAX` = crash-stop), so emit ∘ parse preserves the plan's
     /// entry order exactly.
     crashes: Vec<[u64; 3]>,
-    /// Byzantine windows as `[node, from_round, until_round]` in encounter
-    /// order.
-    byzantines: Vec<[u64; 3]>,
     /// Adversarial frontier drops per round (absent or 0 = no adversary).
     adversary: Option<u64>,
     /// Raw `mode` value ("round" or "event"), validated at the key line.
@@ -350,9 +338,6 @@ impl Draft {
             } else {
                 faults.crash_recover(node as usize, round, recover_round)
             };
-        }
-        for [node, from, until] in self.byzantines {
-            faults = faults.byzantine(node as usize, from, until);
         }
         if let Some(adversary) = self.adversary.filter(|&a| a > 0) {
             faults = faults.adversarial_drops(adversary);
@@ -590,20 +575,6 @@ impl<'a> Parser<'a> {
                     }
                     draft.crashes.push([node, round, until]);
                 }
-                (Section::Faults, "byzantine") => {
-                    let xs = parse_int_list(value, line_no)?;
-                    let [node, from, until] = xs[..].try_into().map_err(|_| SpecError {
-                        line: line_no,
-                        message: "byzantine needs [node, from_round, until_round]".into(),
-                    })?;
-                    if until <= from {
-                        return Err(SpecError {
-                            line: line_no,
-                            message: "byzantine needs until_round > from_round".into(),
-                        });
-                    }
-                    draft.byzantines.push([node, from, until]);
-                }
                 (Section::Faults, "adversary") => {
                     let adversary = parse_int(value, line_no)?;
                     set_once(&mut draft.adversary, adversary, key, line_no)?;
@@ -719,7 +690,6 @@ mod tests {
                     .link_latency(4, 5, 3)
                     .crash(3, 4)
                     .crash_recover(6, 2, 9)
-                    .byzantine(2, 1, 6)
                     .adversarial_drops(2),
             )
     }
@@ -730,7 +700,6 @@ mod tests {
         let text = spec.to_text();
         assert!(text.contains("latency = [4, 5, 3]"), "{text}");
         assert!(text.contains("recover = [6, 2, 9]"), "{text}");
-        assert!(text.contains("byzantine = [2, 1, 6]"), "{text}");
         assert!(text.contains("adversary = 2"), "{text}");
         let parsed = ScenarioSpec::parse_many(&text).unwrap();
         assert_eq!(parsed, vec![spec]);
@@ -819,8 +788,8 @@ mod tests {
             ("latency = [0, 1, 0]", "delay must be positive"),
             ("recover = [3, 4]", "recover needs"),
             ("recover = [3, 9, 9]", "recover_round > round"),
-            ("byzantine = [2, 4]", "byzantine needs"),
-            ("byzantine = [2, 6, 6]", "until_round > from_round"),
+            // A retired fault key is an error, not a silent no-op.
+            ("byzantine = [2, 0, 6]", "unknown key \"byzantine\""),
             ("drop = 1.5", "must be a number in [0, 1]"),
             ("drop = inf", "must be a number in [0, 1]"),
             ("drop = nan", "must be a number in [0, 1]"),
@@ -837,29 +806,32 @@ mod tests {
         let entries = "outage = [0, 1, 2, 10]\noutage = [2, 3, 0, 4]\n\
                        latency = [4, 5, 3]\nlatency = [5, 6, 2]\n\
                        crash = [3, 4]\ncrash = [7, 1]\n\
-                       recover = [6, 2, 9]\nrecover = [8, 1, 3]\n\
-                       byzantine = [2, 0, 6]\nbyzantine = [9, 1, 2]\n";
+                       recover = [6, 2, 9]\nrecover = [8, 1, 3]\n";
         let faults = &ScenarioSpec::parse_many(&format!("{base}{entries}")).unwrap()[0].faults;
         assert_eq!(faults.outages().len(), 2);
         assert_eq!(faults.latencies().len(), 2);
         assert_eq!(faults.crashes().len(), 4);
-        assert_eq!(faults.byzantines().len(), 2);
     }
 
     #[test]
     fn unknown_protocol_errors_list_the_registry() {
-        let bad = "[scenario]\nname = \"x\"\ntopology = \"cycle\"\nprotocol = \"flood-3000\"\n";
-        let err = ScenarioSpec::parse_many(bad).unwrap_err();
-        assert!(
-            err.message.contains("unknown protocol \"flood-3000\""),
-            "{err}"
-        );
-        for p in ALL_PROTOCOLS {
+        // A retired protocol name is unknown like any other.
+        for name in ["flood-3000", "flood-bft"] {
+            let bad =
+                format!("[scenario]\nname = \"x\"\ntopology = \"cycle\"\nprotocol = \"{name}\"\n");
+            let err = ScenarioSpec::parse_many(&bad).unwrap_err();
             assert!(
-                err.message.contains(p.name()),
-                "missing {}: {err}",
-                p.name()
+                err.message
+                    .contains(&format!("unknown protocol \"{name}\"")),
+                "{err}"
             );
+            for p in ALL_PROTOCOLS {
+                assert!(
+                    err.message.contains(p.name()),
+                    "missing {}: {err}",
+                    p.name()
+                );
+            }
         }
     }
 

@@ -39,7 +39,7 @@ pub struct BaselineCell {
 }
 
 /// The version line every trace file starts with.
-const HEADER: &str = "# sim-harness trace v4\n";
+const HEADER: &str = "# sim-harness trace v5\n";
 
 /// Serializes a matrix run as a trace file.
 #[must_use]
@@ -65,7 +65,7 @@ fn write_summary(out: &mut String, m: &Metrics, effective_rounds: u64, ok: bool)
     use std::fmt::Write;
     writeln!(
         out,
-        "summary classical={} quantum={} rounds={} peak={} bits={} dropped={} delayed={} sched={} mutated={} crashed={} effective={} ok={}",
+        "summary classical={} quantum={} rounds={} peak={} bits={} dropped={} delayed={} sched={} crashed={} effective={} ok={}",
         m.classical_messages,
         m.quantum_messages,
         m.rounds,
@@ -74,7 +74,6 @@ fn write_summary(out: &mut String, m: &Metrics, effective_rounds: u64, ok: bool)
         m.dropped_messages,
         m.delayed_messages,
         m.scheduled_messages,
-        m.mutated_messages,
         m.crashed_nodes,
         effective_rounds,
         ok
@@ -118,12 +117,6 @@ fn write_events(out: &mut String, events: &[TraceEvent]) {
                 )
                 .unwrap();
             }
-            TraceEvent::MessageMutated { round, from, to } => {
-                writeln!(out, "event round={round} mutate from={from} to={to}").unwrap();
-            }
-            TraceEvent::MessageEquivocated { round, node } => {
-                writeln!(out, "event round={round} equivocate node={node}").unwrap();
-            }
             TraceEvent::MessageScheduled {
                 round,
                 from,
@@ -156,10 +149,10 @@ pub fn parse(text: &str) -> Result<Vec<BaselineCell>, String> {
             // a real error: failing here names the actual problem instead
             // of surfacing it later as a missing summary key.
             if let Some(version) = line.strip_prefix("# sim-harness trace ") {
-                if version != "v4" {
+                if version != "v5" {
                     return Err(format!(
                         "trace line {line_no}: unsupported trace format {version} \
-                         (this build reads v4; re-record the baseline)"
+                         (this build reads v5; re-record the baseline)"
                     ));
                 }
             }
@@ -224,7 +217,6 @@ fn parse_summary(rest: &str, line_no: usize) -> Result<(Metrics, u64, bool), Str
         dropped_messages: get("dropped")?,
         delayed_messages: get("delayed")?,
         scheduled_messages: get("sched")?,
-        mutated_messages: get("mutated")?,
         crashed_nodes: get("crashed")?,
     };
     let effective_rounds = get("effective")?;
@@ -296,15 +288,6 @@ fn parse_event(rest: &str, line_no: usize) -> Result<TraceEvent, String> {
                 delay,
             })
         }
-        Some("mutate") => Ok(TraceEvent::MessageMutated {
-            round,
-            from: attribute(from, "from", line_no)?,
-            to: attribute(to, "to", line_no)?,
-        }),
-        Some("equivocate") => Ok(TraceEvent::MessageEquivocated {
-            round,
-            node: attribute(node, "node", line_no)?,
-        }),
         _ => Err(format!("trace line {line_no}: unknown event kind")),
     }
 }
@@ -397,15 +380,11 @@ mod tests {
                         .crash(3, 2)
                         .crash_recover(9, 1, 12),
                 ),
-            ScenarioSpec::new(
-                "bft-cycle-adversarial",
-                Family::Cycle,
-                ProtocolKind::FloodBft,
-            )
-            .sizes([16])
-            .seeds([1])
-            .max_rounds(400)
-            .faults(FaultPlan::new(21).byzantine(0, 0, 5).adversarial_drops(1)),
+            ScenarioSpec::new("ft-cycle-adversarial", Family::Cycle, ProtocolKind::FloodFt)
+                .sizes([16])
+                .seeds([1])
+                .max_rounds(400)
+                .faults(FaultPlan::new(21).adversarial_drops(1)),
         ];
         run_matrix(&specs).unwrap()
     }
@@ -435,12 +414,6 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| matches!(e, TraceEvent::MessageDelayed { .. })));
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, TraceEvent::MessageMutated { .. })));
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, TraceEvent::MessageEquivocated { .. })));
         assert!(events.iter().any(|e| matches!(
             e,
             TraceEvent::MessageDropped {
@@ -506,12 +479,6 @@ mod tests {
                 to: 7,
                 delay: 9,
             },
-            TraceEvent::MessageMutated {
-                round: 6,
-                from: 8,
-                to: 0,
-            },
-            TraceEvent::MessageEquivocated { round: 6, node: 8 },
             TraceEvent::MessageScheduled {
                 round: 1,
                 from: 2,
@@ -541,10 +508,14 @@ mod tests {
         let err = parse("# sim-harness trace v1\ncell a\nend\n").unwrap_err();
         assert!(err.contains("unsupported trace format v1"), "{err}");
         // A v3 baseline predates the scheduled counter and the `schedule`
-        // event kind: it must be re-recorded, not half-parsed.
-        let err = parse("# sim-harness trace v3\ncell a\nend\n").unwrap_err();
-        assert!(err.contains("this build reads v4"), "{err}");
+        // event kind, and a v4 one carries a summary key and two event kinds
+        // this build no longer writes: both must be re-recorded, not
+        // half-parsed.
+        for old in ["v3", "v4"] {
+            let err = parse(&format!("# sim-harness trace {old}\ncell a\nend\n")).unwrap_err();
+            assert!(err.contains("this build reads v5"), "{old}: {err}");
+        }
         // The current version marker and unrelated comments pass.
-        assert!(parse("# sim-harness trace v4\n# another comment\n").is_ok());
+        assert!(parse("# sim-harness trace v5\n# another comment\n").is_ok());
     }
 }

@@ -14,7 +14,7 @@
 //!    behavioural change and must be made deliberately (update the
 //!    constants in the same commit and say why).
 //! 3. **Replay determinism:** identical `(spec, seed, scheduler)` inputs
-//!    produce byte-identical serialized v4 traces across repeated runs, for
+//!    produce byte-identical serialized v5 traces across repeated runs, for
 //!    every scheduler kind.
 
 use congest_net::topology::Family;
@@ -128,7 +128,7 @@ fn latency_skew_flood_ft_golden() {
     );
 }
 
-/// A mixed round/event matrix serializes to a v4 trace that parses back and
+/// A mixed round/event matrix serializes to a v5 trace that parses back and
 /// replays byte-identically — the determinism pin CI's scenario-smoke job
 /// re-checks across real processes on the committed matrix.
 #[test]
@@ -144,7 +144,7 @@ fn mixed_matrix_trace_round_trips_and_replays() {
     ];
     let results = run_cells(&expand(&specs)).unwrap();
     let text = trace::serialize(&results);
-    assert!(text.starts_with("# sim-harness trace v4\n"), "{text}");
+    assert!(text.starts_with("# sim-harness trace v5\n"), "{text}");
     assert!(text.contains("sched="), "{text}");
     assert!(
         text.contains("mode=event scheduler=worst-case,2,0"),

@@ -6,13 +6,13 @@
 //!    byte-identical (metrics + per-round history) to the pristine
 //!    fault-free path — the fault plane may not perturb healthy runs
 //!    (property-based).
-//! 2. **Golden values:** faulty Flood, FloodFt, FloodBft and GHS-LE
+//! 2. **Golden values:** faulty Flood, FloodFt and GHS-LE
 //!    configurations are pinned exactly, including the fault counters and
 //!    the event trace length. Any engine/PRNG change that shifts them is a
 //!    behavioural change and must be made deliberately.
 
 use classical_baselines::GhsLe;
-use congest_net::programs::{Flood, FloodBft, FloodFt};
+use congest_net::programs::{Flood, FloodFt};
 use congest_net::{
     topology, DropCause, FaultPlan, Metrics, Network, NetworkConfig, RoundReport, SchedulerSpec,
     SyncRuntime, TraceEvent,
@@ -57,21 +57,18 @@ proptest! {
     ) {
         let graph = topology::erdos_renyi_connected(n, 0.2, seed).unwrap();
         let pristine = flood_run(&graph, seed, None);
-        // An empty Byzantine window and an identity adversary (k = 0) are
-        // discarded at plan level like the zero-delay latency and the empty
-        // recovery window — the adversarial classes keep the transparency
-        // guarantee.
+        // An identity adversary (k = 0) is discarded at plan level like the
+        // zero-delay latency and the empty recovery window — the
+        // adversarial class keeps the transparency guarantee.
         let empty = FaultPlan::new(seed ^ 0xDEAD)
             .link_latency(0, 1, 0)
             .crash_recover(2, 5, 5)
-            .byzantine(2, 5, 5)
             .adversarial_drops(0);
         prop_assert!(empty.is_empty());
         let run = flood_run(&graph, seed, Some(&empty));
         prop_assert_eq!(&run, &pristine);
         prop_assert_eq!(run.1.dropped_messages, 0);
         prop_assert_eq!(run.1.delayed_messages, 0);
-        prop_assert_eq!(run.1.mutated_messages, 0);
         prop_assert_eq!(run.1.crashed_nodes, 0);
     }
 
@@ -446,61 +443,6 @@ fn latency_recovery_flood_ft_golden() {
     assert_eq!(metrics.dropped_messages, 30);
     assert_eq!(metrics.delayed_messages, 38);
     assert_eq!(trace.len(), 71);
-}
-
-/// The golden Byzantine + adversarial FloodBft configuration: two lying
-/// nodes (the source equivocating from round 0) plus a 2-strikes-per-round
-/// frontier adversary on Q5. Pinned end-to-end values — metrics including
-/// the mutated counter, the trace with mutation / equivocation /
-/// adversarial-drop events, and coverage.
-#[test]
-fn byzantine_flood_bft_golden() {
-    let plan = FaultPlan::new(19)
-        .byzantine(0, 0, 6)
-        .byzantine(5, 2, 8)
-        .adversarial_drops(2);
-    let graph = topology::hypercube(5).unwrap();
-    let mut runtime = SyncRuntime::new(graph, NetworkConfig::with_seed(11), |v, d| {
-        FloodBft::new(v == 0, d)
-    });
-    runtime.enable_trace();
-    runtime.set_fault_plan(&plan);
-    let rounds = runtime.run_until_halt(300).unwrap();
-    let metrics = runtime.metrics();
-    let trace = runtime.take_trace();
-    let covered = runtime.programs().iter().filter(|p| p.has_token()).count();
-    // Both windows are shorter than FloodBft's retransmission budget, so
-    // coverage recovers in spite of the lies and the frontier strikes.
-    assert_eq!(covered, 32);
-    assert!(
-        trace
-            .iter()
-            .any(|e| matches!(e, TraceEvent::MessageMutated { from: 0, .. })),
-        "the source must be seen lying"
-    );
-    assert!(
-        trace
-            .iter()
-            .any(|e| matches!(e, TraceEvent::MessageEquivocated { node: 0, .. })),
-        "the degree-5 source mutates per port — equivocation"
-    );
-    assert!(
-        trace.iter().any(|e| matches!(
-            e,
-            TraceEvent::MessageDropped {
-                cause: DropCause::Adversarial,
-                ..
-            }
-        )),
-        "the adversary must strike frontier links"
-    );
-    // Pinned golden: any engine/PRNG change that shifts these is a
-    // deliberate behavioural change.
-    assert_eq!(rounds, 13);
-    assert_eq!(metrics.classical_messages, 527);
-    assert_eq!(metrics.mutated_messages, 32);
-    assert_eq!(metrics.dropped_messages, 14);
-    assert_eq!(trace.len(), 53);
 }
 
 /// The golden FloodFt outage-reroute configuration: control flow — not just

@@ -179,15 +179,15 @@ fn committed_example_specs_run_and_replay() {
 }
 
 /// The scorecard's baseline column is exactly the standalone fault-free
-/// run of each faulty scenario's twin — and the committed `byzantine.scn`
-/// file pins this externally: its fault-free `flood-bft-cycle` scenario has
-/// the same shape as the `flood-bft-byzantine` twin, so the scorecard's
+/// run of each faulty scenario's twin — and the committed `flood_ft.scn`
+/// file pins this externally: its fault-free `flood-ft-cycle` scenario has
+/// the same shape as the `flood-ft-cycle-drop` twin, so the scorecard's
 /// derived baseline must agree with the standalone fault-free golden cells
 /// metric-for-metric.
 #[test]
 fn scorecard_baseline_matches_the_standalone_fault_free_run() {
     let path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/scenarios/byzantine.scn");
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/scenarios/flood_ft.scn");
     let specs = sim_harness::load_specs(&path).unwrap();
     let card = sim_harness::run_scorecard(&specs).unwrap();
 
@@ -204,12 +204,12 @@ fn scorecard_baseline_matches_the_standalone_fault_free_run() {
         trace::serialize(&standalone)
     );
 
-    // The committed fault-free scenario is the visible twin of the Byzantine
+    // The committed fault-free scenario is the visible twin of the drop
     // cells: same topology/protocol/sizes/seeds, so per-seed metrics match.
     let golden = run_matrix(
         &specs
             .iter()
-            .filter(|s| s.name == "flood-bft-cycle")
+            .filter(|s| s.name == "flood-ft-cycle")
             .cloned()
             .collect::<Vec<_>>(),
     )
@@ -217,19 +217,19 @@ fn scorecard_baseline_matches_the_standalone_fault_free_run() {
     for twin in card
         .baseline
         .iter()
-        .filter(|r| r.cell.scenario == "flood-bft-byzantine")
+        .filter(|r| r.cell.scenario == "flood-ft-cycle-drop")
     {
         let pinned = golden
             .iter()
             .find(|g| g.cell.seed == twin.cell.seed && g.cell.n == twin.cell.n)
-            .expect("flood-bft-cycle covers every flood-bft-byzantine cell");
+            .expect("flood-ft-cycle covers every flood-ft-cycle-drop cell");
         assert_eq!(twin.outcome.metrics, pinned.outcome.metrics);
         assert_eq!(
             twin.outcome.effective_rounds,
             pinned.outcome.effective_rounds
         );
         assert_eq!(twin.outcome.ok, pinned.outcome.ok);
-        assert_eq!(twin.outcome.metrics.mutated_messages, 0);
+        assert_eq!(twin.outcome.metrics.dropped_messages, 0);
     }
 }
 
