@@ -692,19 +692,19 @@ impl<M: Payload> Network<M> {
                     None => Verdict::Deliver,
                 }
             };
-            if let Verdict::Drop(cause) = verdict {
-                self.recorder.record_drop();
-                if self.trace_enabled {
-                    self.trace.push(TraceEvent::MessageDropped {
-                        round: clock,
-                        from,
-                        to,
-                        cause,
-                    });
-                }
-                continue;
-            }
             let delay = match verdict {
+                Verdict::Drop(cause) => {
+                    self.recorder.record_drop();
+                    if self.trace_enabled {
+                        self.trace.push(TraceEvent::MessageDropped {
+                            round: clock,
+                            from,
+                            to,
+                            cause,
+                        });
+                    }
+                    continue;
+                }
                 Verdict::Delay(delay) => {
                     self.recorder.record_delay();
                     if self.trace_enabled {
@@ -717,7 +717,7 @@ impl<M: Payload> Network<M> {
                     }
                     delay
                 }
-                _ => {
+                Verdict::Deliver => {
                     // The fault plane delivers this message; the scheduler
                     // adversary now chooses how long the network holds it.
                     // `0` — the synchronous policy's only answer — delivers

@@ -214,11 +214,13 @@ fn scorecard_baseline_matches_the_standalone_fault_free_run() {
             .collect::<Vec<_>>(),
     )
     .unwrap();
-    for twin in card
+    let drop_twins: Vec<_> = card
         .baseline
         .iter()
         .filter(|r| r.cell.scenario == "flood-ft-cycle-drop")
-    {
+        .collect();
+    assert_eq!(drop_twins.len(), 2, "one twin per committed seed");
+    for twin in drop_twins {
         let pinned = golden
             .iter()
             .find(|g| g.cell.seed == twin.cell.seed && g.cell.n == twin.cell.n)
